@@ -88,7 +88,6 @@ class Tally:
     def __init__(self):
         self.best: list[float] = []
         self.kinds: list[str] = []
-        self.job_seconds: list[float] = []
         self.passed_items: list[int] = []
         self.attempted = 0
         self.failed = 0
@@ -104,7 +103,6 @@ class Tally:
             self.best = [op.seconds for op in job.ops]
         elif kinds != self.kinds:
             raise RuntimeError("jobs of one run must repeat the same ops")
-        self.job_seconds.append(job.seconds)
         items = 0
         for k, (op, verdict) in enumerate(zip(job.ops, verdicts, strict=True)):
             self.best[k] = min(self.best[k], op.seconds)
@@ -246,7 +244,7 @@ def run(name: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict, 
         "seconds": seconds,
         "trace": int(trace),
         "machine": machine(tvkl),
-        "jobs": len(tally.job_seconds),
+        "jobs": len(tally.passed_items),
         "ops": tally.attempted,
         "failed_ratio": tally.failed / tally.attempted,
         "silent_failures": tally.silent,
