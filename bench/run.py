@@ -19,6 +19,7 @@ the workloads, the item and op definitions and the predictions.
 from __future__ import annotations
 
 import argparse
+import array
 import gc
 import importlib
 import json
@@ -38,7 +39,8 @@ BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH_DIR)
 SRC = os.path.join(ROOT, "src")
 
-#: Set-up rounds per run; set-up time is their median.
+#: Set-up rounds per run, one before each of the first jobs; set-up time is
+#: their median.
 SETUP_ROUNDS = 5
 
 END_TO_END_UNITS = {
@@ -60,33 +62,30 @@ def import_tvkl():
     return sys.modules["tvkl"]
 
 
-def setup(workload, seed: int):
-    """Run ``SETUP_ROUNDS`` rounds of import, input generation and warm-up;
-    return the last round's state and the median round time."""
-    times = []
-    state = tvkl = None
-    for _ in range(SETUP_ROUNDS):
-        state = None  # drop the previous round's inputs first
-        start = time.perf_counter()
-        tvkl = import_tvkl()
-        state = workload.setup(tvkl, seed)
-        workload.warm_up(state)
-        times.append(time.perf_counter() - start)
-    return tvkl, state, statistics.median(times)
+def setup_round(workload, seed: int):
+    """Import tvkl afresh, generate the inputs and warm up; return tvkl, the
+    inputs and the time taken."""
+    start = time.perf_counter()
+    tvkl = import_tvkl()
+    state = workload.setup(tvkl, seed)
+    workload.warm_up(state)
+    return tvkl, state, time.perf_counter() - start
 
 
 class Tally:
     """Per-op verdicts and timings over every job of a run.
 
     Jobs repeat the same ops on the same inputs, so each op position keeps
-    its best time over the jobs. Contention from other tenants of the
-    machine only ever slows an op down, and comes in bursts of seconds;
-    the best of several repeats is the estimate it disturbs least (the
-    same reasoning as ``timeit``'s advice to take the minimum).
+    its time from every job, in reference seconds (see ``workloads.Gauge``),
+    and is timed by their median, which a burst of contention in one job
+    does not move. The times are kept as packed doubles, so that the
+    harness's memory barely grows with the number of jobs and
+    ``peak_rss_mb`` measures the library.
     """
 
     def __init__(self):
-        self.best: list[float] = []
+        self.times: list[array.array] = []
+        self.job_seconds: list[float] = []
         self.kinds: list[str] = []
         self.passed_items: list[int] = []
         self.attempted = 0
@@ -94,18 +93,17 @@ class Tally:
         self.silent = 0
         self.reasons: dict[str, int] = {}
         self.digests: list[str] = []
-        self.gauge_ms: list[float] = []
 
     def add(self, job, verdicts) -> None:
         kinds = [op.kind for op in job.ops]
         if not self.kinds:
             self.kinds = kinds
-            self.best = [op.seconds for op in job.ops]
+            self.times = [array.array("d") for _ in kinds]
         elif kinds != self.kinds:
             raise RuntimeError("jobs of one run must repeat the same ops")
         items = 0
         for k, (op, verdict) in enumerate(zip(job.ops, verdicts, strict=True)):
-            self.best[k] = min(self.best[k], op.seconds)
+            self.times[k].append(op.scaled)
             self.attempted += 1
             if verdict.failure is None:
                 items += op.items
@@ -116,49 +114,56 @@ class Tally:
             reason = re.sub(r"-?\d+\.\d*(?:e[+-]?\d+)?", "#", f"{op.kind}: {verdict.failure}")
             self.reasons[reason] = self.reasons.get(reason, 0) + 1
         self.passed_items.append(items)
+        self.job_seconds.append(job.seconds)
         digest = job.digest()
         if digest is not None:
             self.digests.append(digest)
 
-
-def gauge_ms() -> float:
-    """Time of a fixed pure-Python loop: how fast the machine ran just now.
-
-    It is reported beside the metrics, never mixed into them, so that a run
-    made while other tenants slowed the machine can be told apart.
-    """
-    start = time.perf_counter()
-    total = 0
-    for i in range(100_000):
-        total += i * i
-    return 1e3 * (time.perf_counter() - start)
+    def op_times(self) -> list[float]:
+        """Each op's median time over the jobs, in reference seconds."""
+        return [statistics.median(t) for t in self.times]
 
 
-def run_job(workload, state, rep: int):
+def run_job(workload, state, gauge):
     """Run one job with the cyclic garbage collector paused, as ``timeit``
     does. The harness holds every output of a job until it is checked, which
     would make collections inside the job cost more than in real use."""
     gc.disable()
     try:
-        return workload.run_job(state, rep)
+        gauge.probe()
+        job = workload.run_job(state, gauge)
+        gauge.read(job.ops)
+        return job
     finally:
         gc.enable()
 
 
-def measure(workload, state, seconds: float, tally: Tally) -> None:
-    """Run jobs for about ``seconds``: start another while half of the last
-    job's time still fits."""
+def measure(workload, seed: int, seconds: float, tally: Tally, gauge):
+    """Run set-up rounds and jobs for about ``seconds``; return tvkl, the
+    inputs and the median set-up time in reference seconds.
+
+    A set-up round precedes each of the first ``SETUP_ROUNDS`` jobs, so the
+    rounds spread over the run as the jobs do. Another job starts while half
+    of the last job's time still fits.
+    """
     start = time.perf_counter()
-    rep = 0
+    setup_times = []
+    tvkl = state = None
     last = 0.0
-    while rep == 0 or time.perf_counter() - start + last / 2 < seconds:
-        job = run_job(workload, state, rep)
+    while (len(setup_times) < SETUP_ROUNDS
+           or time.perf_counter() - start + last / 2 < seconds):
+        if len(setup_times) < SETUP_ROUNDS:
+            state = None  # drop the previous round's inputs first
+            gc.collect()
+            gauge.probe()
+            tvkl, state, took = setup_round(workload, seed)
+            setup_times.append(took * gauge.scale())
+        job = run_job(workload, state, gauge)
         last = job.seconds
         tally.add(job, workload.check(state, job))
         del job
         gc.collect()
-        tally.gauge_ms.append(gauge_ms())
-        rep += 1
+    return tvkl, state, statistics.median(setup_times)
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -169,8 +174,8 @@ def percentile(values: list[float], q: float) -> float:
 
 
 def end_to_end(tally: Tally, setup_s: float) -> dict:
-    """Job time from the best time of each op."""
-    wall = math.fsum(tally.best)
+    """Job time as the sum of each op's median time."""
+    wall = math.fsum(tally.op_times())
     return {
         "setup_s": setup_s,
         "wall_s": wall,
@@ -180,22 +185,25 @@ def end_to_end(tally: Tally, setup_s: float) -> dict:
 
 
 def op_latency(tally: Tally) -> dict:
-    """Percentiles of the ops' best times, where a job has enough ops."""
-    if len(tally.best) < PERCENTILE_OPS:
+    """Percentiles of the ops' median times, where a job has enough ops."""
+    times = tally.op_times()
+    if len(times) < PERCENTILE_OPS:
         return {}
-    return {"op_p50_ms": 1e3 * percentile(tally.best, 50),
-            "op_p99_ms": 1e3 * percentile(tally.best, 99)}
+    return {"op_p50_ms": 1e3 * percentile(times, 50),
+            "op_p99_ms": 1e3 * percentile(times, 99)}
 
 
-def traced_job(workload, tvkl, state, tally: Tally):
-    """Run one job under the tracer; check it once the tracer is removed."""
+def traced_job(workload, tvkl, state, gauge):
+    """Run one job under the tracer; check it once the tracer is removed, in
+    a tally of its own, apart from the measured jobs."""
     spans = tracer.Tracer(tvkl)
     with spans:
-        job = run_job(workload, state, 0)
+        job = run_job(workload, state, gauge)
     for k, op in enumerate(job.ops):
         spans.op_span(k, op.kind, op.start, op.seconds)
-    tally.add(job, workload.check(state, job))
-    return spans, job.seconds
+    traced = Tally()
+    traced.add(job, workload.check(state, job))
+    return spans, traced
 
 
 def machine(tvkl) -> dict:
@@ -220,20 +228,22 @@ def machine(tvkl) -> dict:
 def run(name: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict, dict]:
     """Run one workload; return (summary, result line, trace dump)."""
     workload = workloads.WORKLOADS[name]
-    tvkl, state, setup_s = setup(workload, seed)
     tally = Tally()
-    measure(workload, state, seconds, tally)
+    gauge = workloads.Gauge()
+    tvkl, state, setup_s = measure(workload, seed, seconds, tally, gauge)
     e2e = end_to_end(tally, setup_s)
     metrics = {k: (v, END_TO_END_UNITS[k]) for k, v in e2e.items()}
     dump = {}
+    tallies = [tally]
     if trace:
-        spans, traced_s = traced_job(workload, tvkl, state, tally)
-        metrics = spans.metrics(e2e["wall_s"], traced_s)
+        spans, traced = traced_job(workload, tvkl, state, gauge)
+        tallies.append(traced)
+        metrics = spans.metrics(e2e["wall_s"], math.fsum(traced.op_times()))
         dump = {"aggregate": spans.table(), "report_spans": spans.report_spans,
                 "op_spans": spans.op_spans}
+    digests = {d for t in tallies for d in t.digests}
     result = {
-        "correct": tally.silent == 0 and (
-            not workload.same_stdout or len(set(tally.digests)) <= 1),
+        "correct": all(t.silent == 0 for t in tallies) and len(digests) <= 1,
         "attempted": tally.attempted,
         "failed": tally.failed,
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
@@ -250,11 +260,14 @@ def run(name: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict, 
         "silent_failures": tally.silent,
         "failures": tally.reasons,
         "stdout_sha256": tally.digests[0] if tally.digests else None,
-        "gauge_ms": {"min": min(tally.gauge_ms),
-                     "median": statistics.median(tally.gauge_ms)},
         "end_to_end": e2e,
+        "measured_wall_s": statistics.median(tally.job_seconds),
+        "gauge_ms": 1e3 * statistics.median(gauge.readings),
         **op_latency(tally),
     }
+    if trace:
+        summary["traced_job"] = {"ops": traced.attempted, "failed": traced.failed,
+                                 "failures": traced.reasons}
     return summary, result, dump
 
 

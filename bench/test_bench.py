@@ -30,6 +30,7 @@ def small(monkeypatch):
     monkeypatch.setattr(workloads, "LARGE_ATOMS", 300)
     monkeypatch.setattr(workloads, "PRODUCT_POWER", 2)
     monkeypatch.setattr(workloads, "SWEEP_POINTS", 300)
+    monkeypatch.setattr(run, "SETUP_ROUNDS", 2)
 
 
 def installed_wrappers(tvkl) -> list[str]:
@@ -55,6 +56,7 @@ def _counts(result):
 
 def test_traced_verify_counts_repeat(monkeypatch):
     monkeypatch.setattr(workloads.Verify, "seeds_per_job", 2)
+    monkeypatch.setattr(run, "SETUP_ROUNDS", 1)
     _, first, _ = run.run("verify", 0, 0, True)
     assert not installed_wrappers(sys.modules["tvkl"])
     _, second, _ = run.run("verify", 0, 0, True)
@@ -91,7 +93,17 @@ def test_traced_run_reports_every_layer_metric(small):
     assert metrics["distributions.tensor_power_atoms"]["value"] == 2 * 8**2
     assert "trace.overhead_ratio" in metrics
     assert all(f"verify.{name}.s" in metrics for name in tracer.REPORT_NAMES)
-    assert dump["aggregate"] and len(dump["op_spans"]) == 4
+    pairs = workloads.SAME_ORDER_PAIRS + workloads.RELABELLED_PAIRS
+    ops = pairs * workloads.PAIR_OPS + workloads.PRODUCT_OPS
+    assert dump["aggregate"] and len(dump["op_spans"]) == ops
+
+
+def test_traced_job_stays_out_of_the_counts(small):
+    _, untraced, _ = run.run("large_support", 1, 0, False)
+    summary, traced, _ = run.run("large_support", 1, 0, True)
+    assert traced["attempted"] == untraced["attempted"] == summary["ops"]
+    assert summary["jobs"] == run.SETUP_ROUNDS
+    assert summary["traced_job"]["failed"] == 0
 
 
 # -- each check rejects a corrupted output -----------------------------------
@@ -127,11 +139,13 @@ def test_check_verify_rejects_corruption():
 def test_check_pair_and_product_reject_corruption(small):
     tvkl = _tvkl()
     state = workloads.LargeSupport().setup(tvkl, 4)
-    p, q = state.pairs[0]
-    twin = workloads.pair_outputs(tvkl, p, q)
-    index, rp, rq = state.relabelled[0]
-    assert index == 0
-    relabelled = workloads.pair_outputs(tvkl, rp, rq)
+    job = workloads.LargeSupport().run_job(state, None)
+    assert all(v.failure is None
+               for v in workloads.LargeSupport().check(state, job))
+    n = workloads.PAIR_OPS
+    twin = workloads.pair_outputs(job.ops[:n])
+    assert state.relabelled[0][0] == 0
+    relabelled = workloads.pair_outputs(job.ops[2 * n:3 * n])
     assert workloads.check_pair(twin) is None
     assert workloads.check_pair(relabelled, twin) is None
 
@@ -142,12 +156,20 @@ def test_check_pair_and_product_reject_corruption(small):
     assert workloads.check_pair((tv, kl, aff, min_sum, max_sum, dv * (1 + 1e-8)))
     assert workloads.check_pair((tv, -kl, aff, min_sum, max_sum, -dv))
 
-    out = workloads.product_outputs(tvkl, state.bases, 2)
+    out = workloads.product_outputs(tvkl, state.bases,
+                                    job.ops[-workloads.PRODUCT_OPS:])
     assert workloads.check_product(out, 64, 2) is None
     size, pkl, ptv, base_kl, base_tv = out
     assert workloads.check_product((size, pkl * (1 + 1e-8), ptv, base_kl, base_tv), 64, 2)
     assert workloads.check_product((size - 1, pkl, ptv, base_kl, base_tv), 64, 2)
     assert workloads.check_product((size, pkl, base_tv / 2, base_kl, base_tv), 64, 2)
+
+    # A corrupted op output fails its whole group, and only that group.
+    job.ops[2 * n].output = math.nextafter(tv, 1.0)
+    verdicts = workloads.LargeSupport().check(state, job)
+    assert [v.failure is not None for v in verdicts] == (
+        [False] * 2 * n + [True] * n + [False] * workloads.PRODUCT_OPS)
+    assert all(v.silent for v in verdicts[2 * n:3 * n])
 
 
 def test_check_sweep_rejects_corruption():

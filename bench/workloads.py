@@ -2,8 +2,9 @@
 
 Each workload builds its inputs from the workload seed in ``setup`` and
 hands the library only those inputs. ``run_job`` runs one fixed job and
-times every op on its own; every job of a run gets the same inputs, so op k
-of one job repeats op k of the others. ``run_job`` returns raw outputs and
+times every op on its own, between ``Gauge`` readings of the machine's
+speed; every job of a run gets the same inputs, so op k of one job
+repeats op k of the others. ``run_job`` returns raw outputs and
 does no checking, so the traced run can check after the tracer is removed.
 ``check`` turns the raw outputs into one verdict per op.
 
@@ -15,6 +16,7 @@ presented a wrong answer as a right one, which makes the run incorrect.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -34,6 +36,13 @@ class OpRecord:
     items: int
     output: object = None
     error: str | None = None
+    #: Reference seconds per measured second, from the gauge readings before
+    #: and after the op; see ``Gauge``.
+    scale: float | None = None
+
+    @property
+    def scaled(self) -> float:
+        return self.seconds * self.scale
 
 
 @dataclass
@@ -46,6 +55,7 @@ class Verdict:
 class Job:
     ops: list[OpRecord] = field(default_factory=list)
     stdout: str | None = None
+    gauge: Gauge | None = None
 
     @property
     def seconds(self) -> float:
@@ -65,7 +75,100 @@ def _timed(job: Job, kind: str, items: int, fn, *args) -> OpRecord:
         output, error = None, f"{type(exc).__name__}: {exc}"
     op = OpRecord(kind, start, time.perf_counter() - start, items, output, error)
     job.ops.append(op)
+    if job.gauge is not None:
+        job.gauge.after(job.ops)
     return op
+
+
+#: The gauge time, in seconds, that defines a reference second: about what
+#: the gauge takes on a 2-vCPU Xeon VM in its fast phases.
+GAUGE_REFERENCE_S = 5e-4
+#: Least time between two gauge readings within a job, so that the readings
+#: cost a few per cent of it.
+GAUGE_INTERVAL_S = 0.05
+#: Sizes of the probe's three parts, each about a third of its time.
+GAUGE_KEYS = 2500
+GAUGE_STEPS = 1250
+GAUGE_ALLOCS = 1250
+
+
+class Gauge:
+    """Reads the machine's speed between the ops of a job.
+
+    On a shared machine, pure-Python code runs up to twice as slow in
+    phases of seconds to minutes while other tenants are busy. A phase that
+    outlasts a run moves every time the run measures, whatever estimate it
+    takes. So each op's time is scaled by ``GAUGE_REFERENCE_S`` over the time
+    of a fixed probe, taking the mean of the scales of the probes run right
+    before and right after it (with at most ``GAUGE_INTERVAL_S`` of ops in
+    between): the op's time in reference seconds, those of a machine on
+    which the probe takes ``GAUGE_REFERENCE_S``.
+
+    The probe does in small what the library's hot paths do: dict lookups in
+    a shuffled order, float arithmetic with ``math.log`` and allocation. It
+    runs three times with the garbage collector paused and reads the faster
+    of the last two runs, so that its time depends on the machine and not on
+    what the op before it left in the caches or on the heap. It is the
+    benchmark's own code; no change to the library moves it.
+    """
+
+    def __init__(self):
+        rng = random.Random(0)
+        keys = [f"x{i}" for i in range(GAUGE_KEYS)]
+        self._table = {k: rng.random() for k in keys}
+        rng.shuffle(keys)
+        self._keys = keys
+        self.readings: list[float] = []
+        self.probe()
+
+    def _body(self) -> float:
+        table, total = self._table, 0.0
+        for key in self._keys:
+            total += table[key]
+        for i in range(1, GAUGE_STEPS + 1):
+            total += i * math.log(i)
+        kept = [(i, str(i)) for i in range(GAUGE_ALLOCS)]
+        return total + len(kept)
+
+    def probe(self) -> float:
+        """Seconds taken by the fixed probe."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._body()
+            seconds = math.inf
+            for _ in range(2):
+                start = time.perf_counter()
+                self._body()
+                seconds = min(seconds, time.perf_counter() - start)
+        finally:
+            if enabled:
+                gc.enable()
+        self._last = time.perf_counter()
+        self._scale = GAUGE_REFERENCE_S / seconds
+        self.readings.append(seconds)
+        return seconds
+
+    def scale(self) -> float:
+        """Reference seconds per measured second since the last reading:
+        the mean of the scales that reading and a new one give."""
+        before = self._scale
+        self.probe()
+        return (before + self._scale) / 2
+
+    def read(self, ops: list[OpRecord]) -> None:
+        """Scale every op at the end of ``ops`` that has no reading yet."""
+        scale = self.scale()
+        for op in reversed(ops):
+            if op.scale is not None:
+                break
+            op.scale = scale
+
+    def after(self, ops: list[OpRecord]) -> None:
+        """Read the gauge once ``GAUGE_INTERVAL_S`` have passed since the
+        last reading."""
+        if time.perf_counter() - self._last >= GAUGE_INTERVAL_S:
+            self.read(ops)
 
 
 # -- verify workloads ---------------------------------------------------------
@@ -113,10 +216,11 @@ class Verify:
     ``verify random`` and ``verify kl_finite`` for each of K seeds.
 
     The six grid invocations print, in order, exactly the bytes of one
-    ``verify grid``. Each takes well under a second, short enough for its
-    best time to fall between the bursts of contention on a shared machine;
-    a single 2-4 s invocation rarely does. Splitting the seeded suites per
-    seed lets one crash neither hide the other seeds nor stop them.
+    ``verify grid``. Each takes well under a second, so the gauge readings
+    before and after it (see ``Gauge``) catch the machine's speed during it
+    better than around a single 2-4 s invocation. Splitting the seeded
+    suites per seed lets one crash neither hide the other seeds nor stop
+    them.
 
     Workload seed ``s`` covers the consecutive CLI seeds ``s * K`` to
     ``s * K + K - 1``, so workload seed 0 includes the CLI's default seed 0.
@@ -124,8 +228,7 @@ class Verify:
     """
 
     name = "verify"
-    same_stdout = True
-    seeds_per_job = 10
+    seeds_per_job = 3
     cells = (RESOLUTION - 1) ** 2
     suites = (("random", RANDOM_REPORTS, RANDOM_REPORTS * TRIALS),
               ("kl_finite", 1, TRIALS))
@@ -154,8 +257,8 @@ class Verify:
                        ["--json", "verify", suite, "--seed", str(seed),
                         "--trials", str(TRIALS), "--atoms", str(ATOMS)])
 
-    def run_job(self, state, rep: int) -> Job:
-        job = Job()
+    def run_job(self, state, gauge: Gauge | None) -> Job:
+        job = Job(gauge=gauge)
         chunks = []
         for kind, _, items, argv in self.invocations(state):
             op = _timed(job, kind, items, _cli, state[0], argv)
@@ -178,7 +281,11 @@ RELABELLED_PAIRS = 1
 PRODUCT_BASE_ATOMS = 8
 PRODUCT_POWER = 6
 WEIGHT_FLOOR = 1e-12
-PAIR_CONCENTRATIONS = (1.0, 0.3, 3.0)
+PAIR_CONCENTRATIONS = (1.0, 0.3)
+#: Ops per pair: the div set, then the optimal DV witness and the DV value.
+PAIR_OPS = 6
+#: Ops of the product: two tensor powers, then KL and TV of the products.
+PRODUCT_OPS = 4
 
 
 def _weights(rng: random.Random, n: int, concentration: float) -> list[float]:
@@ -200,24 +307,42 @@ class LargeInputs:
     bases: tuple  # (p, q) on PRODUCT_BASE_ATOMS atoms
 
 
-def pair_outputs(tvkl, p, q) -> tuple:
-    """The div set plus the variational value at the optimal witness."""
+def pair_ops(job: Job, tvkl, mode: str, p, q) -> None:
+    """Append the ``PAIR_OPS`` ops of one pair, one library call each."""
     div, var = tvkl.divergence, tvkl.variational
-    tv = div.total_variation(p, q)
-    kl = div.kl_divergence(p, q)
-    aff = div.hellinger_affinity(p, q)
-    min_sum, max_sum = div.overlap_identities(p, q)
-    dv = var.dv_value(p, q, var.dv_optimal_witness(p, q))
+    for name, fn in (("tv", div.total_variation), ("kl", div.kl_divergence),
+                     ("affinity", div.hellinger_affinity),
+                     ("overlap", div.overlap_identities),
+                     ("witness", var.dv_optimal_witness)):
+        _timed(job, f"{name} {mode}", len(p), fn, p, q)
+    _timed(job, f"dv {mode}", len(p), var.dv_value, p, q, job.ops[-1].output)
+
+
+def pair_outputs(ops: list[OpRecord]) -> tuple:
+    """(tv, kl, affinity, min_sum, max_sum, dv) from one pair's ops."""
+    tv, kl, aff, (min_sum, max_sum), _, dv = (op.output for op in ops)
     return tv, kl, aff, min_sum, max_sum, dv
 
 
-def product_outputs(tvkl, bases, power: int) -> tuple:
+def product_ops(job: Job, tvkl, bases, power: int) -> None:
+    """Append the ``PRODUCT_OPS`` ops of the product."""
     dist, div = tvkl.distributions, tvkl.divergence
-    bp, bq = bases
-    pp = dist.tensor_power(dist.ProductSpec(bp, power))
-    qp = dist.tensor_power(dist.ProductSpec(bq, power))
-    return (len(pp), div.kl_divergence(pp, qp), div.total_variation(pp, qp),
-            div.kl_divergence(bp, bq), div.total_variation(bp, bq))
+    atoms = len(bases[0]) ** power
+    for base in bases:
+        _timed(job, "tensor_power", atoms, dist.tensor_power,
+               dist.ProductSpec(base, power))
+    pp, qp = job.ops[-2].output, job.ops[-1].output
+    _timed(job, "kl product", atoms, div.kl_divergence, pp, qp)
+    _timed(job, "tv product", atoms, div.total_variation, pp, qp)
+
+
+def product_outputs(tvkl, bases, ops: list[OpRecord]) -> tuple:
+    """(atoms, product KL, product TV, base KL, base TV); the base values
+    are computed here, outside the timed ops."""
+    div = tvkl.divergence
+    pp, _, kl, tv = (op.output for op in ops)
+    return (len(pp), kl, tv, div.kl_divergence(*bases),
+            div.total_variation(*bases))
 
 
 def check_pair(out: tuple, twin: tuple | None = None) -> str | None:
@@ -250,12 +375,27 @@ def check_product(out: tuple, atoms: int, power: int) -> str | None:
     return None
 
 
+def group_verdicts(ops: list[OpRecord], check) -> list[Verdict]:
+    """Verdicts for ops checked together: each op that raised fails with
+    its error and takes the rest of its group with it; otherwise every op
+    gets the verdict of ``check()``."""
+    if any(op.error is not None for op in ops):
+        return [Verdict(op.error or "another op of its group raised")
+                for op in ops]
+    reason = check()
+    return [Verdict(reason, reason is not None) for _ in ops]
+
+
 class LargeSupport:
     """Pairs of ``LARGE_ATOMS`` atoms with explicit labels, two thirds in the
-    same label order and one third relabelled, plus one tensor-power op."""
+    same label order and one third relabelled, plus a tensor power.
+
+    Every library call is an op of its own. The longest, a tensor power, takes
+    about half a second; the shorter an op, the closer the gauge readings
+    before and after it come to the machine's speed during it.
+    """
 
     name = "large_support"
-    same_stdout = False
 
     def setup(self, tvkl, seed: int) -> LargeInputs:
         rng = random.Random(seed)
@@ -264,7 +404,7 @@ class LargeSupport:
         labels = [f"x{i}" for i in range(atoms)]
         pairs = []
         for i in range(SAME_ORDER_PAIRS):
-            c = PAIR_CONCENTRATIONS[i % len(PAIR_CONCENTRATIONS)]
+            c = PAIR_CONCENTRATIONS[i]
             pairs.append((new(_weights(rng, atoms, c), labels),
                           new(_weights(rng, atoms, c), labels)))
         relabelled = []
@@ -280,37 +420,38 @@ class LargeSupport:
         return LargeInputs(tvkl, pairs, relabelled, bases)
 
     def warm_up(self, state: LargeInputs) -> None:
-        pair_outputs(state.tvkl, *state.bases)
-        product_outputs(state.tvkl, state.bases, 2)
-
-    def run_job(self, state: LargeInputs, rep: int) -> Job:
         job = Job()
-        tvkl = state.tvkl
+        pair_ops(job, state.tvkl, "warm-up", *state.bases)
+        product_ops(job, state.tvkl, state.bases, 2)
+
+    def run_job(self, state: LargeInputs, gauge: Gauge | None) -> Job:
+        job = Job(gauge=gauge)
         for p, q in state.pairs:
-            _timed(job, "pair same-order", len(p), pair_outputs, tvkl, p, q)
+            pair_ops(job, state.tvkl, "same-order", p, q)
         for _, p, q in state.relabelled:
-            _timed(job, "pair relabelled", len(p), pair_outputs, tvkl, p, q)
-        atoms = PRODUCT_BASE_ATOMS**PRODUCT_POWER
-        _timed(job, "tensor power", atoms, product_outputs, tvkl, state.bases,
-               PRODUCT_POWER)
+            pair_ops(job, state.tvkl, "relabelled", p, q)
+        product_ops(job, state.tvkl, state.bases, PRODUCT_POWER)
         return job
 
     def check(self, state: LargeInputs, job: Job) -> list[Verdict]:
+        groups = [job.ops[k:k + PAIR_OPS]
+                  for k in range(0, len(job.ops) - PRODUCT_OPS, PAIR_OPS)]
         n = len(state.pairs)
         verdicts = []
-        for k, op in enumerate(job.ops):
-            if op.error is not None:
-                verdicts.append(Verdict(op.error))
-                continue
+        for k, ops in enumerate(groups):
             if k < n:
-                reason = check_pair(op.output)
-            elif k < n + len(state.relabelled):
-                twin = job.ops[state.relabelled[k - n][0]].output
-                reason = check_pair(op.output, twin) if twin else "twin failed"
+                twin_ops = None
             else:
-                reason = check_product(
-                    op.output, PRODUCT_BASE_ATOMS**PRODUCT_POWER, PRODUCT_POWER)
-            verdicts.append(Verdict(reason, reason is not None))
+                twin_ops = groups[state.relabelled[k - n][0]]
+                if any(op.error is not None for op in twin_ops):
+                    verdicts += [Verdict("same-order twin raised")] * len(ops)
+                    continue
+            verdicts += group_verdicts(ops, lambda: check_pair(
+                pair_outputs(ops), twin_ops and pair_outputs(twin_ops)))
+        product = job.ops[-PRODUCT_OPS:]
+        verdicts += group_verdicts(product, lambda: check_product(
+            product_outputs(state.tvkl, state.bases, product),
+            PRODUCT_BASE_ATOMS**PRODUCT_POWER, PRODUCT_POWER))
         return verdicts
 
 
@@ -372,7 +513,6 @@ class BoundSweep:
     the sample-complexity report, then the four figures."""
 
     name = "bound_sweep"
-    same_stdout = False
 
     def setup(self, tvkl, seed: int):
         rng = random.Random(seed)
@@ -389,9 +529,9 @@ class BoundSweep:
         for point in inputs[:200]:
             sweep_op(tvkl, *point)
 
-    def run_job(self, state, rep: int) -> Job:
+    def run_job(self, state, gauge: Gauge | None) -> Job:
         tvkl, inputs = state
-        job = Job()
+        job = Job(gauge=gauge)
         for point in inputs:
             _timed(job, "bound point", 1, sweep_op, tvkl, *point)
         for figure in tvkl.figures.FigureId:
