@@ -81,6 +81,12 @@ class Tally:
     does not move. The times are kept as packed doubles, so that the
     harness's memory barely grows with the number of jobs and
     ``peak_rss_mb`` measures the library.
+
+    The repeats re-time the ops; they are not more ops. So ``attempted``
+    counts the op positions of one job and ``failed`` those that failed in
+    any job: both depend on the seed alone, not on how many jobs fit in the
+    run. A position whose verdict changes from one job to the next is
+    ``flaky``; it counts as failed.
     """
 
     def __init__(self):
@@ -88,36 +94,64 @@ class Tally:
         self.job_seconds: list[float] = []
         self.kinds: list[str] = []
         self.passed_items: list[int] = []
-        self.attempted = 0
-        self.failed = 0
-        self.silent = 0
-        self.reasons: dict[str, int] = {}
+        self.failures: list[str | None] = []
+        self.silent_ops: list[bool] = []
+        self.flaky_ops: list[bool] = []
         self.digests: list[str] = []
 
     def add(self, job, verdicts) -> None:
         kinds = [op.kind for op in job.ops]
-        if not self.kinds:
+        first = not self.kinds
+        if first:
             self.kinds = kinds
             self.times = [array.array("d") for _ in kinds]
+            self.failures = [None] * len(kinds)
+            self.silent_ops = [False] * len(kinds)
+            self.flaky_ops = [False] * len(kinds)
         elif kinds != self.kinds:
             raise RuntimeError("jobs of one run must repeat the same ops")
         items = 0
         for k, (op, verdict) in enumerate(zip(job.ops, verdicts, strict=True)):
             self.times[k].append(op.scaled)
-            self.attempted += 1
+            if not first and (verdict.failure is None) != (self.failures[k] is None):
+                self.flaky_ops[k] = True
             if verdict.failure is None:
                 items += op.items
                 continue
-            self.failed += 1
-            self.silent += verdict.silent
-            # Numbers vary from op to op; group the reasons without them.
-            reason = re.sub(r"-?\d+\.\d*(?:e[+-]?\d+)?", "#", f"{op.kind}: {verdict.failure}")
-            self.reasons[reason] = self.reasons.get(reason, 0) + 1
+            self.silent_ops[k] |= verdict.silent
+            if self.failures[k] is None:
+                # Numbers vary from op to op; group the reasons without them.
+                self.failures[k] = re.sub(r"-?\d+\.\d*(?:e[+-]?\d+)?", "#",
+                                          f"{op.kind}: {verdict.failure}")
         self.passed_items.append(items)
         self.job_seconds.append(job.seconds)
         digest = job.digest()
         if digest is not None:
             self.digests.append(digest)
+
+    @property
+    def attempted(self) -> int:
+        return len(self.kinds)
+
+    @property
+    def failed(self) -> int:
+        return sum(f is not None for f in self.failures)
+
+    @property
+    def silent(self) -> int:
+        return sum(self.silent_ops)
+
+    @property
+    def flaky(self) -> int:
+        return sum(self.flaky_ops)
+
+    @property
+    def reasons(self) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for reason in self.failures:
+            if reason is not None:
+                counts[reason] = counts.get(reason, 0) + 1
+        return counts
 
     def op_times(self) -> list[float]:
         """Each op's median time over the jobs, in reference seconds."""
@@ -258,6 +292,7 @@ def run(name: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict, 
         "ops": tally.attempted,
         "failed_ratio": tally.failed / tally.attempted,
         "silent_failures": tally.silent,
+        "flaky_ops": tally.flaky,
         "failures": tally.reasons,
         "stdout_sha256": tally.digests[0] if tally.digests else None,
         "end_to_end": e2e,

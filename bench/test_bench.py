@@ -106,6 +106,31 @@ def test_traced_job_stays_out_of_the_counts(small):
     assert summary["traced_job"]["failed"] == 0
 
 
+def test_counts_do_not_depend_on_the_number_of_jobs(small, monkeypatch):
+    _, few, _ = run.run("large_support", 1, 0, False)
+    monkeypatch.setattr(run, "SETUP_ROUNDS", 4)
+    summary, many, _ = run.run("large_support", 1, 0, False)
+    assert summary["jobs"] == 4
+    assert (few["attempted"], few["failed"]) == (many["attempted"], many["failed"])
+
+
+def test_an_op_failing_in_one_job_counts_once_and_as_flaky():
+    def job(seconds):
+        ops = [workloads.OpRecord(kind, 0.0, seconds, 1, scale=1.0)
+               for kind in ("a", "b", "c")]
+        return workloads.Job(ops=ops)
+
+    tally = run.Tally()
+    ok, bad = workloads.Verdict(), workloads.Verdict("exit 1")
+    tally.add(job(1.0), [ok, bad, ok])
+    tally.add(job(2.0), [ok, bad, bad])
+    tally.add(job(3.0), [ok, bad, ok])
+    assert (tally.attempted, tally.failed, tally.flaky) == (3, 2, 1)
+    assert tally.reasons == {"b: exit 1": 1, "c: exit 1": 1}
+    assert tally.passed_items == [2, 1, 2]
+    assert tally.op_times() == [2.0, 2.0, 2.0]
+
+
 # -- each check rejects a corrupted output -----------------------------------
 
 
