@@ -117,12 +117,42 @@ def _trivial_forward(kl: float) -> float:
     return 1.0
 
 
+_VAJDA_BRACKET_TOP = 1.0 - 1e-15
+
+
+def tv_upper_from_vajda(kl: float) -> float:
+    """Invert the vajda lower bound: the unique t in [0, 1) whose vajda
+    value equals ``kl``, by bisection to ``VAJDA_BISECTION_TOL`` in t.
+
+    There is no closed form; monotonicity makes bisection exact enough and
+    derivative-free. +inf maps to 1. The result never exceeds the bh
+    forward bound by more than bisection slack.
+    """
+    kl = _check_kl(kl)
+    if kl == 0.0:
+        return 0.0
+    if math.isinf(kl):
+        return 1.0
+    lo, hi = 0.0, _VAJDA_BRACKET_TOP
+    if kl_lower_vajda(hi) <= kl:
+        # Root lies within one ulp of 1; the bracket top already satisfies
+        # the tolerance.
+        return hi
+    while hi - lo > VAJDA_BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if kl_lower_vajda(mid) < kl:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 _FORWARD = {
     BoundId.PINSKER: _pinsker_forward,
     BoundId.BH: _bh_forward,
     BoundId.TSYBAKOV: _tsybakov_forward,
     BoundId.WEAK_BH: _weak_bh_forward,
-    BoundId.VAJDA: None,  # filled in below, needs the inverse machinery
+    BoundId.VAJDA: tv_upper_from_vajda,
     BoundId.TRIVIAL: _trivial_forward,
 }
 
@@ -245,38 +275,6 @@ def kl_lower(bound: BoundId, tv: float) -> BoundEvaluation:
     tv = _check_tv(tv)
     return BoundEvaluation(bound, tv, _INVERSE[bound](tv), False)
 
-
-_VAJDA_BRACKET_TOP = 1.0 - 1e-15
-
-
-def tv_upper_from_vajda(kl: float) -> float:
-    """Invert the vajda lower bound: the unique t in [0, 1) whose vajda
-    value equals ``kl``, by bisection to ``VAJDA_BISECTION_TOL`` in t.
-
-    There is no closed form; monotonicity makes bisection exact enough and
-    derivative-free. +inf maps to 1. The result never exceeds the bh
-    forward bound by more than bisection slack.
-    """
-    kl = _check_kl(kl)
-    if kl == 0.0:
-        return 0.0
-    if math.isinf(kl):
-        return 1.0
-    lo, hi = 0.0, _VAJDA_BRACKET_TOP
-    if kl_lower_vajda(hi) <= kl:
-        # Root lies within one ulp of 1; the bracket top already satisfies
-        # the tolerance.
-        return hi
-    while hi - lo > VAJDA_BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if kl_lower_vajda(mid) < kl:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-_FORWARD[BoundId.VAJDA] = tv_upper_from_vajda
 
 #: Forward bounds in report order.
 FORWARD_ORDER = (

@@ -84,7 +84,10 @@ def kl_divergence(p: Distribution, q: Distribution) -> DivergenceValue:
     """KL(p || q) = sum over p's support of p(x) log(p(x)/q(x)), in nats.
 
     Returns +inf iff some atom has p(x) > 0 and q(x) = 0, and exactly 0.0
-    when the aligned weight vectors are identical.
+    when the aligned weight vectors are identical. KL >= 0 is a theorem, so
+    a negative sum is rounding and is returned as 0.0: for instance
+    p = (5e-324, 1.0), q = (1e-300, 1.0), both valid within the weight-sum
+    tolerance, sum to about -2.7e-322.
     """
     _, pw, qw = _aligned(p, q)
     terms = []
@@ -94,7 +97,7 @@ def kl_divergence(p: Distribution, q: Distribution) -> DivergenceValue:
         if b <= 0.0:
             return math.inf
         terms.append(a * _log_ratio(a, b))
-    return math.fsum(terms)
+    return max(0.0, math.fsum(terms))
 
 
 def binary_tv(a: float, b: float) -> float:
@@ -173,11 +176,18 @@ class EventSubset:
 
 
 def event_mass(weights, subset: EventSubset) -> float:
-    """Total weight of the flagged atoms, clamped into [0, 1]."""
+    """Total weight of the flagged atoms, clamped into [0, 1].
+
+    The weights are a distribution's, so the full event is the sure event
+    and has mass exactly 1.0, however its weights round in the sum (as the
+    empty event has mass 0.0).
+    """
     if len(subset.flags) != len(weights):
         raise MismatchedSupportsError(
             f"subset: {len(subset.flags)} flags for {len(weights)} atoms"
         )
+    if all(subset.flags):
+        return 1.0
     mass = math.fsum(w for w, keep in zip(weights, subset.flags) if keep)
     return min(max(mass, 0.0), 1.0)
 

@@ -8,8 +8,14 @@ on all Bernoulli pairs holds in general, so a clean scan is strong evidence
 function or an event where needed) and evaluate the inequality through the
 full divergence machinery.
 
+The grid validates at its boundary (resolution, tolerance, inequality) and
+not per cell: its values i/r lie in (0, 1) by construction. It caches the
+logs of each row's p and each column's q, so a cell forms KL from four
+cached logs and makes one call to the inequality's margin.
+
 Every margin is oriented as RHS - LHS of the inequality, so violations are
-margins below -tolerance. All operations are deterministic given their seed;
+margins below -tolerance; a NaN margin is a violation too, and a tolerance
+must be finite. All operations are deterministic given their seed;
 reports carry no state beyond the wall-clock ``elapsed`` field, which is
 excluded from any serialised form.
 """
@@ -22,7 +28,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .bounds import BoundId, forward_value, inverse_value
+from .bounds import _FORWARD, BoundId, forward_value, inverse_value, kl_lower_vajda
 from .distributions import Distribution, _default_labels
 from .divergence import (
     EventSubset,
@@ -81,42 +87,49 @@ class ScanReport:
 
 
 # -- binary grid margins ----------------------------------------------------
+#
+# Margins of (p, q, kl), with kl = binary_kl(p, q) and TV = |p - q|; the grid
+# scan and bernoulli_margin call the same entry of _BINARY_MARGINS.
 
 
-def _margin_pinsker_binary(p: float, q: float) -> float:
+def _margin_pinsker_binary(p: float, q: float, kl: float) -> float:
     d = p - q
-    return binary_kl(p, q) - 2.0 * d * d
+    return kl - 2.0 * d * d
 
 
 def _forward_margin(bound: BoundId):
-    def margin(p: float, q: float) -> float:
-        return forward_value(bound, binary_kl(p, q)) - binary_tv(p, q)
+    curve = _FORWARD[bound]
+
+    def margin(p: float, q: float, kl: float) -> float:
+        # forward_value's rejection of a negative or NaN kl.
+        if not kl >= 0.0:
+            raise OutOfRangeError(f"kl: {kl!r} must be >= 0")
+        return curve(kl) - abs(p - q)
 
     return margin
 
 
-def _margin_vajda(p: float, q: float) -> float:
-    return binary_kl(p, q) - inverse_value(BoundId.VAJDA, binary_tv(p, q))
+def _margin_vajda(p: float, q: float, kl: float) -> float:
+    return kl - kl_lower_vajda(abs(p - q))
 
 
-def _margin_hellinger_binary(p: float, q: float) -> float:
-    tv = binary_tv(p, q)
-    kl = binary_kl(p, q)
-    aff = math.sqrt(p * q) + math.sqrt((1.0 - p) * (1.0 - q))
-    aff2 = aff * aff
+def _hellinger_chain(tv: float, kl: float, aff2: float) -> float:
+    # 1 - tv^2 >= affinity^2 >= exp(-kl)
     return min((1.0 - tv * tv) - aff2, aff2 - math.exp(-kl))
 
 
-def _margin_dpi_binary(p: float, q: float) -> float:
+def _margin_hellinger_binary(p: float, q: float, kl: float) -> float:
+    aff = math.sqrt(p * q) + math.sqrt((1.0 - p) * (1.0 - q))
+    return _hellinger_chain(abs(p - q), kl, aff * aff)
+
+
+def _margin_dpi_binary(p: float, q: float, kl: float) -> float:
     # The only nontrivial events on two atoms keep the pair or swap the
-    # roles of the atoms; both quantizations must shrink kl and tv.
-    tv = binary_tv(p, q)
-    kl = binary_kl(p, q)
-    margins = []
-    for ps, qs in ((p, q), (1.0 - p, 1.0 - q)):
-        margins.append(kl - binary_kl(ps, qs))
-        margins.append(tv - binary_tv(ps, qs))
-    return min(margins)
+    # roles of the atoms; both quantizations must shrink kl and tv. Keeping
+    # the pair gives margins kl - kl and tv - tv: 0, or NaN where kl is +inf.
+    tv = abs(p - q)
+    ps, qs = 1.0 - p, 1.0 - q
+    return min(kl - kl, tv - tv, kl - binary_kl(ps, qs), tv - abs(ps - qs))
 
 
 _BINARY_MARGINS = {
@@ -131,13 +144,24 @@ _BINARY_MARGINS = {
 }
 
 
-def bernoulli_margin(inequality: InequalityId, p: float, q: float) -> float:
-    """Margin (RHS - LHS) of one inequality at one Bernoulli pair."""
+def _binary_margin_fn(inequality: InequalityId):
     if inequality not in _BINARY_MARGINS:
         raise UnsupportedInequalityError(
             f"{inequality.value}: no binary closed form to scan"
         )
-    return _BINARY_MARGINS[inequality](p, q)
+    return _BINARY_MARGINS[inequality]
+
+
+def _check_tolerance(tolerance: float) -> None:
+    # Negative tolerances stay allowed: they force violations on purpose.
+    if not math.isfinite(tolerance):
+        raise OutOfRangeError(f"tolerance: {tolerance!r} must be finite")
+
+
+def bernoulli_margin(inequality: InequalityId, p: float, q: float) -> float:
+    """Margin (RHS - LHS) of one inequality at one Bernoulli pair."""
+    margin_fn = _binary_margin_fn(inequality)
+    return margin_fn(p, q, binary_kl(p, q))
 
 
 def scan_bernoulli(
@@ -148,33 +172,38 @@ def scan_bernoulli(
     Boundary pairs are excluded (degenerate weights are covered by the
     explicit boundary cases of the closed forms); cells with infinite KL
     would be skipped and counted in the grid description, though the open
-    grid never produces one.
+    grid never produces one. Every other cell whose margin is not at least
+    -tolerance, NaN included, is a violation. A cell's KL is binary_kl's
+    expression on the cached row and column logs, so it equals
+    binary_kl(p, q) bit for bit.
     """
     if resolution < 2:
         raise OutOfRangeError(f"resolution: {resolution!r} must be >= 2")
-    if inequality not in _BINARY_MARGINS:
-        raise UnsupportedInequalityError(
-            f"{inequality.value}: no binary closed form to scan"
-        )
-    margin_fn = _BINARY_MARGINS[inequality]
+    _check_tolerance(tolerance)
+    margin_fn = _binary_margin_fn(inequality)
     start = time.perf_counter()
     worst = math.inf
     worst_point = (math.nan, math.nan)
     violations = 0
     skipped = 0
+    floor = -tolerance
+    inf = math.inf
+    log, log1p, fsum = math.log, math.log1p, math.fsum
     r = resolution
+    columns = [(q, log(q), log1p(-q)) for q in (j / r for j in range(1, r))]
     for i in range(1, r):
         p = i / r
-        for j in range(1, r):
-            q = j / r
-            m = margin_fn(p, q)
-            if math.isinf(m):
+        lp, l1p, cp = log(p), log1p(-p), 1.0 - p
+        for q, lq, l1q in columns:
+            kl = 0.0 if p == q else fsum((p * (lp - lq), cp * (l1p - l1q)))
+            if kl == inf:
                 skipped += 1
                 continue
+            m = margin_fn(p, q, kl)
             if m < worst:
                 worst = m
                 worst_point = (p, q)
-            if m < -tolerance:
+            if not m >= floor:
                 violations += 1
     elapsed = time.perf_counter() - start
     grid = (
@@ -229,8 +258,7 @@ def _random_margin(
     tv = total_variation(p, q)
     kl = kl_divergence(p, q)
     if inequality is InequalityId.HELLINGER_CHAIN:
-        aff2 = hellinger_affinity(p, q) ** 2
-        return min((1.0 - tv * tv) - aff2, aff2 - math.exp(-kl))
+        return _hellinger_chain(tv, kl, hellinger_affinity(p, q) ** 2)
     if inequality is InequalityId.DPI_QUANTIZED:
         flags = tuple(rng.random() < 0.5 for _ in range(len(p)))
         ps = event_mass(p.probs, EventSubset(flags))
@@ -265,13 +293,15 @@ def falsify(
     Draws ``trials`` seeded full-support pairs with sizes uniform in
     [2, atoms] and concentrations cycling through
     ``FALSIFY_CONCENTRATIONS``, plus a random event for the quantization
-    check and a random bounded witness for the variational one. The worst
-    point records the offending trial index.
+    check and a random bounded witness for the variational one. A trial
+    whose margin is not at least -tolerance, NaN included, is a violation.
+    The worst point records the offending trial index.
     """
     if trials < 1:
         raise OutOfRangeError(f"trials: {trials!r} must be >= 1")
     if not (2 <= atoms <= 64):
         raise OutOfRangeError(f"atoms: {atoms!r} not in [2, 64]")
+    _check_tolerance(tolerance)
     if inequality is InequalityId.PINSKER_BINARY:
         raise UnsupportedInequalityError(
             f"{inequality.value}: only meaningful on Bernoulli pairs"
@@ -290,7 +320,7 @@ def falsify(
         if m < worst:
             worst = m
             worst_point = (t,)
-        if m < -tolerance:
+        if not m >= -tolerance:
             violations += 1
     elapsed = time.perf_counter() - start
     grid = (
@@ -361,8 +391,11 @@ def run_suite(
 
     Suites: "grid" scans the six binary inequalities, "random" runs the
     three multi-atom randomized checks, "kl_finite" the finite-KL
-    consequence, "all" everything. Deterministic given the seed.
+    consequence, "all" everything. Deterministic given the seed. Both
+    tolerances must be finite, whichever checks the suite runs.
     """
+    _check_tolerance(grid_tolerance)
+    _check_tolerance(random_tolerance)
     reports: list[ScanReport] = []
     if name in ("all", "grid"):
         for ineq in GRID_INEQUALITIES:

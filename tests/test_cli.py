@@ -250,6 +250,27 @@ class TestVerify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_one(self, capsys, tolerance):
+        code, out, err = run_cli(
+            capsys, "verify", "bh", "--resolution", "20", "--tolerance", tolerance,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "tolerance" in err
+
+    def test_kl_finite_seed_zero_passes(self, capsys):
+        # its trials include a pair whose KL sum rounds below zero
+        code, _, err = run_cli(capsys, "--json", "verify", "kl_finite", "--seed", "0")
+        assert code == 0, err
+
+    def test_random_seed_eight_passes(self, capsys):
+        # its dpi_quantized trials include an all-atom event, whose masses
+        # must both be exactly 1
+        code, out, _ = run_cli(capsys, "--json", "verify", "random", "--seed", "8")
+        assert code == 0
+        assert all(json.loads(line)["violations"] == 0 for line in out.splitlines())
+
     def test_unknown_suite_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "verify", "bogus")
         assert code == 1

@@ -123,6 +123,12 @@ class TestKlDivergence:
     def test_asymmetric(self):
         assert kl_divergence(P3, Q3) != kl_divergence(Q3, P3)
 
+    def test_rounding_never_makes_it_negative(self):
+        # both pairs are valid within the weight-sum tolerance; the raw
+        # sum of the two terms is about -2.7e-322
+        kl = kl_divergence(dist(5e-324, 1.0), dist(1e-300, 1.0))
+        assert kl >= 0.0
+
     @given(integer_weight_pair())
     def test_nonnegative_and_zero_iff_equal(self, pair):
         p, q = pair
@@ -271,6 +277,15 @@ class TestQuantize:
         assert bp.probs[0] == 0.0 and bq.probs[0] == 0.0
         bp, bq = quantize(P3, Q3, EventSubset.full(n))
         assert bp.probs[0] == 1.0 and bq.probs[0] == 1.0
+
+    def test_full_event_is_sure_however_the_weights_round(self):
+        p = dist(0.25, 0.75 - 2.0**-53)
+        q = dist(0.5, 0.5)
+        assert math.fsum(p.probs) == 1.0 - 2.0**-53
+        full = EventSubset.full(2)
+        assert event_mass(p.probs, full) == 1.0
+        bp, bq = quantize(p, q, full)
+        assert binary_kl(bp.probs[0], bq.probs[0]) == 0.0
 
     def test_data_processing_never_grows_divergences(self):
         # two-point quantization by any event shrinks both KL and TV; the

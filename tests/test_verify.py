@@ -6,19 +6,50 @@ import pytest
 from tvkl import (
     InequalityId,
     OutOfRangeError,
+    ScanReport,
     UnsupportedInequalityError,
     bernoulli_margin,
+    binary_kl,
     falsify,
     kl_finite_implies_tv_lt_one,
     random_distribution,
     run_suite,
     scan_bernoulli,
 )
-from tvkl.verify import GRID_INEQUALITIES, RANDOM_INEQUALITIES
+from tvkl import verify
+from tvkl.verify import GRID_INEQUALITIES, GRID_TOLERANCE, RANDOM_INEQUALITIES
+
+BINARY_INEQUALITIES = GRID_INEQUALITIES + (
+    InequalityId.HELLINGER_CHAIN,
+    InequalityId.DPI_QUANTIZED,
+)
 
 
 def strip_elapsed(report):
     return dataclasses.replace(report, elapsed=0.0)
+
+
+def reference_scan(inequality, r, tolerance=GRID_TOLERANCE):
+    # The scan as a plain per-cell loop over the validated public functions.
+    worst, worst_point = math.inf, (math.nan, math.nan)
+    violations = skipped = 0
+    for i in range(1, r):
+        p = i / r
+        for j in range(1, r):
+            q = j / r
+            if math.isinf(binary_kl(p, q)):
+                skipped += 1
+                continue
+            m = bernoulli_margin(inequality, p, q)
+            if m < worst:
+                worst, worst_point = m, (p, q)
+            if not m >= -tolerance:
+                violations += 1
+    grid = (
+        f"bernoulli open grid {r}x{r}, tolerance={tolerance!r}, "
+        f"skipped_infinite_kl={skipped}"
+    )
+    return ScanReport(inequality, grid, violations, worst, worst_point, 0.0)
 
 
 class TestRandomDistribution:
@@ -96,6 +127,38 @@ class TestScanBernoulli:
         b = scan_bernoulli(InequalityId.VAJDA, 80, 1e-12)
         assert strip_elapsed(a) == strip_elapsed(b)
 
+    @pytest.mark.parametrize("r", [2, 3, 7, 50, 101])
+    @pytest.mark.parametrize("ineq", BINARY_INEQUALITIES)
+    def test_matches_the_per_cell_reference(self, ineq, r):
+        assert strip_elapsed(scan_bernoulli(ineq, r)) == reference_scan(ineq, r)
+
+    def test_row_cached_kl_is_binary_kl_bit_for_bit(self, monkeypatch):
+        cells = []
+
+        def record(p, q, kl):
+            cells.append((p, q, kl))
+            return 0.0
+
+        monkeypatch.setitem(verify._BINARY_MARGINS, InequalityId.BH, record)
+        scan_bernoulli(InequalityId.BH, 101)
+        assert len(cells) == 100 * 100
+        for p, q, kl in cells:
+            assert kl.hex() == binary_kl(p, q).hex()
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_margins_are_violations(self, monkeypatch, bad):
+        monkeypatch.setitem(
+            verify._BINARY_MARGINS, InequalityId.BH, lambda p, q, kl: bad
+        )
+        report = scan_bernoulli(InequalityId.BH, 5)
+        assert report.violations == 16
+        assert "skipped_infinite_kl=0" in report.grid
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(OutOfRangeError):
+            scan_bernoulli(InequalityId.BH, 5, tolerance)
+
     def test_tfl_rejected(self):
         with pytest.raises(UnsupportedInequalityError):
             scan_bernoulli(InequalityId.TFL_LOWER, 10)
@@ -155,6 +218,15 @@ class TestFalsify:
         with pytest.raises(UnsupportedInequalityError):
             falsify(InequalityId.PINSKER_BINARY, 10, 8, seed=1)
 
+    def test_nan_margins_are_violations(self, monkeypatch):
+        monkeypatch.setattr(verify, "_random_margin", lambda *args: math.nan)
+        assert falsify(InequalityId.BH, 10, 8, seed=1).violations == 10
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(OutOfRangeError):
+            falsify(InequalityId.BH, 10, 8, seed=1, tolerance=tolerance)
+
     @pytest.mark.parametrize("trials, atoms", [(0, 8), (10, 1), (10, 65)])
     def test_validation(self, trials, atoms):
         with pytest.raises(OutOfRangeError):
@@ -191,6 +263,13 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(OutOfRangeError):
             run_suite("nonsense")
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"grid_tolerance": math.nan}, {"random_tolerance": math.inf}]
+    )
+    def test_non_finite_tolerance_rejected_by_every_suite(self, kwargs):
+        with pytest.raises(OutOfRangeError):
+            run_suite("kl_finite", trials=5, **kwargs)
 
     def test_deterministic_given_seed(self):
         a = run_suite("random", seed=4, trials=30, atoms=8)
