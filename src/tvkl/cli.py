@@ -3,7 +3,8 @@
 Subcommands: div, bound, figure, samples, verify, dv. Single results print
 as JSON (with +inf rendered as the string "inf"), curves as CSV files, the
 verify suite as one deterministic line per report. Exit codes: 0 success,
-1 validation or input error, 2 verification failure.
+1 validation, input or usage error (one line on stderr), 2 verification
+failure.
 """
 
 from __future__ import annotations
@@ -63,8 +64,15 @@ def _global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    # A usage error is invalid input (exit 1, one line), not argparse's exit 2,
+    # which means a verification failure. Subparsers inherit the class.
+    def error(self, message):
+        raise TvklError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tvkl",
         description="Total variation / KL divergence bounds toolkit",
     )
@@ -78,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="evaluate the bound family at one value")
     p_bound.add_argument("direction", choices=("forward", "inverse"))
-    p_bound.add_argument("value", help="KL (forward, 'inf' allowed) or TV (inverse)")
+    p_bound.add_argument(
+        "value", type=float, help="KL (forward, 'inf' allowed) or TV (inverse)"
+    )
     _global_flags(p_bound, top=False)
 
     p_fig = sub.add_parser("figure", help="emit CSV data for one of the bound plots")
@@ -134,19 +144,11 @@ def _cmd_div(args) -> int:
     return 0
 
 
-def _parse_value(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise TvklError(f"value: {text!r} is not a number") from None
-
-
 def _cmd_bound(args) -> int:
-    value = _parse_value(args.value)
     if args.direction == "forward":
-        rows = bounds.compare_bounds(value)
+        rows = bounds.compare_bounds(args.value)
     else:
-        rows = [bounds.kl_lower(b, value) for b in bounds.INVERSE_ORDER]
+        rows = [bounds.kl_lower(b, args.value) for b in bounds.INVERSE_ORDER]
     if args.json:
         _print_json(
             [
@@ -261,13 +263,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except TvklError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TvklError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -63,19 +63,29 @@ class Distribution:
                 if label in seen:
                     raise DuplicateLabelError(f"support: duplicate label {label!r}")
                 seen.add(label)
-        for i, w in enumerate(self.probs):
-            if not isinstance(w, float) or not math.isfinite(w):
-                raise NegativeWeightError(
-                    f"probs[{i}]: weight {w!r} is not a finite number"
-                )
-            if w < 0.0:
-                raise NegativeWeightError(f"probs[{i}]: negative weight {w!r}")
-        total = math.fsum(self.probs)
+        _check_weights(self.probs)
+        total = _weight_sum(self.probs)
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise SumToleranceError(total, SUM_TOLERANCE)
 
     def __len__(self) -> int:
         return len(self.support)
+
+
+def _check_weights(probs) -> None:
+    for i, w in enumerate(probs):
+        if not isinstance(w, float) or not math.isfinite(w):
+            raise NegativeWeightError(f"probs[{i}]: weight {w!r} is not a finite number")
+        if w < 0.0:
+            raise NegativeWeightError(f"probs[{i}]: negative weight {w!r}")
+
+
+def _weight_sum(probs) -> float:
+    # fsum raises on an exact sum beyond the largest double.
+    try:
+        return math.fsum(probs)
+    except OverflowError:
+        raise SumToleranceError(math.inf, SUM_TOLERANCE) from None
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -93,33 +103,22 @@ def new_distribution(
     is divided by the total, otherwise the total must already be within
     ``SUM_TOLERANCE`` of 1. Labels default to "0", "1", ... and may not
     contain the reserved product separator. Zero weights are retained.
+    Every other check is the ``Distribution`` constructor's.
     """
-    ws = [float(w) for w in weights]
-    if not ws:
-        raise EmptySupportError("weights: must be non-empty")
-    for i, w in enumerate(ws):
-        if not math.isfinite(w):
-            raise NegativeWeightError(f"weights[{i}]: {w!r} is not finite")
-        if w < 0.0:
-            raise NegativeWeightError(f"weights[{i}]: negative weight {w!r}")
-    if labels is None:
-        labs = _default_labels(len(ws))
-    else:
-        labs = tuple(labels)
-        if len(labs) != len(ws):
-            raise ValidationError(
-                f"labels: {len(labs)} labels for {len(ws)} weights"
+    try:
+        ws = [float(w) for w in weights]
+    except OverflowError:
+        raise NegativeWeightError("weights: a weight is too large for a float") from None
+    labs = _default_labels(len(ws)) if labels is None else tuple(labels)
+    for i, label in enumerate(labs):
+        if isinstance(label, str) and LABEL_SEPARATOR in label:
+            raise InvalidLabelError(
+                f"labels[{i}]: {label!r} contains the reserved separator "
+                f"{LABEL_SEPARATOR!r}"
             )
-        for i, label in enumerate(labs):
-            if not isinstance(label, str):
-                raise InvalidLabelError(f"labels[{i}]: labels must be strings")
-            if LABEL_SEPARATOR in label:
-                raise InvalidLabelError(
-                    f"labels[{i}]: {label!r} contains the reserved separator "
-                    f"{LABEL_SEPARATOR!r}"
-                )
-    if renormalize:
-        total = math.fsum(ws)
+    if renormalize and ws:
+        _check_weights(ws)
+        total = _weight_sum(ws)
         if total <= 0.0:
             raise SumToleranceError(total, SUM_TOLERANCE)
         ws = [w / total for w in ws]
@@ -190,12 +189,8 @@ def from_json_dict(obj, renormalize: bool = False) -> Distribution:
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             raise ValidationError(f"probs[{i}]: {w!r} is not a number")
     support = obj.get("support")
-    if support is not None:
-        if not isinstance(support, list):
-            raise ValidationError("support: must be an array of strings")
-        for i, label in enumerate(support):
-            if not isinstance(label, str):
-                raise ValidationError(f"support[{i}]: {label!r} is not a string")
+    if support is not None and not isinstance(support, list):
+        raise ValidationError("support: must be an array of strings")
     return new_distribution(probs, support, renormalize=renormalize)
 
 
@@ -206,8 +201,11 @@ def to_json_dict(dist: Distribution) -> dict:
 def loads_distribution(text: str, renormalize: bool = False) -> Distribution:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal beyond int's digit limit.
         raise ValidationError(f"distribution file: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise ValidationError("distribution file: JSON nested too deeply") from None
     return from_json_dict(obj, renormalize=renormalize)
 
 

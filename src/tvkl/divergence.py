@@ -111,7 +111,8 @@ def binary_kl(a: float, b: float) -> DivergenceValue:
     """Closed-form KL between two-point distributions, in nats.
 
     Handles the boundary cases explicitly: the divergence is 0 when a == b,
-    and +inf when b is degenerate while a is not.
+    and +inf when b is degenerate while a is not. KL >= 0 is a theorem, so a
+    sum that rounds below zero (a and b a few ulps apart) returns 0.0.
     """
     _check_unit("a", a)
     _check_unit("b", b)
@@ -123,12 +124,13 @@ def binary_kl(a: float, b: float) -> DivergenceValue:
         return -math.log1p(-b)
     if a == 1.0:
         return -math.log(b)
-    return math.fsum(
+    kl = math.fsum(
         (
             a * (math.log(a) - math.log(b)),
             (1.0 - a) * (math.log1p(-a) - math.log1p(-b)),
         )
     )
+    return max(0.0, kl)
 
 
 def _check_unit(name: str, x: float) -> None:

@@ -40,7 +40,8 @@ FLAG_TSYBAKOV_VACUOUS = "tsybakov_vacuous"
 @dataclass(frozen=True, slots=True)
 class SampleComplexityQuery:
     """Bias epsilon in (0, 1/3) and error budget delta in (0, 1/2), both
-    strict: the closed forms below are only valid inside the open box."""
+    strict: the closed forms below are only valid inside the open box. Nor
+    may eps^2 or the per-toss KL round to 0 (eps below about 1.6e-162)."""
 
     epsilon: float
     delta: float
@@ -49,6 +50,8 @@ class SampleComplexityQuery:
         e, d = float(self.epsilon), float(self.delta)
         if not (0.0 < e < 1.0 / 3.0):
             raise OutOfRangeError(f"epsilon: {e!r} not in (0, 1/3)")
+        if e**2 == 0.0 or kl_per_toss(e) == 0.0:  # every route divides by one
+            raise OutOfRangeError(f"epsilon: {e!r} too small, eps^2 or its KL is 0.0")
         if not (0.0 < d < 0.5):
             raise OutOfRangeError(f"delta: {d!r} not in (0, 1/2)")
 

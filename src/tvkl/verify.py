@@ -8,6 +8,11 @@ on all Bernoulli pairs holds in general, so a clean scan is strong evidence
 function or an event where needed) and evaluate the inequality through the
 full divergence machinery.
 
+Each inequality between TV and KL alone has one margin function of
+(tv, kl), shared by the grid, ``bernoulli_margin`` and the random engine.
+One tally loop counts violations and finds the worst margin for every
+engine; one generator draws the seeded pairs of both random checks.
+
 The grid validates at its boundary (resolution, tolerance, inequality) and
 not per cell: its values i/r lie in (0, 1) by construction. It caches the
 logs of each row's p and each column's q, so a cell forms KL from four
@@ -23,12 +28,13 @@ excluded from any serialised form.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import random
 import time
 from dataclasses import dataclass
 
-from .bounds import _FORWARD, BoundId, forward_value, inverse_value, kl_lower_vajda
+from .bounds import _FORWARD, BoundId, forward_value, kl_lower_vajda
 from .distributions import Distribution, _default_labels
 from .divergence import (
     EventSubset,
@@ -86,31 +92,34 @@ class ScanReport:
         }
 
 
-# -- binary grid margins ----------------------------------------------------
-#
-# Margins of (p, q, kl), with kl = binary_kl(p, q) and TV = |p - q|; the grid
-# scan and bernoulli_margin call the same entry of _BINARY_MARGINS.
+# -- margins ----------------------------------------------------------------
 
 
-def _margin_pinsker_binary(p: float, q: float, kl: float) -> float:
-    d = p - q
-    return kl - 2.0 * d * d
+def _margin_pinsker_binary(tv: float, kl: float) -> float:
+    return kl - 2.0 * tv * tv
 
 
 def _forward_margin(bound: BoundId):
     curve = _FORWARD[bound]
 
-    def margin(p: float, q: float, kl: float) -> float:
-        # forward_value's rejection of a negative or NaN kl.
-        if not kl >= 0.0:
-            raise OutOfRangeError(f"kl: {kl!r} must be >= 0")
-        return curve(kl) - abs(p - q)
+    def margin(tv: float, kl: float) -> float:
+        return curve(kl) - tv
 
     return margin
 
 
-def _margin_vajda(p: float, q: float, kl: float) -> float:
-    return kl - kl_lower_vajda(abs(p - q))
+def _margin_vajda(tv: float, kl: float) -> float:
+    return kl - kl_lower_vajda(tv)
+
+
+_TV_KL_MARGINS = {
+    InequalityId.PINSKER_BINARY: _margin_pinsker_binary,
+    InequalityId.PINSKER: _forward_margin(BoundId.PINSKER),
+    InequalityId.BH: _forward_margin(BoundId.BH),
+    InequalityId.TSYBAKOV: _forward_margin(BoundId.TSYBAKOV),
+    InequalityId.WEAK_BH: _forward_margin(BoundId.WEAK_BH),
+    InequalityId.VAJDA: _margin_vajda,
+}
 
 
 def _hellinger_chain(tv: float, kl: float, aff2: float) -> float:
@@ -132,24 +141,19 @@ def _margin_dpi_binary(p: float, q: float, kl: float) -> float:
     return min(kl - kl, tv - tv, kl - binary_kl(ps, qs), tv - abs(ps - qs))
 
 
-_BINARY_MARGINS = {
-    InequalityId.PINSKER_BINARY: _margin_pinsker_binary,
-    InequalityId.PINSKER: _forward_margin(BoundId.PINSKER),
-    InequalityId.BH: _forward_margin(BoundId.BH),
-    InequalityId.TSYBAKOV: _forward_margin(BoundId.TSYBAKOV),
-    InequalityId.WEAK_BH: _forward_margin(BoundId.WEAK_BH),
-    InequalityId.VAJDA: _margin_vajda,
+# The checks that need the pair itself, on Bernoulli pairs; _random_margin
+# has their multi-atom forms.
+_PAIR_MARGINS = {
     InequalityId.HELLINGER_CHAIN: _margin_hellinger_binary,
     InequalityId.DPI_QUANTIZED: _margin_dpi_binary,
 }
 
 
-def _binary_margin_fn(inequality: InequalityId):
-    if inequality not in _BINARY_MARGINS:
+def _check_binary(inequality: InequalityId) -> None:
+    if inequality not in _TV_KL_MARGINS and inequality not in _PAIR_MARGINS:
         raise UnsupportedInequalityError(
             f"{inequality.value}: no binary closed form to scan"
         )
-    return _BINARY_MARGINS[inequality]
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -158,10 +162,43 @@ def _check_tolerance(tolerance: float) -> None:
         raise OutOfRangeError(f"tolerance: {tolerance!r} must be finite")
 
 
+def _tally(margins, floor: float) -> tuple[int, float, int]:
+    """(violations, worst, index of worst) over ``margins``: a margin not at
+    least ``floor``, NaN included, is a violation; worst is +inf and its
+    index -1 when no margin is below +inf."""
+    violations, worst, index = 0, math.inf, -1
+    for i, m in enumerate(margins):
+        if m < worst:
+            worst, index = m, i
+        if not m >= floor:
+            violations += 1
+    return violations, worst, index
+
+
 def bernoulli_margin(inequality: InequalityId, p: float, q: float) -> float:
     """Margin (RHS - LHS) of one inequality at one Bernoulli pair."""
-    margin_fn = _binary_margin_fn(inequality)
-    return margin_fn(p, q, binary_kl(p, q))
+    _check_binary(inequality)
+    kl = binary_kl(p, q)
+    if inequality in _TV_KL_MARGINS:
+        return _TV_KL_MARGINS[inequality](abs(p - q), kl)
+    return _PAIR_MARGINS[inequality](p, q, kl)
+
+
+def _row_cached_margins(margin, axis: list[float]):
+    # Row-major margins of (tv, kl) on axis x axis, one list per row (as fast
+    # as an inline loop). A cell's KL is binary_kl's expression on logs
+    # cached per row and per column, so it equals binary_kl(p, q) bit for bit.
+    log, log1p, fsum = math.log, math.log1p, math.fsum
+    columns = [(q, log(q), log1p(-q)) for q in axis]
+
+    def row(p: float) -> list[float]:
+        lp, l1p, cp = log(p), log1p(-p), 1.0 - p
+        return [
+            margin(abs(p - q), 0.0 if p == q else fsum((p * (lp - lq), cp * (l1p - l1q))))
+            for q, lq, l1q in columns
+        ]
+
+    return itertools.chain.from_iterable(map(row, axis))
 
 
 def scan_bernoulli(
@@ -170,45 +207,30 @@ def scan_bernoulli(
     """Evaluate an inequality on the open grid {(i/r, j/r) : 0 < i, j < r}.
 
     Boundary pairs are excluded (degenerate weights are covered by the
-    explicit boundary cases of the closed forms); cells with infinite KL
-    would be skipped and counted in the grid description, though the open
-    grid never produces one. Every other cell whose margin is not at least
-    -tolerance, NaN included, is a violation. A cell's KL is binary_kl's
-    expression on the cached row and column logs, so it equals
-    binary_kl(p, q) bit for bit.
+    explicit boundary cases of the closed forms). On the open grid
+    |p - q| >= 1/r and every log is finite, so no cell has infinite KL:
+    skipped_infinite_kl is always 0. A cell whose margin is not at least
+    -tolerance, NaN included, is a violation.
     """
     if resolution < 2:
         raise OutOfRangeError(f"resolution: {resolution!r} must be >= 2")
     _check_tolerance(tolerance)
-    margin_fn = _binary_margin_fn(inequality)
-    start = time.perf_counter()
-    worst = math.inf
-    worst_point = (math.nan, math.nan)
-    violations = 0
-    skipped = 0
-    floor = -tolerance
-    inf = math.inf
-    log, log1p, fsum = math.log, math.log1p, math.fsum
+    _check_binary(inequality)
     r = resolution
-    columns = [(q, log(q), log1p(-q)) for q in (j / r for j in range(1, r))]
-    for i in range(1, r):
-        p = i / r
-        lp, l1p, cp = log(p), log1p(-p), 1.0 - p
-        for q, lq, l1q in columns:
-            kl = 0.0 if p == q else fsum((p * (lp - lq), cp * (l1p - l1q)))
-            if kl == inf:
-                skipped += 1
-                continue
-            m = margin_fn(p, q, kl)
-            if m < worst:
-                worst = m
-                worst_point = (p, q)
-            if not m >= floor:
-                violations += 1
+    axis = [i / r for i in range(1, r)]
+    if inequality in _TV_KL_MARGINS:
+        margins = _row_cached_margins(_TV_KL_MARGINS[inequality], axis)
+    else:
+        pair = _PAIR_MARGINS[inequality]
+        margins = (pair(p, q, binary_kl(p, q)) for p in axis for q in axis)
+    start = time.perf_counter()
+    violations, worst, index = _tally(margins, -tolerance)
     elapsed = time.perf_counter() - start
+    i, j = divmod(index, r - 1)
+    worst_point = (axis[i], axis[j]) if index >= 0 else (math.nan, math.nan)
     grid = (
         f"bernoulli open grid {r}x{r}, tolerance={tolerance!r}, "
-        f"skipped_infinite_kl={skipped}"
+        "skipped_infinite_kl=0"
     )
     return ScanReport(inequality, grid, violations, worst, worst_point, elapsed)
 
@@ -242,10 +264,25 @@ def random_distribution(seed: int, atoms: int, concentration: float) -> Distribu
     return _draw_distribution(random.Random(seed), atoms, concentration)
 
 
+def _seeded_pairs(rng: random.Random, trials: int, atoms: int, concentrations):
+    # Lazy: the consumer may draw from rng between two pairs.
+    for t in range(trials):
+        n, c = rng.randint(2, atoms), concentrations[t % len(concentrations)]
+        yield _draw_distribution(rng, n, c), _draw_distribution(rng, n, c)
+
+
+def _trial_report(inequality: InequalityId, grid: str, margins, floor: float) -> ScanReport:
+    start = time.perf_counter()
+    violations, worst, index = _tally(margins, floor)
+    elapsed = time.perf_counter() - start
+    worst_point = (index,) if index >= 0 else ()
+    return ScanReport(inequality, grid, violations, worst, worst_point, elapsed)
+
+
 #: Concentrations cycled by the randomized checks, mixing flat and spiky.
 FALSIFY_CONCENTRATIONS = (1.0, 0.3, 3.0)
 
-_RANDOM_ONLY = (
+RANDOM_INEQUALITIES = (
     InequalityId.HELLINGER_CHAIN,
     InequalityId.DPI_QUANTIZED,
     InequalityId.TFL_LOWER,
@@ -267,18 +304,7 @@ def _random_margin(
     if inequality is InequalityId.TFL_LOWER:
         f = WitnessFunction(tuple(rng.uniform(-3.0, 3.0) for _ in range(len(p))))
         return kl - dv_value(p, q, f)
-    if inequality is InequalityId.VAJDA:
-        return kl - inverse_value(BoundId.VAJDA, tv)
-    if inequality in (
-        InequalityId.PINSKER,
-        InequalityId.BH,
-        InequalityId.TSYBAKOV,
-        InequalityId.WEAK_BH,
-    ):
-        return forward_value(BoundId(inequality.value), kl) - tv
-    raise UnsupportedInequalityError(
-        f"{inequality.value}: only meaningful on Bernoulli pairs"
-    )
+    return _TV_KL_MARGINS[inequality](tv, kl)
 
 
 def falsify(
@@ -306,73 +332,42 @@ def falsify(
         raise UnsupportedInequalityError(
             f"{inequality.value}: only meaningful on Bernoulli pairs"
         )
-    start = time.perf_counter()
     rng = random.Random(seed)
-    worst = math.inf
-    worst_point: tuple = ()
-    violations = 0
-    for t in range(trials):
-        n = rng.randint(2, atoms)
-        concentration = FALSIFY_CONCENTRATIONS[t % len(FALSIFY_CONCENTRATIONS)]
-        p = _draw_distribution(rng, n, concentration)
-        q = _draw_distribution(rng, n, concentration)
-        m = _random_margin(inequality, rng, p, q)
-        if m < worst:
-            worst = m
-            worst_point = (t,)
-        if not m >= -tolerance:
-            violations += 1
-    elapsed = time.perf_counter() - start
+    pairs = _seeded_pairs(rng, trials, atoms, FALSIFY_CONCENTRATIONS)
+    margins = (_random_margin(inequality, rng, p, q) for p, q in pairs)
     grid = (
         f"random pairs trials={trials}, atoms in [2, {atoms}], seed={seed}, "
         f"tolerance={tolerance!r}"
     )
-    return ScanReport(inequality, grid, violations, worst, worst_point, elapsed)
+    return _trial_report(inequality, grid, margins, -tolerance)
+
+
+def _kl_finite_margin(p: Distribution, q: Distribution) -> float:
+    bh = forward_value(BoundId.BH, kl_divergence(p, q))
+    return 1.0 - total_variation(p, q) if bh < 1.0 else -math.inf
 
 
 def kl_finite_implies_tv_lt_one(trials: int, seed: int) -> ScanReport:
     """On seeded full-support pairs (finite KL by construction), confirm
     that TV and the bh forward bound at the pair's KL both stay strictly
-    below 1. The reported margin is the smallest observed 1 - TV.
+    below 1. The reported margin is the smallest observed 1 - TV, and -inf
+    for a trial whose bh bound reaches 1; a margin that is not positive
+    (TV = 1 included), or NaN, is a violation.
     """
     if trials < 1:
         raise OutOfRangeError(f"trials: {trials!r} must be >= 1")
-    start = time.perf_counter()
     rng = random.Random(seed)
-    concentrations = (1.0, 0.1, 0.01)
-    worst = math.inf
-    worst_point: tuple = ()
-    violations = 0
-    for t in range(trials):
-        n = rng.randint(2, 64)
-        concentration = concentrations[t % len(concentrations)]
-        p = _draw_distribution(rng, n, concentration)
-        q = _draw_distribution(rng, n, concentration)
-        tv = total_variation(p, q)
-        bh = forward_value(BoundId.BH, kl_divergence(p, q))
-        if not (tv < 1.0 and bh < 1.0):
-            violations += 1
-        m = 1.0 - tv
-        if m < worst:
-            worst = m
-            worst_point = (t,)
-    elapsed = time.perf_counter() - start
+    pairs = _seeded_pairs(rng, trials, 64, (1.0, 0.1, 0.01))
+    margins = (_kl_finite_margin(p, q) for p, q in pairs)
     grid = f"kl-finite pairs trials={trials}, atoms in [2, 64], seed={seed}"
-    return ScanReport(InequalityId.BH, grid, violations, worst, worst_point, elapsed)
+    # The smallest positive double: a margin at least that large is positive.
+    return _trial_report(InequalityId.BH, grid, margins, math.ulp(0.0))
 
 
 # -- suites -------------------------------------------------------------------
 
-GRID_INEQUALITIES = (
-    InequalityId.PINSKER_BINARY,
-    InequalityId.PINSKER,
-    InequalityId.BH,
-    InequalityId.TSYBAKOV,
-    InequalityId.WEAK_BH,
-    InequalityId.VAJDA,
-)
-
-RANDOM_INEQUALITIES = _RANDOM_ONLY
+#: The grid suite scans the six inequalities between TV and KL alone.
+GRID_INEQUALITIES = tuple(_TV_KL_MARGINS)
 
 SUITE_NAMES = ("all", "grid", "random", "kl_finite")
 
@@ -415,6 +410,6 @@ def run_suite(
         raise OutOfRangeError(
             f"suite: {name!r} is not a suite name or inequality identifier"
         ) from None
-    if ineq in _RANDOM_ONLY:
+    if ineq in RANDOM_INEQUALITIES:
         return [falsify(ineq, trials, atoms, seed + 101, random_tolerance)]
     return [scan_bernoulli(ineq, resolution, grid_tolerance)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -73,6 +74,21 @@ class TestDiv:
         )
         assert code == 0
         assert json.loads(out)["tv"] == pytest.approx(0.5 / 11.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"probs": [1%s, 1]}' % ("0" * 400), '{"probs": [1e308, 1e308]}', "[" * 100_000],
+        ids=["weight-10^400", "sum-overflow", "deep-nesting"],
+    )
+    def test_unrepresentable_input_exits_one(self, capsys, tmp_path, dist_files, text):
+        path = tmp_path / "odd.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "--renormalize", "div", str(path), dist_files["fair"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_file(self, capsys, dist_files):
         code, _, err = run_cli(capsys, "div", "/nonexistent.json", dist_files["fair"])
@@ -211,6 +227,11 @@ class TestSamples:
         assert code == 1
         assert "epsilon" in err
 
+    def test_underflowing_epsilon_exits_one(self, capsys):
+        code, _, err = run_cli(capsys, "samples", "1e-200", "0.01")
+        assert code == 1
+        assert "epsilon" in err and err.count("\n") == 1
+
 
 class TestVerify:
     def test_clean_suite_exits_zero(self, capsys):
@@ -276,6 +297,14 @@ class TestVerify:
         assert code == 1
         assert "suite" in err
 
+    def test_all_seed_42_stdout_is_pinned(self, capsys):
+        # the stdout contract: any change to these bytes is a visible change
+        code, out, _ = run_cli(capsys, "--json", "verify", "all", "--seed", "42")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2282bf19fdb597b9e73a8412b67a04fcc86b1d4fca13cc1bd8c11fd3f9884bfc"
+        )
+
     def test_seed_flag_position_is_flexible(self, capsys):
         _, a, _ = run_cli(capsys, "--seed", "3", "verify", "tfl_lower",
                           "--trials", "10", "--atoms", "8")
@@ -308,6 +337,29 @@ class TestDv:
         code, _, err = run_cli(capsys, "dv", dist_files["left"], dist_files["right"])
         assert code == 1
         assert "support" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "bh", "--resolution", "x"),
+            ("verify", "bh", "--tolerance", "-inf"),
+            ("nosuch",),
+            (),
+        ],
+    )
+    def test_usage_error_exits_one_with_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--resolution" in capsys.readouterr().out
 
 
 def test_console_entry_point_runs():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -206,6 +207,53 @@ class TestSerialization:
     def test_errors_name_the_offending_field(self, text, fragment):
         with pytest.raises(ValidationError, match=fragment.replace("[", "\\[")):
             loads_distribution(text)
+
+
+class TestOverflowAndNesting:
+    def test_integer_too_large_for_a_float(self):
+        text = '{"probs": [1%s, 1]}' % ("0" * 400)
+        with pytest.raises(NegativeWeightError):
+            loads_distribution(text, renormalize=True)
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_sum_beyond_the_largest_double(self, renormalize):
+        with pytest.raises(SumToleranceError):
+            new_distribution([1e308, 1e308], renormalize=renormalize)
+
+    def test_deeply_nested_json(self):
+        with pytest.raises(ValidationError, match="nested"):
+            loads_distribution("[" * 100_000)
+
+
+@given(st.text(), st.booleans())
+def test_any_text_loads_or_raises_validation_error(text, renormalize):
+    try:
+        loads_distribution(text, renormalize=renormalize)
+    except ValidationError:
+        pass
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+
+
+@given(
+    st.fixed_dictionaries(
+        {"probs": st.lists(st.integers(0, 10**400) | st.floats() | json_values)},
+        optional={"support": st.lists(st.text() | json_values) | json_values},
+    ),
+    st.booleans(),
+)
+def test_any_json_document_loads_or_raises_validation_error(obj, renormalize):
+    # near-miss documents reach the weight and label checks, which random
+    # text rarely does
+    try:
+        loads_distribution(json.dumps(obj), renormalize=renormalize)
+    except ValidationError:
+        pass
 
 
 def test_direct_construction_validates():

@@ -182,6 +182,19 @@ class TestBinaryClosedForms:
         )
 
 
+    def test_near_equal_pair_is_not_negative(self):
+        # the two terms cancel; their fsum is -1.1e-17
+        assert binary_kl(0.3131716196965183, 0.3131716196965186) == 0.0
+
+    @given(st.floats(min_value=1e-3, max_value=0.999), st.integers(1, 50))
+    def test_never_negative_a_few_ulps_apart(self, a, ulps):
+        b = a
+        for _ in range(ulps):
+            b = math.nextafter(b, 1.0)
+        assert binary_kl(a, b) >= 0.0
+        assert binary_kl(b, a) >= 0.0
+
+
 class TestHellingerAffinity:
     def test_bernoulli_value(self):
         assert hellinger_affinity(bernoulli(0.5), bernoulli(0.6)) == pytest.approx(

@@ -40,6 +40,17 @@ class TestQueryValidation:
         with pytest.raises(OutOfRangeError):
             SampleComplexityQuery(eps, delta)
 
+    @pytest.mark.parametrize("eps", [1e-200, 1.5e-162, 5e-324])
+    def test_epsilon_whose_kl_underflows(self, eps):
+        # every route divides by eps^2 or the per-toss KL, 0.0 here
+        with pytest.raises(OutOfRangeError):
+            report(SampleComplexityQuery(eps, 0.01))
+
+    def test_smallest_epsilon_with_a_nonzero_kl(self):
+        rep = report(SampleComplexityQuery(1.6e-162, 0.01))
+        assert rep.kl_per_toss > 0.0
+        assert rep.n_bh == math.inf
+
     def test_required_tv(self):
         assert required_tv(Q_MAIN) == pytest.approx(0.98, abs=1e-15)
 

@@ -103,6 +103,12 @@ class TestBernoulliMargins:
         with pytest.raises(UnsupportedInequalityError):
             bernoulli_margin(InequalityId.TFL_LOWER, 0.3, 0.4)
 
+    @pytest.mark.parametrize("ineq", BINARY_INEQUALITIES)
+    def test_near_equal_pair_has_a_margin(self, ineq):
+        # the raw KL sum of this pair rounds below zero
+        margin = bernoulli_margin(ineq, 0.3131716196965183, 0.3131716196965186)
+        assert margin >= -GRID_TOLERANCE
+
 
 class TestScanBernoulli:
     @pytest.mark.parametrize("ineq", GRID_INEQUALITIES)
@@ -135,21 +141,23 @@ class TestScanBernoulli:
     def test_row_cached_kl_is_binary_kl_bit_for_bit(self, monkeypatch):
         cells = []
 
-        def record(p, q, kl):
-            cells.append((p, q, kl))
+        def record(tv, kl):
+            cells.append((tv, kl))
             return 0.0
 
-        monkeypatch.setitem(verify._BINARY_MARGINS, InequalityId.BH, record)
+        monkeypatch.setitem(verify._TV_KL_MARGINS, InequalityId.BH, record)
         scan_bernoulli(InequalityId.BH, 101)
-        assert len(cells) == 100 * 100
-        for p, q, kl in cells:
+        # the scan visits the cells in row-major order
+        axis = [i / 101 for i in range(1, 101)]
+        grid = [(p, q) for p in axis for q in axis]
+        assert len(cells) == len(grid)
+        for (p, q), (tv, kl) in zip(grid, cells):
+            assert tv == abs(p - q)
             assert kl.hex() == binary_kl(p, q).hex()
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_margins_are_violations(self, monkeypatch, bad):
-        monkeypatch.setitem(
-            verify._BINARY_MARGINS, InequalityId.BH, lambda p, q, kl: bad
-        )
+        monkeypatch.setitem(verify._TV_KL_MARGINS, InequalityId.BH, lambda tv, kl: bad)
         report = scan_bernoulli(InequalityId.BH, 5)
         assert report.violations == 16
         assert "skipped_infinite_kl=0" in report.grid
@@ -238,6 +246,18 @@ class TestKlFiniteImpliesTvBelowOne:
         report = kl_finite_implies_tv_lt_one(300, seed=3)
         assert report.violations == 0
         assert report.worst_margin > 0.0
+
+    def test_tv_of_exactly_one_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(verify, "total_variation", lambda p, q: 1.0)
+        report = kl_finite_implies_tv_lt_one(5, seed=3)
+        assert report.violations == 5
+        assert report.worst_margin == 0.0
+
+    def test_bh_bound_reaching_one_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(verify, "forward_value", lambda bound, kl: 1.0)
+        report = kl_finite_implies_tv_lt_one(5, seed=3)
+        assert report.violations == 5
+        assert report.worst_point == (0,)
 
     def test_deterministic(self):
         a = kl_finite_implies_tv_lt_one(50, seed=9)
