@@ -8,10 +8,10 @@ KL divergence infinite).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import (
     DuplicateLabelError,
@@ -54,9 +54,10 @@ class Distribution:
             raise ValidationError(
                 f"probs: {len(self.probs)} weights for {len(self.support)} labels"
             )
-        for i, label in enumerate(self.support):
-            if not isinstance(label, str):
-                raise InvalidLabelError(f"support[{i}]: labels must be strings")
+        if not all(map(isinstance, self.support, repeat(str))):
+            for i, label in enumerate(self.support):
+                if not isinstance(label, str):
+                    raise InvalidLabelError(f"support[{i}]: labels must be strings")
         if len(set(self.support)) != len(self.support):
             seen = set()
             for label in self.support:
@@ -73,6 +74,14 @@ class Distribution:
 
 
 def _check_weights(probs) -> None:
+    # Scan at C speed; only a failing scan walks the weights in Python to
+    # name the first offending index.
+    if (
+        all(map(isinstance, probs, repeat(float)))
+        and all(map(math.isfinite, probs))
+        and min(probs) >= 0.0
+    ):
+        return
     for i, w in enumerate(probs):
         if not isinstance(w, float) or not math.isfinite(w):
             raise NegativeWeightError(f"probs[{i}]: weight {w!r} is not a finite number")
@@ -88,6 +97,22 @@ def _weight_sum(probs) -> float:
         raise SumToleranceError(math.inf, SUM_TOLERANCE) from None
 
 
+def _float_weights(weights: tuple) -> list[float]:
+    try:
+        return [float(w) for w in weights]
+    except OverflowError:
+        raise NegativeWeightError("weights: a weight is too large for a float") from None
+    except (TypeError, ValueError):
+        for i, w in enumerate(weights):
+            try:
+                float(w)
+            except (TypeError, ValueError):
+                raise NegativeWeightError(
+                    f"weights[{i}]: weight {w!r} is not a finite number"
+                ) from None
+        raise
+
+
 def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
@@ -99,16 +124,15 @@ def new_distribution(
 ) -> Distribution:
     """Build a distribution from raw weights.
 
-    Weights must be finite and nonnegative. With ``renormalize`` each weight
-    is divided by the total, otherwise the total must already be within
-    ``SUM_TOLERANCE`` of 1. Labels default to "0", "1", ... and may not
-    contain the reserved product separator. Zero weights are retained.
+    Each weight is converted with ``float()``; one that ``float()`` refuses,
+    or that is too large for a float, raises ``NegativeWeightError``, as does
+    a weight that is not finite or is negative. With ``renormalize`` each
+    weight is divided by the total, otherwise the total must already be
+    within ``SUM_TOLERANCE`` of 1. Labels default to "0", "1", ... and may
+    not contain the reserved product separator. Zero weights are retained.
     Every other check is the ``Distribution`` constructor's.
     """
-    try:
-        ws = [float(w) for w in weights]
-    except OverflowError:
-        raise NegativeWeightError("weights: a weight is too large for a float") from None
+    ws = _float_weights(tuple(weights))
     labs = _default_labels(len(ws)) if labels is None else tuple(labels)
     for i, label in enumerate(labs):
         if isinstance(label, str) and LABEL_SEPARATOR in label:
@@ -162,11 +186,14 @@ def tensor_power(spec: ProductSpec) -> Distribution:
             f"power: {k}^{n} atoms exceed the cap of {MAX_PRODUCT_ATOMS}; "
             "use KL additivity instead of materialising"
         )
-    labels = []
-    weights = []
-    for combo in itertools.product(range(k), repeat=n):
-        labels.append(LABEL_SEPARATOR.join(base.support[i] for i in combo))
-        weights.append(math.prod(base.probs[i] for i in combo))
+    # Extend the previous level by one factor at a time. Each weight is
+    # still the left-to-right product w0 * w1 * ... of its components, so it
+    # is bit-identical to math.prod over the combination.
+    suffixes = [LABEL_SEPARATOR + b for b in base.support]
+    labels, weights = base.support, base.probs
+    for _ in range(n - 1):
+        labels = [a + s for a in labels for s in suffixes]
+        weights = [x * y for x in weights for y in base.probs]
     return Distribution(tuple(labels), tuple(weights))
 
 

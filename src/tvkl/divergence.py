@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 from .distributions import Distribution, bernoulli
 from .errors import (
@@ -44,13 +45,19 @@ def _aligned(p: Distribution, q: Distribution):
     """
     if p.support == q.support:
         return p.support, p.probs, q.probs
-    p_index = dict(zip(p.support, p.probs))
     q_index = dict(zip(q.support, q.probs))
-    labels = list(p.support)
-    labels.extend(lab for lab in q.support if lab not in p_index)
-    pw = tuple(p_index.get(lab, 0.0) for lab in labels)
-    qw = tuple(q_index.get(lab, 0.0) for lab in labels)
-    return tuple(labels), pw, qw
+    if len(p.support) == len(q.support):
+        # Labels are distinct, so if every p label is in q the label sets
+        # are equal and the union is p's order.
+        try:
+            return p.support, p.probs, tuple(map(q_index.__getitem__, p.support))
+        except KeyError:
+            pass
+    p_labels = set(p.support)
+    q_only = tuple(lab for lab in q.support if lab not in p_labels)
+    labels = p.support + q_only
+    pw = p.probs + (0.0,) * len(q_only)
+    return labels, pw, tuple(map(q_index.get, labels, repeat(0.0)))
 
 
 def _log_ratio(a: float, b: float) -> float:
@@ -124,12 +131,8 @@ def binary_kl(a: float, b: float) -> DivergenceValue:
         return -math.log1p(-b)
     if a == 1.0:
         return -math.log(b)
-    kl = math.fsum(
-        (
-            a * (math.log(a) - math.log(b)),
-            (1.0 - a) * (math.log1p(-a) - math.log1p(-b)),
-        )
-    )
+    # The sum of two finite terms is correctly rounded, as fsum's would be.
+    kl = a * (math.log(a) - math.log(b)) + (1.0 - a) * (math.log1p(-a) - math.log1p(-b))
     return max(0.0, kl)
 
 

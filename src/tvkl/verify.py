@@ -188,13 +188,13 @@ def _row_cached_margins(margin, axis: list[float]):
     # Row-major margins of (tv, kl) on axis x axis, one list per row (as fast
     # as an inline loop). A cell's KL is binary_kl's expression on logs
     # cached per row and per column, so it equals binary_kl(p, q) bit for bit.
-    log, log1p, fsum = math.log, math.log1p, math.fsum
+    log, log1p = math.log, math.log1p
     columns = [(q, log(q), log1p(-q)) for q in axis]
 
     def row(p: float) -> list[float]:
         lp, l1p, cp = log(p), log1p(-p), 1.0 - p
         return [
-            margin(abs(p - q), 0.0 if p == q else fsum((p * (lp - lq), cp * (l1p - l1q))))
+            margin(abs(p - q), 0.0 if p == q else p * (lp - lq) + cp * (l1p - l1q))
             for q, lq, l1q in columns
         ]
 

@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvkl.cli import main
 from tvkl.figures import FigureId, figure_header, render_figure_csv
@@ -360,6 +365,57 @@ class TestUsageErrors:
             main(["verify", "--help"])
         assert exc.value.code == 0
         assert "--resolution" in capsys.readouterr().out
+
+
+def run_isolated(argv):
+    # hypothesis examples cannot share the function-scoped capsys fixture
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help and friends
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1
+    assert "Traceback" not in err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_distribution_texts = (
+    st.text(max_size=40)
+    | _json_values.map(json.dumps)
+    | st.fixed_dictionaries(
+        {"probs": st.lists(st.integers(-2, 10**400) | st.floats() | _json_values, max_size=5)},
+        optional={"support": st.lists(st.text(max_size=3) | _json_values, max_size=5)},
+    ).map(json.dumps)
+)
+
+
+@settings(deadline=None)
+@given(_distribution_texts, _distribution_texts, st.booleans())
+def test_div_on_any_two_files_exits_cleanly(text_p, text_q, renormalize):
+    with tempfile.TemporaryDirectory() as folder:
+        paths = [os.path.join(folder, name) for name in ("p.json", "q.json")]
+        for path, text in zip(paths, (text_p, text_q)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        flags = ["--renormalize"] if renormalize else []
+        assert_clean_exit(*run_isolated(["div", *paths, *flags]))
+
+
+@given(st.sampled_from(["forward", "inverse"]), st.text(), st.booleans())
+def test_bound_on_any_text_exits_cleanly(direction, text, as_json):
+    flags = ["--json"] if as_json else []
+    assert_clean_exit(*run_isolated(["bound", direction, text, *flags]))
 
 
 def test_console_entry_point_runs():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -65,6 +66,16 @@ class TestNewDistribution:
     def test_invalid_weights(self, weights, error):
         with pytest.raises(error):
             new_distribution(weights)
+
+    @pytest.mark.parametrize(
+        "weights, i", [(["x", 1], 0), ([None, 1], 0), ([1, 0, object()], 2)]
+    )
+    def test_weight_float_refuses_names_its_index(self, weights, i):
+        with pytest.raises(NegativeWeightError) as exc:
+            new_distribution(weights)
+        assert str(exc.value) == (
+            f"weights[{i}]: weight {weights[i]!r} is not a finite number"
+        )
 
     def test_all_zero_rejected_even_with_renormalize(self):
         with pytest.raises(SumToleranceError):
@@ -150,6 +161,42 @@ class TestTensorPower:
     def test_power_must_be_positive(self):
         with pytest.raises(OutOfRangeError):
             ProductSpec(bernoulli(0.5), 0)
+
+    @pytest.mark.parametrize(
+        "support, probs",
+        [
+            (("a",), (1.0,)),
+            (("h", "t"), (0.0, 1.0)),
+            (("x", "y", "z"), (5e-324, 0.5, 0.5)),
+            (("u", "v", "w"), (1 / 3, 1 / 3, 1 / 3)),
+            (("0", "1", "2", "3"), (0.1, 0.2, 0.3, 0.4 + 1e-10)),
+        ],
+    )
+    def test_matches_reference_construction_bit_for_bit(self, support, probs):
+        # oracle: each atom built from its own combination, as a join of the
+        # component labels and math.prod of the component weights
+        base = Distribution(support, probs)
+        k = len(support)
+        for power in range(1, 7):
+            combos = list(itertools.product(range(k), repeat=power))
+            labels = tuple(LABEL_SEPARATOR.join(support[i] for i in c) for c in combos)
+            weights = [math.prod(probs[i] for i in c) for c in combos]
+            d = tensor_power(ProductSpec(base, power))
+            assert d.support == labels
+            assert [w.hex() for w in d.probs] == [w.hex() for w in weights]
+
+    def test_colliding_product_labels_rejected(self):
+        # a base built directly may carry the separator in a label
+        base = Distribution(("a", f"a{LABEL_SEPARATOR}a"), (0.5, 0.5))
+        with pytest.raises(DuplicateLabelError):
+            tensor_power(ProductSpec(base, 3))
+
+    def test_weight_sum_drift_rejected_at_high_power(self):
+        # 1 + 9e-10 is within tolerance; its fourth power is not
+        base = Distribution(("a", "b"), (0.5, 0.5 + 9e-10))
+        assert len(tensor_power(ProductSpec(base, 1))) == 2
+        with pytest.raises(SumToleranceError):
+            tensor_power(ProductSpec(base, 4))
 
     def test_cap_enforced(self):
         with pytest.raises(TooLargeError):
@@ -261,3 +308,22 @@ def test_direct_construction_validates():
         Distribution(("a",), (0.5,))
     with pytest.raises(EmptySupportError):
         Distribution((), ())
+
+
+@pytest.mark.parametrize(
+    "support, probs, error, message",
+    [
+        (("a", 1), (0.5, 0.5), InvalidLabelError, "support[1]: labels must be strings"),
+        (("a", "b"), (0.5, math.nan), NegativeWeightError,
+         "probs[1]: weight nan is not a finite number"),
+        (("a", "b", "c"), (1.0, -0.5, 0.5), NegativeWeightError,
+         "probs[1]: negative weight -0.5"),
+        (("a", "b"), (0.0, 1), NegativeWeightError,
+         "probs[1]: weight 1 is not a finite number"),
+    ],
+)
+def test_direct_construction_names_the_first_bad_atom(support, probs, error, message):
+    with pytest.raises(error) as exc:
+        Distribution(support, probs)
+    assert type(exc.value) is error
+    assert str(exc.value) == message

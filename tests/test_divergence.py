@@ -21,7 +21,10 @@ from tvkl import (
     total_variation,
     tv_subset_oracle,
 )
+from tvkl.distributions import Distribution
+from tvkl.divergence import _aligned
 from tvkl.samples import kl_per_toss
+from tvkl.variational import dv_optimal_witness, dv_value
 from conftest import dist, seeded_pairs
 
 P3 = dist(0.2, 0.3, 0.5)
@@ -68,6 +71,56 @@ class TestTotalVariation:
         tv = total_variation(p, q)
         assert tv == total_variation(q, p)
         assert 0.0 <= tv <= 1.0
+
+
+@st.composite
+def pair_and_permuted_q(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    weights = st.lists(
+        st.floats(min_value=1e-6, max_value=1.0), min_size=n, max_size=n
+    )
+    labels = [f"x{i}" for i in range(n)]
+    p = new_distribution(draw(weights), labels, renormalize=True)
+    q = new_distribution(draw(weights), labels, renormalize=True)
+    order = draw(st.permutations(range(n)))
+    q_perm = Distribution(
+        tuple(q.support[j] for j in order), tuple(q.probs[j] for j in order)
+    )
+    return p, q, q_perm
+
+
+class TestAlignment:
+    @given(pair_and_permuted_q())
+    def test_relabelled_q_matches_same_order_bit_for_bit(self, pqs):
+        p, q, q_perm = pqs
+        assert _aligned(p, q_perm) == _aligned(p, q)
+        for f in (total_variation, kl_divergence, hellinger_affinity, overlap_identities):
+            assert repr(f(p, q_perm)) == repr(f(p, q))
+        witness = dv_optimal_witness(p, q_perm)
+        assert witness.values == dv_optimal_witness(p, q).values
+        assert repr(dv_value(p, q_perm, witness)) == repr(dv_value(p, q, witness))
+
+    @pytest.mark.parametrize(
+        "q_support, q_probs, labels, pw, qw",
+        [
+            # equal length, different label sets: the one-lookup path misses
+            (("b", "c", "d"), (0.5, 0.25, 0.25), ("a", "b", "c", "d"),
+             (0.5, 0.25, 0.25, 0.0), (0.0, 0.5, 0.25, 0.25)),
+            # q a strict superset of p, q-only labels in q's order
+            (("e", "c", "a", "d", "b"), (0.1, 0.2, 0.3, 0.15, 0.25),
+             ("a", "b", "c", "e", "d"),
+             (0.5, 0.25, 0.25, 0.0, 0.0), (0.3, 0.25, 0.2, 0.1, 0.15)),
+            # p a strict superset of q
+            (("c", "a"), (0.75, 0.25), ("a", "b", "c"),
+             (0.5, 0.25, 0.25), (0.25, 0.0, 0.75)),
+            # disjoint supports
+            (("z", "y"), (0.5, 0.5), ("a", "b", "c", "z", "y"),
+             (0.5, 0.25, 0.25, 0.0, 0.0), (0.0, 0.0, 0.0, 0.5, 0.5)),
+        ],
+    )
+    def test_union_order_and_weights(self, q_support, q_probs, labels, pw, qw):
+        p = Distribution(("a", "b", "c"), (0.5, 0.25, 0.25))
+        assert _aligned(p, Distribution(q_support, q_probs)) == (labels, pw, qw)
 
 
 class TestSubsetOracle:
