@@ -344,6 +344,82 @@ class TestDv:
         assert "support" in err
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """The stdout contract for figures, bounds and samples: any change to
+    these bytes is a visible change."""
+
+    @pytest.mark.parametrize(
+        "figure, digest",
+        [
+            ("fig_pinsker", "30bee16fb35ace633c2187581579382fc9e064ec1c5aa7fc636eb3e75d8ca41b"),
+            ("fig_forward", "53043d125d1aa4a8da9b20d913a0171b67e2b8b8f9403b0b07a26578e2336171"),
+            ("fig_inverse", "8e0bd918dcfcb036759196216830910abf28b6d1cfb983468cc1b6205e5bb234"),
+            ("fig_weak", "0421a88f8634843064854554d55653048dfc612ffc0d5a5adfe4affe38bff7d3"),
+        ],
+    )
+    def test_figure_csv(self, capsys, tmp_path, figure, digest):
+        out = tmp_path / "f.csv"
+        code, _, _ = run_cli(capsys, "figure", figure, "--points", "501", "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "value, digest",
+        [
+            ("0", "d25898d4d1768f8cfff2370982057807d88801457dc7baf0f03d7e23f4f4af90"),
+            ("5e-324", "44911c067ad27ff29515da102d6639fb7db6b8d840a84b6b904c575fc33ee98e"),
+            ("1e-300", "5faa21f926189f2c141b471b99106492a0fe8b78381deca9edefaf3abdecf70c"),
+            ("1e-12", "84afe3caf9063f6391d8c4124bd2ab3e487473c6a278333fca020db83ab03b78"),
+            ("0.02", "05a608f698b60be77a9a55d08395da1bcaa385a3706b635c38ffc191a42ae883"),
+            ("2", "5c20d8c0246f58592da7c134739de7c03ffb41e92063ce4391e8d798648dd144"),
+            ("37", "e667c01e588717d464cb74c07070bfb9d0bc3c4abe216f641fdf64e84901c550"),
+            ("50", "0230843bd1f79ecc68729121780eae8b52ab659a3065dd01b8195d5520fbf4dc"),
+            ("700", "b83724053b8f3faa2a635e8c1f0fc2fabb6ee6da1b4b5bb1c42b0ff84bfcae5b"),
+            ("inf", "9fd4d8ebf79b5f4dc4ab1b0ab779f01f011321e55f6392b7041684555bcb3d58"),
+        ],
+    )
+    def test_bound_forward(self, capsys, value, digest):
+        code, out, _ = run_cli(capsys, "--json", "bound", "forward", value)
+        assert code == 0
+        assert _sha256(out) == digest
+
+    @pytest.mark.parametrize(
+        "value, digest",
+        [
+            ("0", "61daa9985c6793f0ff5a957b83e341749bbdbe4db441f20859c4d9b8ba9fd360"),
+            ("5e-324", "650f8d0ff89f6daae390fe4ad5b62d826955db7548474701cf61650ddc7443c4"),
+            ("1e-12", "fb72c496fbca8601e366c73ce15b8c784a57b9d6c5a70efd9c5b5a08b160dd59"),
+            ("1e-8", "4a443e68b26772df995a234dbcd1d9bed51c4b22258f83beb311e79aa1d4d146"),
+            ("0.45", "4b28bd27f2017492482ec610dc06eb85d0ebea6577c2937578cb5fe09b121815"),
+            ("0.5", "b56c1d4c054c5033074ab3781ac98a162e8df043b4e7a2bd20f80442e5f121f4"),
+            ("0.9999999999999999",
+             "4c9dc3146332398bb362eb055f60894991de8dc56414583942bb31a5ee40f61e"),
+            ("1", "4d12a3fad8415bff7e3d2b6b45381613e0cf871019c72f405fe0264cc0cf9205"),
+        ],
+    )
+    def test_bound_inverse(self, capsys, value, digest):
+        code, out, _ = run_cli(capsys, "--json", "bound", "inverse", value)
+        assert code == 0
+        assert _sha256(out) == digest
+
+    @pytest.mark.parametrize(
+        "epsilon, delta, digest",
+        [
+            ("0.1", "0.01", "60d8811df4d7b32304d3898d6cded837ccaacef9989e74f6526ef7c5699b44b5"),
+            ("0.3", "0.4", "5ab9618bcb8c12cc9fe086d2c89ce4f471d6dc5176b8147a73069df4b469d256"),
+            ("1e-6", "1e-9", "e62f597350ac1c95414af5b6a0bdd934d9957fa825c0cba9285d305ea0903c7d"),
+        ],
+    )
+    def test_samples(self, capsys, epsilon, delta, digest):
+        code, out, _ = run_cli(capsys, "--json", "samples", epsilon, delta)
+        assert code == 0
+        assert _sha256(out) == digest
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
