@@ -30,7 +30,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, _real, _unit
 
 _ONE_BELOW = math.nextafter(1.0, 0.0)
 _ONE_MINUS_EXP_M2 = -math.expm1(-2.0)
@@ -74,20 +74,13 @@ class BoundEvaluation:
 
 
 def _check_kl(kl: float) -> float:
-    kl = float(kl)
+    kl = _real("kl", kl)
     if math.isnan(kl) or kl < 0.0:
         raise OutOfRangeError(f"kl: {kl!r} must be >= 0")
     return kl
 
 
-def _check_tv(tv: float) -> float:
-    tv = float(tv)
-    if not (0.0 <= tv <= 1.0):
-        raise OutOfRangeError(f"tv: {tv!r} not in [0, 1]")
-    return tv
-
-
-# -- forward curves ---------------------------------------------------------
+# -- curves: unchecked; each public entry point checks its argument once ---
 
 
 def _pinsker_forward(kl: float) -> float:
@@ -117,6 +110,28 @@ def _trivial_forward(kl: float) -> float:
     return 1.0
 
 
+def _pinsker_inverse(tv: float) -> float:
+    return 2.0 * tv * tv
+
+
+def _bh_inverse(tv: float) -> float:
+    if tv == 1.0:
+        return math.inf
+    return -(math.log1p(-tv) + math.log1p(tv))
+
+
+def _tsybakov_inverse(tv: float) -> float:
+    if tv == 1.0:
+        return math.inf
+    return max(0.0, -(math.log(2.0) + math.log1p(-tv)))
+
+
+def _vajda_inverse(tv: float) -> float:
+    if tv == 1.0:
+        return math.inf
+    return math.log1p(tv) - math.log1p(-tv) - 2.0 * tv / (1.0 + tv)
+
+
 _VAJDA_BRACKET_TOP = 1.0 - 1e-15
 
 
@@ -134,13 +149,13 @@ def tv_upper_from_vajda(kl: float) -> float:
     if math.isinf(kl):
         return 1.0
     lo, hi = 0.0, _VAJDA_BRACKET_TOP
-    if kl_lower_vajda(hi) <= kl:
+    if _vajda_inverse(hi) <= kl:
         # Root lies within one ulp of 1; the bracket top already satisfies
         # the tolerance.
         return hi
     while hi - lo > VAJDA_BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if kl_lower_vajda(mid) < kl:
+        if _vajda_inverse(mid) < kl:
             lo = mid
         else:
             hi = mid
@@ -156,6 +171,13 @@ _FORWARD = {
     BoundId.TRIVIAL: _trivial_forward,
 }
 
+_INVERSE = {
+    BoundId.PINSKER: _pinsker_inverse,
+    BoundId.BH: _bh_inverse,
+    BoundId.TSYBAKOV: _tsybakov_inverse,
+    BoundId.VAJDA: _vajda_inverse,
+}
+
 
 def forward_value(bound: BoundId, kl: float) -> float:
     """Raw forward curve value, same code path the evaluations use."""
@@ -163,7 +185,6 @@ def forward_value(bound: BoundId, kl: float) -> float:
 
 
 def _evaluate_forward(bound: BoundId, kl: float) -> BoundEvaluation:
-    kl = _check_kl(kl)
     output = _FORWARD[bound](kl)
     vacuous = False if bound is BoundId.BH else output >= 1.0
     return BoundEvaluation(bound, kl, output, vacuous)
@@ -171,17 +192,17 @@ def _evaluate_forward(bound: BoundId, kl: float) -> BoundEvaluation:
 
 def tv_upper_pinsker(kl: float) -> BoundEvaluation:
     """TV <= sqrt(kl / 2). Grows without bound; vacuous once kl >= 2."""
-    return _evaluate_forward(BoundId.PINSKER, kl)
+    return _evaluate_forward(BoundId.PINSKER, _check_kl(kl))
 
 
 def tv_upper_bh(kl: float) -> BoundEvaluation:
     """TV <= sqrt(1 - exp(-kl)). Strictly below 1 for every finite kl."""
-    return _evaluate_forward(BoundId.BH, kl)
+    return _evaluate_forward(BoundId.BH, _check_kl(kl))
 
 
 def tv_upper_tsybakov(kl: float) -> BoundEvaluation:
     """TV <= 1 - exp(-kl)/2. Never exceeds 1 but never drops below 1/2."""
-    return _evaluate_forward(BoundId.TSYBAKOV, kl)
+    return _evaluate_forward(BoundId.TSYBAKOV, _check_kl(kl))
 
 
 def tv_upper_weak_bh(kl: float) -> BoundEvaluation:
@@ -190,31 +211,26 @@ def tv_upper_weak_bh(kl: float) -> BoundEvaluation:
     Derivable from the pinsker bound alone; the leading factor makes it
     vacuous exactly where pinsker is (kl >= 2) and strictly weaker than
     pinsker below that."""
-    return _evaluate_forward(BoundId.WEAK_BH, kl)
+    return _evaluate_forward(BoundId.WEAK_BH, _check_kl(kl))
 
 
 def tv_upper_best(kl: float) -> BoundEvaluation:
-    """Smallest of the closed-form forward bounds (and the trivial 1).
+    """Smallest of the closed-form forward bounds (and the trivial 1), as
+    ``compare_bounds`` reports it.
 
     Ties break toward bh, then tsybakov, pinsker, weak_bh, trivial.
     """
     kl = _check_kl(kl)
-    best_id = None
-    best_out = math.inf
-    for bound in BEST_TIE_ORDER:
-        out = _FORWARD[bound](kl)
-        if out < best_out:
-            best_id, best_out = bound, out
-    return BoundEvaluation(best_id, kl, best_out, best_out >= 1.0)
+    rows = (_evaluate_forward(bound, kl) for bound in BEST_TIE_ORDER)
+    return min(rows, key=lambda row: row.output)
 
 
-# -- inverse curves ---------------------------------------------------------
+# -- inverse bounds ---------------------------------------------------------
 
 
 def kl_lower_pinsker(tv: float) -> float:
     """KL >= 2 t^2. Caps out at 2: no TV value can force KL above that."""
-    tv = _check_tv(tv)
-    return 2.0 * tv * tv
+    return _pinsker_inverse(_unit("tv", tv))
 
 
 def kl_lower_bh(tv: float) -> float:
@@ -223,10 +239,7 @@ def kl_lower_bh(tv: float) -> float:
     The factored form keeps full accuracy as t approaches 1, where the
     bound diverges; t = 1 gives +inf.
     """
-    tv = _check_tv(tv)
-    if tv == 1.0:
-        return math.inf
-    return -(math.log1p(-tv) + math.log1p(tv))
+    return _bh_inverse(_unit("tv", tv))
 
 
 def kl_lower_tsybakov(tv: float) -> float:
@@ -235,10 +248,7 @@ def kl_lower_tsybakov(tv: float) -> float:
     The raw inversion is negative for t < 1/2, where it carries no
     information; t = 1 gives +inf.
     """
-    tv = _check_tv(tv)
-    if tv == 1.0:
-        return math.inf
-    return max(0.0, -(math.log(2.0) + math.log1p(-tv)))
+    return _tsybakov_inverse(_unit("tv", tv))
 
 
 def kl_lower_vajda(tv: float) -> float:
@@ -248,18 +258,8 @@ def kl_lower_vajda(tv: float) -> float:
     least as large as the bh inverse, and matching 2 t^2 to third order at
     the origin. Accepts t = 1 (returns +inf); rejects t outside [0, 1].
     """
-    tv = _check_tv(tv)
-    if tv == 1.0:
-        return math.inf
-    return math.log1p(tv) - math.log1p(-tv) - 2.0 * tv / (1.0 + tv)
+    return _vajda_inverse(_unit("tv", tv))
 
-
-_INVERSE = {
-    BoundId.PINSKER: kl_lower_pinsker,
-    BoundId.BH: kl_lower_bh,
-    BoundId.TSYBAKOV: kl_lower_tsybakov,
-    BoundId.VAJDA: kl_lower_vajda,
-}
 
 #: Inverse bounds in report order.
 INVERSE_ORDER = (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV, BoundId.VAJDA)
@@ -267,12 +267,12 @@ INVERSE_ORDER = (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV, BoundId.VAJDA)
 
 def inverse_value(bound: BoundId, tv: float) -> float:
     """Raw inverse curve value, same code path the evaluations use."""
-    return _INVERSE[bound](tv)
+    return _INVERSE[bound](_unit("tv", tv))
 
 
 def kl_lower(bound: BoundId, tv: float) -> BoundEvaluation:
     """Evaluate one inverse bound; inverse outputs are never vacuous."""
-    tv = _check_tv(tv)
+    tv = _unit("tv", tv)
     return BoundEvaluation(bound, tv, _INVERSE[bound](tv), False)
 
 

@@ -164,9 +164,8 @@ def _cmd_bound(args) -> int:
     else:
         width = max(len(r.bound.value) for r in rows)
         for r in rows:
-            out = "inf" if math.isinf(r.output) else repr(r.output)
             flag = "  (vacuous)" if r.vacuous else ""
-            print(f"{r.bound.value:<{width}}  {out}{flag}")
+            print(f"{r.bound.value:<{width}}  {r.output!r}{flag}")
     return 0
 
 
@@ -224,16 +223,12 @@ def _cmd_verify(args) -> int:
                 "worst_point={point} [{grid}]".format(
                     inequality=d["inequality"],
                     violations=d["violations"],
-                    margin=_format_float(rep.worst_margin),
+                    margin=repr(rep.worst_margin),
                     point=d["worst_point"],
                     grid=d["grid"],
                 )
             )
     return 2 if any(r.violations for r in reports) else 0
-
-
-def _format_float(x: float) -> str:
-    return "inf" if math.isinf(x) else repr(x)
 
 
 def _cmd_dv(args) -> int:

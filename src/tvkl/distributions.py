@@ -22,6 +22,7 @@ from .errors import (
     SumToleranceError,
     TooLargeError,
     ValidationError,
+    _unit,
 )
 
 #: Absolute tolerance on the weight sum at construction time.
@@ -152,9 +153,7 @@ def new_distribution(
 def bernoulli(p: float) -> Distribution:
     """Two-atom distribution with weight ``p`` on label "1" and ``1 - p`` on
     label "0". Boundary values keep their zero atom."""
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise OutOfRangeError(f"p: {p!r} not in [0, 1]")
+    p = _unit("p", p)
     return Distribution(("1", "0"), (p, 1.0 - p))
 
 

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .distributions import Distribution, bernoulli
-from .errors import (
-    EmptyPSupportError,
-    MismatchedSupportsError,
-    OutOfRangeError,
-    TooLargeError,
-    TvklError,
-)
+from .errors import MismatchedSupportsError, TooLargeError, TvklError, _unit
 
 #: KL divergences and inverse bounds take values in [0, +inf]; +inf is
 #: represented by the ordinary float infinity.
@@ -82,9 +76,15 @@ def _log_ratio(a: float, b: float) -> float:
 
 
 def total_variation(p: Distribution, q: Distribution) -> float:
-    """Half the L1 distance between the aligned weight vectors; in [0, 1]."""
+    """Half the L1 distance between the aligned weight vectors, clamped into
+    [0, 1].
+
+    TV <= 1 is a theorem, but weights need only sum to 1 within
+    ``SUM_TOLERANCE``: p = (0.5 + 4e-10, 0.5 + 4e-10) and q = (1.0,) on
+    disjoint labels sum to 1.0000000004, which is returned as 1.0.
+    """
     _, pw, qw = _aligned(p, q)
-    return 0.5 * math.fsum(abs(a - b) for a, b in zip(pw, qw))
+    return min(0.5 * math.fsum(abs(a - b) for a, b in zip(pw, qw)), 1.0)
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> DivergenceValue:
@@ -109,9 +109,7 @@ def kl_divergence(p: Distribution, q: Distribution) -> DivergenceValue:
 
 def binary_tv(a: float, b: float) -> float:
     """TV between two-point distributions with success weights a and b."""
-    _check_unit("a", a)
-    _check_unit("b", b)
-    return abs(a - b)
+    return abs(_unit("a", a) - _unit("b", b))
 
 
 def binary_kl(a: float, b: float) -> DivergenceValue:
@@ -121,8 +119,7 @@ def binary_kl(a: float, b: float) -> DivergenceValue:
     and +inf when b is degenerate while a is not. KL >= 0 is a theorem, so a
     sum that rounds below zero (a and b a few ulps apart) returns 0.0.
     """
-    _check_unit("a", a)
-    _check_unit("b", b)
+    a, b = _unit("a", a), _unit("b", b)
     if a == b:
         return 0.0
     if b == 0.0 or b == 1.0:
@@ -134,11 +131,6 @@ def binary_kl(a: float, b: float) -> DivergenceValue:
     # The sum of two finite terms is correctly rounded, as fsum's would be.
     kl = a * (math.log(a) - math.log(b)) + (1.0 - a) * (math.log1p(-a) - math.log1p(-b))
     return max(0.0, kl)
-
-
-def _check_unit(name: str, x: float) -> None:
-    if not (0.0 <= x <= 1.0):
-        raise OutOfRangeError(f"{name}: {x!r} not in [0, 1]")
 
 
 def hellinger_affinity(p: Distribution, q: Distribution) -> float:
@@ -198,7 +190,8 @@ def event_mass(weights, subset: EventSubset) -> float:
 
 
 def tv_subset_oracle(p: Distribution, q: Distribution) -> float:
-    """Exact sup over events S of p(S) - q(S), by enumerating all 2^n subsets.
+    """Exact sup over events S of p(S) - q(S), by enumerating all 2^n subsets,
+    clamped into [0, 1] as :func:`total_variation` is.
 
     Independent of :func:`total_variation`; must agree with it to 1e-12.
     Only supports aligned sizes up to ``SUBSET_ORACLE_CAP``.
@@ -213,7 +206,7 @@ def tv_subset_oracle(p: Distribution, q: Distribution) -> float:
     sums = [0.0]
     for d in diffs:
         sums.extend([s + d for s in sums])
-    return max(sums)
+    return min(max(sums), 1.0)
 
 
 def quantize(
@@ -256,8 +249,6 @@ def bh_decomposition(p: Distribution, q: Distribution) -> BhDecomposition:
     """
     labels_all, pw, qw = _aligned(p, q)
     rows = [(lab, a, b) for lab, a, b in zip(labels_all, pw, qw) if a > 0.0]
-    if not rows:
-        raise EmptyPSupportError("p: no atom carries positive mass")
     labels = tuple(lab for lab, _, _ in rows)
     u = tuple(b / a for _, a, b in rows)
     v = tuple(max(x - 1.0, 0.0) for x in u)

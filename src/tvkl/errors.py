@@ -1,7 +1,9 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the scalar checks that raise it.
 
 Everything raised on bad input derives from ValidationError, which is also a
 ValueError so that callers using plain ``except ValueError`` keep working.
+A public entry point checks each scalar argument once, with ``_real`` or
+``_unit``; internal curves and loops take the checked float as it is.
 """
 
 from __future__ import annotations
@@ -69,3 +71,22 @@ class SupportMismatchError(TvklError):
 
 class UnsupportedInequalityError(ValidationError):
     """The requested inequality cannot be checked by this engine."""
+
+
+def _real(name: str, x) -> float:
+    """``float(x)``; a value that ``float()`` refuses, or one too large for a
+    double, raises OutOfRangeError naming the argument."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise OutOfRangeError(f"{name}: too large for a float") from None
+    except (TypeError, ValueError):
+        raise OutOfRangeError(f"{name}: {x!r} is not a real number") from None
+
+
+def _unit(name: str, x) -> float:
+    """``_real(name, x)``, which must lie in [0, 1] (NaN does not)."""
+    x = _real(name, x)
+    if not (0.0 <= x <= 1.0):
+        raise OutOfRangeError(f"{name}: {x!r} not in [0, 1]")
+    return x

@@ -2,19 +2,18 @@
 
 Each figure is a uniform abscissa grid plus one column per curve, evaluated
 through the exact same code paths as the bound evaluations. Values are
-unclamped (the pinsker curve happily exceeds 1) and infinities are emitted
-as the literal string "inf". Floats are written with repr, the shortest
-round-trip decimal form, so files are byte-stable across runs and platforms.
+unclamped (the pinsker curve happily exceeds 1). Floats are written with
+repr, the shortest round-trip decimal form (+inf is "inf"), so files are
+byte-stable across runs and platforms.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import os
 import tempfile
 
-from .bounds import BoundId, forward_value, inverse_value
+from .bounds import _FORWARD, _INVERSE, BoundId
 from .errors import OutOfRangeError
 
 
@@ -28,29 +27,24 @@ class FigureId(enum.Enum):
 KL_RANGE = (0.0, 5.0)
 TV_RANGE = (0.0, 1.0)
 
-_FORWARD_COLUMNS = {
-    FigureId.FIG_PINSKER: (BoundId.TRIVIAL, BoundId.PINSKER),
+# Per figure: its abscissa and curve columns. Every abscissa lies inside its
+# axis range, so the figures evaluate the unchecked curve tables.
+_FIGURES = {
+    FigureId.FIG_PINSKER: ("kl", (BoundId.TRIVIAL, BoundId.PINSKER)),
     FigureId.FIG_FORWARD: (
-        BoundId.TRIVIAL,
-        BoundId.PINSKER,
-        BoundId.BH,
-        BoundId.TSYBAKOV,
+        "kl", (BoundId.TRIVIAL, BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV)
     ),
+    FigureId.FIG_INVERSE: ("tv", (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV)),
     FigureId.FIG_WEAK: (
-        BoundId.TRIVIAL,
-        BoundId.PINSKER,
-        BoundId.BH,
-        BoundId.WEAK_BH,
+        "kl", (BoundId.TRIVIAL, BoundId.PINSKER, BoundId.BH, BoundId.WEAK_BH)
     ),
 }
-
-_INVERSE_COLUMNS = (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV)
+_AXES = {"kl": (KL_RANGE, _FORWARD), "tv": (TV_RANGE, _INVERSE)}
 
 
 def figure_header(figure: FigureId) -> list[str]:
-    if figure is FigureId.FIG_INVERSE:
-        return ["tv"] + [b.value for b in _INVERSE_COLUMNS]
-    return ["kl"] + [b.value for b in _FORWARD_COLUMNS[figure]]
+    axis, columns = _FIGURES[figure]
+    return [axis] + [b.value for b in columns]
 
 
 def figure_rows(figure: FigureId, points: int) -> list[list[float]]:
@@ -58,31 +52,20 @@ def figure_rows(figure: FigureId, points: int) -> list[list[float]]:
     both range endpoints)."""
     if points < 2:
         raise OutOfRangeError(f"points: {points!r} must be >= 2")
+    axis, columns = _FIGURES[figure]
+    (lo, hi), table = _AXES[axis]
+    curves = [table[b] for b in columns]
     rows = []
-    if figure is FigureId.FIG_INVERSE:
-        lo, hi = TV_RANGE
-        for i in range(points):
-            t = lo + (hi - lo) * i / (points - 1)
-            rows.append([t] + [inverse_value(b, t) for b in _INVERSE_COLUMNS])
-        return rows
-    lo, hi = KL_RANGE
-    curves = _FORWARD_COLUMNS[figure]
     for i in range(points):
-        kl = lo + (hi - lo) * i / (points - 1)
-        rows.append([kl] + [forward_value(b, kl) for b in curves])
+        x = lo + (hi - lo) * i / (points - 1)
+        rows.append([x] + [curve(x) for curve in curves])
     return rows
-
-
-def _format_cell(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return repr(x)
 
 
 def render_figure_csv(figure: FigureId, points: int) -> str:
     lines = [",".join(figure_header(figure))]
     for row in figure_rows(figure, points):
-        lines.append(",".join(_format_cell(x) for x in row))
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 

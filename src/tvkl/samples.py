@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, _real
 
 #: Flag set on a report when the simplified bh closed form exceeds the exact
 #: bh route at the queried parameters.
@@ -41,19 +41,20 @@ FLAG_TSYBAKOV_VACUOUS = "tsybakov_vacuous"
 class SampleComplexityQuery:
     """Bias epsilon in (0, 1/3) and error budget delta in (0, 1/2), both
     strict: the closed forms below are only valid inside the open box. Nor
-    may eps^2 or the per-toss KL round to 0 (eps below about 1.6e-162)."""
+    may eps^2 or the per-toss KL round to 0 (eps below about 1.6e-162).
+    Both fields are stored as floats."""
 
     epsilon: float
     delta: float
 
     def __post_init__(self):
-        e, d = float(self.epsilon), float(self.delta)
-        if not (0.0 < e < 1.0 / 3.0):
-            raise OutOfRangeError(f"epsilon: {e!r} not in (0, 1/3)")
-        if e**2 == 0.0 or kl_per_toss(e) == 0.0:  # every route divides by one
+        e, d = _check_epsilon(self.epsilon), _real("delta", self.delta)
+        if e**2 == 0.0 or 0.5 * _log_inv(e) == 0.0:  # every route divides by one
             raise OutOfRangeError(f"epsilon: {e!r} too small, eps^2 or its KL is 0.0")
         if not (0.0 < d < 0.5):
             raise OutOfRangeError(f"delta: {d!r} not in (0, 1/2)")
+        object.__setattr__(self, "epsilon", e)
+        object.__setattr__(self, "delta", d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,10 +79,19 @@ def kl_per_toss(epsilon: float) -> float:
 
     Matches the generic two-point divergence on the same pair to 1e-15.
     """
-    epsilon = float(epsilon)
-    if not (0.0 < epsilon < 1.0 / 3.0):
-        raise OutOfRangeError(f"epsilon: {epsilon!r} not in (0, 1/3)")
-    return -0.5 * math.log1p(-4.0 * epsilon * epsilon)
+    return 0.5 * _log_inv(_check_epsilon(epsilon))
+
+
+def _check_epsilon(epsilon: float) -> float:
+    e = _real("epsilon", epsilon)
+    if not (0.0 < e < 1.0 / 3.0):
+        raise OutOfRangeError(f"epsilon: {e!r} not in (0, 1/3)")
+    return e
+
+
+def _log_inv(epsilon: float) -> float:
+    # log(1/(1 - 4 eps^2)) = 2 * kl_per_toss(eps), without a range check.
+    return -math.log1p(-4.0 * epsilon * epsilon)
 
 
 def min_samples_pinsker(query: SampleComplexityQuery) -> float:
@@ -114,12 +124,8 @@ def min_samples_tsybakov(query: SampleComplexityQuery) -> float:
     d = query.delta
     if d >= 0.25:
         return 0.0
-    return max(0.0, -(math.log(4.0) + math.log(d)) / kl_per_toss(query.epsilon))
-
-
-def _log_inv(epsilon: float) -> float:
-    # log(1/(1 - 4 eps^2)) = 2 * kl_per_toss(eps)
-    return -math.log1p(-4.0 * epsilon * epsilon)
+    kl = 0.5 * _log_inv(query.epsilon)
+    return max(0.0, -(math.log(4.0) + math.log(d)) / kl)
 
 
 def report(query: SampleComplexityQuery) -> SampleComplexityReport:
@@ -139,7 +145,7 @@ def report(query: SampleComplexityQuery) -> SampleComplexityReport:
     return SampleComplexityReport(
         query=query,
         required_tv=required_tv(query),
-        kl_per_toss=kl_per_toss(query.epsilon),
+        kl_per_toss=0.5 * _log_inv(query.epsilon),
         n_pinsker=min_samples_pinsker(query),
         n_bh=n_bh,
         n_tsybakov=min_samples_tsybakov(query),

@@ -30,6 +30,7 @@ from .errors import (
     SupportMismatchError,
     TooLargeError,
     TvklError,
+    _real,
 )
 
 
@@ -49,13 +50,16 @@ class WitnessFunction:
 
 @dataclass(frozen=True, slots=True)
 class TflParameter:
-    """Sup-norm budget for the bounded-witness pinsker derivation."""
+    """Sup-norm budget for the bounded-witness pinsker derivation, stored as
+    a float."""
 
     lam: float
 
     def __post_init__(self):
-        if not (self.lam > 0.0) or math.isinf(self.lam):
+        lam = _real("lam", self.lam)
+        if not (lam > 0.0) or math.isinf(lam):
             raise OutOfRangeError(f"lam: {self.lam!r} must be a positive real")
+        object.__setattr__(self, "lam", lam)
 
 
 def _aligned_with_witness(p: Distribution, q: Distribution, f: WitnessFunction):
@@ -138,7 +142,7 @@ def dv_supremum(
 def pinsker_via_tfl(kl: float, param: TflParameter | float) -> float:
     """The bounded-witness bound TV <= kl / (2 lambda) + lambda / 4."""
     kl = _check_finite_kl(kl)
-    lam = param.lam if isinstance(param, TflParameter) else TflParameter(float(param)).lam
+    lam = param.lam if isinstance(param, TflParameter) else TflParameter(_real("lam", param)).lam
     return kl / (2.0 * lam) + lam / 4.0
 
 
@@ -154,7 +158,7 @@ def pinsker_via_tfl_optimal(kl: float) -> tuple[float, float]:
 
 
 def _check_finite_kl(kl: float) -> float:
-    kl = float(kl)
+    kl = _real("kl", kl)
     if math.isnan(kl) or math.isinf(kl) or kl < 0.0:
         raise OutOfRangeError(f"kl: {kl!r} must be a finite value >= 0")
     return kl

@@ -34,7 +34,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .bounds import _FORWARD, BoundId, forward_value, kl_lower_vajda
+from .bounds import _FORWARD, _INVERSE, BoundId
 from .distributions import Distribution, _default_labels
 from .divergence import (
     EventSubset,
@@ -45,7 +45,7 @@ from .divergence import (
     kl_divergence,
     total_variation,
 )
-from .errors import OutOfRangeError, UnsupportedInequalityError
+from .errors import OutOfRangeError, UnsupportedInequalityError, _real
 from .variational import WitnessFunction, dv_value
 
 #: Default violation tolerances: closed-form grid cells vs 64-atom sums.
@@ -109,7 +109,7 @@ def _forward_margin(bound: BoundId):
 
 
 def _margin_vajda(tv: float, kl: float) -> float:
-    return kl - kl_lower_vajda(tv)
+    return kl - _INVERSE[BoundId.VAJDA](tv)
 
 
 _TV_KL_MARGINS = {
@@ -158,7 +158,7 @@ def _check_binary(inequality: InequalityId) -> None:
 
 def _check_tolerance(tolerance: float) -> None:
     # Negative tolerances stay allowed: they force violations on purpose.
-    if not math.isfinite(tolerance):
+    if not math.isfinite(_real("tolerance", tolerance)):
         raise OutOfRangeError(f"tolerance: {tolerance!r} must be finite")
 
 
@@ -343,7 +343,7 @@ def falsify(
 
 
 def _kl_finite_margin(p: Distribution, q: Distribution) -> float:
-    bh = forward_value(BoundId.BH, kl_divergence(p, q))
+    bh = _FORWARD[BoundId.BH](kl_divergence(p, q))
     return 1.0 - total_variation(p, q) if bh < 1.0 else -math.inf
 
 

@@ -112,6 +112,14 @@ class TestBestBound:
         assert best.bound is BoundId.BH
         assert best.output == 0.0
 
+    def test_matches_its_compare_bounds_row(self):
+        # one vacuity rule: at kl = inf bh wins with output 1.0, unflagged
+        grid = [0.0] + [10.0 ** (k / 4) for k in range(-48, 12)] + [math.inf]
+        for kl in grid:
+            best = tv_upper_best(kl)
+            rows = {row.bound: row for row in compare_bounds(kl)}
+            assert best == rows[best.bound]
+
     def test_never_exceeds_trivial(self):
         for i in range(1001):
             assert tv_upper_best(i / 100.0).output <= 1.0

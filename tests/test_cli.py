@@ -65,6 +65,15 @@ class TestDiv:
         assert payload["kl"] == "inf"
         assert payload["tv"] == 1.0
 
+    def test_tv_is_clamped_to_one(self, capsys, tmp_path):
+        p = tmp_path / "p.json"
+        q = tmp_path / "q.json"
+        p.write_text('{"support": ["a", "b"], "probs": [0.5000000004, 0.5000000004]}')
+        q.write_text('{"support": ["c"], "probs": [1.0]}')
+        code, out, _ = run_cli(capsys, "div", str(p), str(q))
+        assert code == 0
+        assert '"tv": 1.0,' in out
+
     def test_validation_error_names_field_and_exits_one(self, capsys, dist_files):
         code, _, err = run_cli(capsys, "div", dist_files["bad"], dist_files["fair"])
         assert code == 1

@@ -15,6 +15,7 @@ from tvkl import (
     event_mass,
     hellinger_affinity,
     kl_divergence,
+    kl_lower_vajda,
     new_distribution,
     overlap_identities,
     quantize,
@@ -64,6 +65,15 @@ class TestTotalVariation:
         a = new_distribution([1.0], labels=["x"])
         b = new_distribution([1.0], labels=["y"])
         assert total_variation(a, b) == 1.0
+
+    def test_clamped_to_one_on_pairs_summing_above_one(self):
+        # both are valid within SUM_TOLERANCE; the raw sums are
+        # 1.0000000004 and 1.0000000008
+        p = Distribution(("a", "b"), (0.5 + 4e-10, 0.5 + 4e-10))
+        q = Distribution(("c",), (1.0,))
+        assert total_variation(p, q) == 1.0
+        assert tv_subset_oracle(p, q) == 1.0
+        assert kl_lower_vajda(total_variation(p, q)) == math.inf
 
     @given(integer_weight_pair())
     def test_symmetry_and_range(self, pair):

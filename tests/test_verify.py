@@ -4,6 +4,7 @@ import math
 import pytest
 
 from tvkl import (
+    BoundId,
     InequalityId,
     OutOfRangeError,
     ScanReport,
@@ -254,7 +255,7 @@ class TestKlFiniteImpliesTvBelowOne:
         assert report.worst_margin == 0.0
 
     def test_bh_bound_reaching_one_is_a_violation(self, monkeypatch):
-        monkeypatch.setattr(verify, "forward_value", lambda bound, kl: 1.0)
+        monkeypatch.setitem(verify._FORWARD, BoundId.BH, lambda kl: 1.0)
         report = kl_finite_implies_tv_lt_one(5, seed=3)
         assert report.violations == 5
         assert report.worst_point == (0,)
