@@ -34,7 +34,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .bounds import _FORWARD, _INVERSE, BoundId
+from .bounds import _FORWARD, BoundId, _vajda_inverse
 from .distributions import Distribution, _default_labels
 from .divergence import (
     EventSubset,
@@ -109,7 +109,7 @@ def _forward_margin(bound: BoundId):
 
 
 def _margin_vajda(tv: float, kl: float) -> float:
-    return kl - _INVERSE[BoundId.VAJDA](tv)
+    return kl - _vajda_inverse(tv)
 
 
 _TV_KL_MARGINS = {
