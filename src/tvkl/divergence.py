@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 
-from .distributions import Distribution, bernoulli
+from .distributions import SUM_TOLERANCE, Distribution, bernoulli
 from .errors import MismatchedSupportsError, TooLargeError, TvklError, _unit
 
 #: KL divergences and inverse bounds take values in [0, +inf]; +inf is
@@ -39,19 +38,14 @@ def _aligned(p: Distribution, q: Distribution):
     """
     if p.support == q.support:
         return p.support, p.probs, q.probs
-    q_index = dict(zip(q.support, q.probs))
-    if len(p.support) == len(q.support):
-        # Labels are distinct, so if every p label is in q the label sets
-        # are equal and the union is p's order.
-        try:
-            return p.support, p.probs, tuple(map(q_index.__getitem__, p.support))
-        except KeyError:
-            pass
-    p_labels = set(p.support)
-    q_only = tuple(lab for lab in q.support if lab not in p_labels)
-    labels = p.support + q_only
-    pw = p.probs + (0.0,) * len(q_only)
-    return labels, pw, tuple(map(q_index.get, labels, repeat(0.0)))
+    # An update keeps the place of a key already present and appends a new
+    # one, so the union map holds p's labels, then q-only labels in q's order.
+    union = dict.fromkeys(p.support, 0.0)
+    union.update(zip(q.support, q.probs))
+    q_only = len(union) - len(p.support)
+    if not q_only:
+        return p.support, p.probs, tuple(union.values())
+    return tuple(union), p.probs + (0.0,) * q_only, tuple(union.values())
 
 
 def _log_ratio(a: float, b: float) -> float:
@@ -244,17 +238,22 @@ def bh_decomposition(p: Distribution, q: Distribution) -> BhDecomposition:
     """Compute the U, V, W split and verify its identities.
 
     Verifies, within 1e-12 (relative for large U): V W = 0 and
-    (1 + V)(1 - W) = U atomwise, E_p[W] = TV(p, q), and E_p[V] = TV(p, q)
-    whenever q assigns no mass outside p's support.
+    (1 + V)(1 - W) = U atomwise. Verifies E_p[W] = TV(p, q), and
+    E_p[V] = TV(p, q) whenever q assigns no mass outside p's support, within
+    1e-12 + ``SUM_TOLERANCE``: E_p[W] is the sum of (p - q)+ and E_p[V] that
+    of (q - p)+, so before rounding E_p[W] - TV = (sum p - sum q)/2 =
+    TV - E_p[V]. Each weight sum is within ``SUM_TOLERANCE`` of 1, so the
+    gap is at most ``SUM_TOLERANCE``, and clamping TV to 1 keeps it so.
     """
     labels_all, pw, qw = _aligned(p, q)
-    rows = [(lab, a, b) for lab, a, b in zip(labels_all, pw, qw) if a > 0.0]
-    labels = tuple(lab for lab, _, _ in rows)
-    u = tuple(b / a for _, a, b in rows)
+    # p has positive mass, so at least one atom is kept.
+    labels, weights, u = zip(
+        *((lab, a, b / a) for lab, a, b in zip(labels_all, pw, qw) if a > 0.0)
+    )
     v = tuple(max(x - 1.0, 0.0) for x in u)
     w = tuple(max(1.0 - x, 0.0) for x in u)
-    mean_v = math.fsum(a * max(b / a - 1.0, 0.0) for _, a, b in rows)
-    mean_w = math.fsum(a * max(1.0 - b / a, 0.0) for _, a, b in rows)
+    mean_v = math.fsum(a * x for a, x in zip(weights, v))
+    mean_w = math.fsum(a * x for a, x in zip(weights, w))
 
     for ui, vi, wi in zip(u, v, w):
         scale = max(1.0, abs(ui))
@@ -263,9 +262,9 @@ def bh_decomposition(p: Distribution, q: Distribution) -> BhDecomposition:
         if abs((1.0 + vi) * (1.0 - wi) - ui) > 1e-12 * scale:
             raise TvklError("internal: (1 + V)(1 - W) = U violated")
     tv = total_variation(p, q)
-    if abs(mean_w - tv) > 1e-12:
+    if abs(mean_w - tv) > 1e-12 + SUM_TOLERANCE:
         raise TvklError("internal: E_p[W] = TV violated")
     escaped = math.fsum(b for a, b in zip(pw, qw) if a <= 0.0)
-    if escaped == 0.0 and abs(mean_v - tv) > 1e-12:
+    if escaped == 0.0 and abs(mean_v - tv) > 1e-12 + SUM_TOLERANCE:
         raise TvklError("internal: E_p[V] = TV violated on dominated pair")
     return BhDecomposition(labels, u, v, w, mean_v, mean_w)

@@ -33,6 +33,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .bounds import _FORWARD, BoundId, _vajda_inverse
 from .distributions import Distribution, _default_labels
@@ -45,7 +46,7 @@ from .divergence import (
     kl_divergence,
     total_variation,
 )
-from .errors import OutOfRangeError, UnsupportedInequalityError, _real
+from .errors import OutOfRangeError, UnsupportedInequalityError, _real, _unit
 from .variational import WitnessFunction, dv_value
 
 #: Default violation tolerances: closed-form grid cells vs 64-atom sums.
@@ -156,28 +157,32 @@ def _check_binary(inequality: InequalityId) -> None:
         )
 
 
-def _check_tolerance(tolerance: float) -> None:
+def _check_tolerance(tolerance: float) -> float:
     # Negative tolerances stay allowed: they force violations on purpose.
-    if not math.isfinite(_real("tolerance", tolerance)):
+    tolerance = _real("tolerance", tolerance)
+    if not math.isfinite(tolerance):
         raise OutOfRangeError(f"tolerance: {tolerance!r} must be finite")
+    return tolerance
 
 
-def _tally(margins, floor: float) -> tuple[int, float, int]:
-    """(violations, worst, index of worst) over ``margins``: a margin not at
-    least ``floor``, NaN included, is a violation; worst is +inf and its
-    index -1 when no margin is below +inf."""
+def _tally(margins, floor: float) -> tuple[int, float, int, float]:
+    """(violations, worst, index of worst, seconds taken) over ``margins``: a
+    margin not at least ``floor``, NaN included, is a violation; worst is
+    +inf and its index -1 when no margin is below +inf."""
+    start = time.perf_counter()
     violations, worst, index = 0, math.inf, -1
     for i, m in enumerate(margins):
         if m < worst:
             worst, index = m, i
         if not m >= floor:
             violations += 1
-    return violations, worst, index
+    return violations, worst, index, time.perf_counter() - start
 
 
 def bernoulli_margin(inequality: InequalityId, p: float, q: float) -> float:
     """Margin (RHS - LHS) of one inequality at one Bernoulli pair."""
     _check_binary(inequality)
+    p, q = _unit("p", p), _unit("q", q)
     kl = binary_kl(p, q)
     if inequality in _TV_KL_MARGINS:
         return _TV_KL_MARGINS[inequality](abs(p - q), kl)
@@ -214,7 +219,7 @@ def scan_bernoulli(
     """
     if resolution < 2:
         raise OutOfRangeError(f"resolution: {resolution!r} must be >= 2")
-    _check_tolerance(tolerance)
+    tolerance = _check_tolerance(tolerance)
     _check_binary(inequality)
     r = resolution
     axis = [i / r for i in range(1, r)]
@@ -223,9 +228,7 @@ def scan_bernoulli(
     else:
         pair = _PAIR_MARGINS[inequality]
         margins = (pair(p, q, binary_kl(p, q)) for p in axis for q in axis)
-    start = time.perf_counter()
-    violations, worst, index = _tally(margins, -tolerance)
-    elapsed = time.perf_counter() - start
+    violations, worst, index, elapsed = _tally(margins, -tolerance)
     i, j = divmod(index, r - 1)
     worst_point = (axis[i], axis[j]) if index >= 0 else (math.nan, math.nan)
     grid = (
@@ -244,6 +247,10 @@ def _draw_distribution(rng: random.Random, atoms: int, concentration: float) -> 
     exponent = 1.0 / concentration
     raw = [(1.0 - rng.random()) ** exponent for _ in range(atoms)]
     total = math.fsum(raw)
+    if total == 0.0:
+        raise OutOfRangeError(
+            f"concentration: {concentration!r} too small, every weight underflows"
+        )
     floored = [max(w / total, WEIGHT_FLOOR) for w in raw]
     total = math.fsum(floored)
     return Distribution(_default_labels(atoms), tuple(w / total for w in floored))
@@ -259,6 +266,7 @@ def random_distribution(seed: int, atoms: int, concentration: float) -> Distribu
     """
     if atoms < 1:
         raise OutOfRangeError(f"atoms: {atoms!r} must be >= 1")
+    concentration = _real("concentration", concentration)
     if not (concentration > 0.0):
         raise OutOfRangeError(f"concentration: {concentration!r} must be > 0")
     return _draw_distribution(random.Random(seed), atoms, concentration)
@@ -272,9 +280,7 @@ def _seeded_pairs(rng: random.Random, trials: int, atoms: int, concentrations):
 
 
 def _trial_report(inequality: InequalityId, grid: str, margins, floor: float) -> ScanReport:
-    start = time.perf_counter()
-    violations, worst, index = _tally(margins, floor)
-    elapsed = time.perf_counter() - start
+    violations, worst, index, elapsed = _tally(margins, floor)
     worst_point = (index,) if index >= 0 else ()
     return ScanReport(inequality, grid, violations, worst, worst_point, elapsed)
 
@@ -327,7 +333,7 @@ def falsify(
         raise OutOfRangeError(f"trials: {trials!r} must be >= 1")
     if not (2 <= atoms <= 64):
         raise OutOfRangeError(f"atoms: {atoms!r} not in [2, 64]")
-    _check_tolerance(tolerance)
+    tolerance = _check_tolerance(tolerance)
     if inequality is InequalityId.PINSKER_BINARY:
         raise UnsupportedInequalityError(
             f"{inequality.value}: only meaningful on Bernoulli pairs"
@@ -382,34 +388,27 @@ def run_suite(
     random_tolerance: float = RANDOM_TOLERANCE,
 ) -> list[ScanReport]:
     """Run a named verification suite and return its reports in a fixed
-    order. ``name`` may also be a single inequality identifier.
-
-    Suites: "grid" scans the six binary inequalities, "random" runs the
-    three multi-atom randomized checks, "kl_finite" the finite-KL
-    consequence, "all" everything. Deterministic given the seed. Both
+    order: "grid" scans the six binary inequalities, "random" runs the three
+    multi-atom randomized checks, "kl_finite" the finite-KL consequence,
+    "all" everything, and a single inequality identifier its own check of
+    its suite, at the same seed. Deterministic given the seed. Both
     tolerances must be finite, whichever checks the suite runs.
     """
-    _check_tolerance(grid_tolerance)
-    _check_tolerance(random_tolerance)
-    reports: list[ScanReport] = []
-    if name in ("all", "grid"):
-        for ineq in GRID_INEQUALITIES:
-            reports.append(scan_bernoulli(ineq, resolution, grid_tolerance))
-    if name in ("all", "random"):
-        for offset, ineq in enumerate(RANDOM_INEQUALITIES):
-            reports.append(
-                falsify(ineq, trials, atoms, seed + 101 * (offset + 1), random_tolerance)
-            )
-    if name in ("all", "kl_finite"):
-        reports.append(kl_finite_implies_tv_lt_one(trials, seed + 909))
-    if reports:
-        return reports
-    try:
-        ineq = InequalityId(name)
-    except ValueError:
+    grid_tolerance = _check_tolerance(grid_tolerance)
+    random_tolerance = _check_tolerance(random_tolerance)
+    # (key, suite, check) in report order; random check k runs at seed + 101 k.
+    plan = [
+        (i.value, "grid", partial(scan_bernoulli, i, resolution, grid_tolerance))
+        for i in GRID_INEQUALITIES
+    ]
+    for k, i in enumerate(RANDOM_INEQUALITIES, 1):
+        check = partial(falsify, i, trials, atoms, seed + 101 * k, random_tolerance)
+        plan.append((i.value, "random", check))
+    check = partial(kl_finite_implies_tv_lt_one, trials, seed + 909)
+    plan.append(("kl_finite", "kl_finite", check))
+    reports = [run() for key, suite, run in plan if name in ("all", suite, key)]
+    if not reports:
         raise OutOfRangeError(
             f"suite: {name!r} is not a suite name or inequality identifier"
-        ) from None
-    if ineq in RANDOM_INEQUALITIES:
-        return [falsify(ineq, trials, atoms, seed + 101, random_tolerance)]
-    return [scan_bernoulli(ineq, resolution, grid_tolerance)]
+        )
+    return reports

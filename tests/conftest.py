@@ -2,10 +2,24 @@
 
 from __future__ import annotations
 
+import os
 import random
 
+import pytest
+
+import tvkl
 from tvkl import Distribution, new_distribution
 from tvkl.verify import _draw_distribution
+
+
+@pytest.fixture(autouse=True, scope="session")
+def child_pythonpath():
+    """Child interpreters that the CLI tests start import the tvkl under
+    test, whether it is installed or only on pytest's ``pythonpath``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(tvkl.__file__)),
+                  prepend=os.pathsep)
+        yield
 
 
 def seeded_pairs(count, max_atoms, seed, min_atoms=2, concentrations=(1.0, 0.3, 3.0)):

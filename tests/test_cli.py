@@ -319,6 +319,15 @@ class TestVerify:
             "2282bf19fdb597b9e73a8412b67a04fcc86b1d4fca13cc1bd8c11fd3f9884bfc"
         )
 
+    @pytest.mark.parametrize(
+        "k, inequality", enumerate(["hellinger_chain", "dpi_quantized", "tfl_lower"])
+    )
+    def test_single_random_inequality_prints_its_suite_line(self, capsys, k, inequality):
+        args = ("--seed", "5", "--trials", "50", "--atoms", "8")
+        _, suite, _ = run_cli(capsys, "--json", "verify", "random", *args)
+        _, single, _ = run_cli(capsys, "--json", "verify", inequality, *args)
+        assert single.splitlines() == [suite.splitlines()[k]]
+
     def test_seed_flag_position_is_flexible(self, capsys):
         _, a, _ = run_cli(capsys, "--seed", "3", "verify", "tfl_lower",
                           "--trials", "10", "--atoms", "8")

@@ -99,7 +99,57 @@ def pair_and_permuted_q(draw):
     return p, q, q_perm
 
 
+def three_path_aligned(p, q):
+    # The alignment as it was written with a same-label-set path and a
+    # separate union path; the one-map _aligned must match it exactly.
+    if p.support == q.support:
+        return p.support, p.probs, q.probs
+    q_index = dict(zip(q.support, q.probs))
+    if len(p.support) == len(q.support):
+        try:
+            return p.support, p.probs, tuple(map(q_index.__getitem__, p.support))
+        except KeyError:
+            pass
+    p_labels = set(p.support)
+    q_only = tuple(lab for lab in q.support if lab not in p_labels)
+    labels = p.support + q_only
+    pw = p.probs + (0.0,) * len(q_only)
+    return labels, pw, tuple(map(q_index.get, labels, itertools.repeat(0.0)))
+
+
+@st.composite
+def overlapping_pair(draw):
+    # q keeps any subset of p's labels in any order and adds any q-only
+    # labels: equal, permuted, subset, superset, disjoint and partial overlap.
+    p_labels = draw(
+        st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True)
+    )
+    kept = draw(st.permutations([lab for lab in p_labels if draw(st.booleans())]))
+    q_only = draw(st.lists(st.sampled_from("uvwxyz"), max_size=6, unique=True))
+    q_labels = kept + q_only or p_labels
+
+    def weights(n):
+        counts = st.lists(st.integers(0, 50), min_size=n, max_size=n)
+        return draw(counts.filter(lambda c: sum(c) > 0))
+
+    return (
+        new_distribution(weights(len(p_labels)), p_labels, renormalize=True),
+        new_distribution(weights(len(q_labels)), q_labels, renormalize=True),
+    )
+
+
 class TestAlignment:
+    @given(overlapping_pair())
+    def test_one_map_matches_the_three_path_reference(self, pair):
+        p, q = pair
+        labels, pw, qw = _aligned(p, q)
+        reference = three_path_aligned(p, q)
+        assert (labels, pw, qw) == reference
+        assert [repr(x) for x in qw] == [repr(x) for x in reference[2]]
+        # bench/tracer.py calls an alignment same-order when its p weights
+        # are p.probs itself
+        assert (pw is p.probs) == (reference[1] is p.probs)
+
     @given(pair_and_permuted_q())
     def test_relabelled_q_matches_same_order_bit_for_bit(self, pqs):
         p, q, q_perm = pqs
@@ -325,6 +375,14 @@ class TestBhDecomposition:
         assert d.mean_w == pytest.approx(0.5, abs=1e-15)
         assert d.mean_w == pytest.approx(total_variation(p, q), abs=1e-12)
         assert d.mean_v == pytest.approx(total_variation(p, q) - 0.5, abs=1e-12)
+
+    def test_weights_summing_within_tolerance(self):
+        # E_p[W] - TV = (sum p - sum q)/2 = 4e-10 here, inside SUM_TOLERANCE
+        p = Distribution(("a", "b"), (0.5 + 4e-10, 0.5 + 4e-10))
+        q = Distribution(("a", "b"), (0.3, 0.7))
+        d = bh_decomposition(p, q)
+        assert d.mean_w == pytest.approx(total_variation(p, q), abs=1e-9)
+        assert d.mean_v == pytest.approx(total_variation(p, q), abs=1e-9)
 
     def test_identities_on_random_pairs(self):
         for p, q in seeded_pairs(60, 16, seed=23):

@@ -10,6 +10,7 @@ from tvkl import (
     SampleComplexityQuery,
     TflParameter,
     bernoulli,
+    bernoulli_margin,
     binary_kl,
     binary_tv,
     compare_bounds,
@@ -24,6 +25,7 @@ from tvkl import (
     kl_per_toss,
     pinsker_via_tfl,
     pinsker_via_tfl_optimal,
+    random_distribution,
     run_suite,
     scan_bernoulli,
     tv_upper_best,
@@ -67,6 +69,9 @@ ENTRY_POINTS = {
     "falsify": ("tolerance", lambda x: falsify(InequalityId.BH, 10, 8, 1, x)),
     "run_suite-grid": ("tolerance", lambda x: run_suite("grid", grid_tolerance=x)),
     "run_suite-random": ("tolerance", lambda x: run_suite("random", random_tolerance=x)),
+    "bernoulli_margin-p": ("p", lambda x: bernoulli_margin(InequalityId.BH, x, 0.5)),
+    "bernoulli_margin-q": ("q", lambda x: bernoulli_margin(InequalityId.BH, 0.5, x)),
+    "random_distribution": ("concentration", lambda x: random_distribution(0, 5, x)),
 }
 
 

@@ -82,6 +82,11 @@ class TestRandomDistribution:
         with pytest.raises(OutOfRangeError):
             random_distribution(1, atoms, conc)
 
+    def test_every_weight_underflowing_is_out_of_range(self):
+        # each (1 - u) ** 1e4 rounds to 0.0, so the raw total is 0.0
+        with pytest.raises(OutOfRangeError, match="underflows"):
+            random_distribution(0, 5, 1e-4)
+
 
 class TestBernoulliMargins:
     def test_tight_on_the_diagonal(self):
@@ -103,6 +108,11 @@ class TestBernoulliMargins:
     def test_unsupported(self):
         with pytest.raises(UnsupportedInequalityError):
             bernoulli_margin(InequalityId.TFL_LOWER, 0.3, 0.4)
+
+    def test_numeric_string_computes_as_its_float(self):
+        assert bernoulli_margin(InequalityId.BH, "0.3", 0.5) == bernoulli_margin(
+            InequalityId.BH, 0.3, 0.5
+        )
 
     @pytest.mark.parametrize("ineq", BINARY_INEQUALITIES)
     def test_near_equal_pair_has_a_margin(self, ineq):
@@ -291,6 +301,22 @@ class TestSuites:
     def test_non_finite_tolerance_rejected_by_every_suite(self, kwargs):
         with pytest.raises(OutOfRangeError):
             run_suite("kl_finite", trials=5, **kwargs)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: [scan_bernoulli(InequalityId.BH, 10, t)],
+            lambda t: [falsify(InequalityId.BH, 10, 8, 1, t)],
+            lambda t: run_suite(
+                "all", resolution=10, trials=10, atoms=8,
+                grid_tolerance=t, random_tolerance=t,
+            ),
+        ],
+        ids=["scan_bernoulli", "falsify", "run_suite"],
+    )
+    def test_numeric_string_tolerance_computes_as_its_float(self, call):
+        expected = [strip_elapsed(r) for r in call(0.1)]
+        assert [strip_elapsed(r) for r in call("0.1")] == expected
 
     def test_deterministic_given_seed(self):
         a = run_suite("random", seed=4, trials=30, atoms=8)
