@@ -437,6 +437,22 @@ class TestPinnedOutputs:
         assert code == 0
         assert _sha256(out) == digest
 
+    def test_verify_all_text(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "all", "--seed", "42", "--resolution",
+                               "40", "--trials", "50", "--atoms", "8")
+        assert code == 0
+        assert _sha256(out) == (
+            "9e64e1b7c82d47a2865ee9167820f92d03caa80e6055ab35569fd84dc09a5e95"
+        )
+
+    def test_dv_text_at_the_default_seed(self, capsys, dist_files):
+        code, out, _ = run_cli(capsys, "dv", dist_files["fair"], dist_files["biased"],
+                               "--trials", "50")
+        assert code == 0
+        assert _sha256(out) == (
+            "a069263f8a6fd9a0772a2c2a99613069ab073913c6e11cc145c28509aeda6323"
+        )
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
