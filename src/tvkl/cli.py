@@ -60,7 +60,7 @@ def _global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
         "--seed",
         type=int,
         help="seed for randomized checks (default 0)",
-        default=None if top else suppress,
+        default=0 if top else suppress,
     )
 
 
@@ -200,14 +200,13 @@ def _cmd_samples(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     kwargs = {}
     if args.tolerance is not None:
         kwargs["grid_tolerance"] = args.tolerance
         kwargs["random_tolerance"] = args.tolerance
     reports = verify.run_suite(
         args.suite,
-        seed=seed,
+        seed=args.seed,
         resolution=args.resolution,
         trials=args.trials,
         atoms=args.atoms,
@@ -217,32 +216,18 @@ def _cmd_verify(args) -> int:
         if args.json:
             _print_json(rep.to_json_dict())
         else:
-            d = rep.to_json_dict()
-            print(
-                "{inequality}: violations={violations} worst_margin={margin} "
-                "worst_point={point} [{grid}]".format(
-                    inequality=d["inequality"],
-                    violations=d["violations"],
-                    margin=repr(rep.worst_margin),
-                    point=d["worst_point"],
-                    grid=d["grid"],
-                )
-            )
+            print(f"{rep.inequality.value}: violations={rep.violations} "
+                  f"worst_margin={rep.worst_margin!r} "
+                  f"worst_point={list(rep.worst_point)} [{rep.grid}]")
     return 2 if any(r.violations for r in reports) else 0
 
 
 def _cmd_dv(args) -> int:
     p = load_distribution(args.file_p, renormalize=args.renormalize)
     q = load_distribution(args.file_q, renormalize=args.renormalize)
-    seed = args.seed if args.seed is not None else 0
-    value, gaps = variational.dv_supremum(p, q, args.trials, seed)
-    _print_json(
-        {
-            "value": value,
-            "trials": args.trials,
-            "min_gap": min(gaps) if gaps else None,
-        }
-    )
+    value, gaps = variational.dv_supremum(p, q, args.trials, args.seed)
+    min_gap = min(gaps) if gaps else None
+    _print_json({"value": value, "trials": args.trials, "min_gap": min_gap})
     return 0
 
 

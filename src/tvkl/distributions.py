@@ -18,10 +18,10 @@ from .errors import (
     EmptySupportError,
     InvalidLabelError,
     NegativeWeightError,
-    OutOfRangeError,
     SumToleranceError,
     TooLargeError,
     ValidationError,
+    _integer,
     _unit,
 )
 
@@ -165,8 +165,7 @@ class ProductSpec:
     power: int
 
     def __post_init__(self):
-        if not isinstance(self.power, int) or self.power < 1:
-            raise OutOfRangeError(f"power: {self.power!r} must be a positive integer")
+        object.__setattr__(self, "power", _integer("power", self.power, 1))
 
 
 def tensor_power(spec: ProductSpec) -> Distribution:
@@ -180,7 +179,8 @@ def tensor_power(spec: ProductSpec) -> Distribution:
     """
     base, n = spec.base, spec.power
     k = len(base.support)
-    if k**n > MAX_PRODUCT_ATOMS:
+    # k^n for n up to 21 is exact, and any k >= 2 is past the cap by then.
+    if k ** min(n, MAX_PRODUCT_ATOMS.bit_length()) > MAX_PRODUCT_ATOMS:
         raise TooLargeError(
             f"power: {k}^{n} atoms exceed the cap of {MAX_PRODUCT_ATOMS}; "
             "use KL additivity instead of materialising"

@@ -113,7 +113,11 @@ def binary_kl(a: float, b: float) -> DivergenceValue:
     and +inf when b is degenerate while a is not. KL >= 0 is a theorem, so a
     sum that rounds below zero (a and b a few ulps apart) returns 0.0.
     """
-    a, b = _unit("a", a), _unit("b", b)
+    return _binary_kl(_unit("a", a), _unit("b", b))
+
+
+def _binary_kl(a: float, b: float) -> DivergenceValue:
+    # binary_kl on weights already checked to be floats in [0, 1].
     if a == b:
         return 0.0
     if b == 0.0 or b == 1.0:

@@ -2,11 +2,13 @@
 
 Everything raised on bad input derives from ValidationError, which is also a
 ValueError so that callers using plain ``except ValueError`` keep working.
-A public entry point checks each scalar argument once, with ``_real`` or
-``_unit``; internal curves and loops take the checked float as it is.
+A public entry point checks each scalar argument once, with ``_real``,
+``_unit`` or ``_integer``; internal loops take the checked value as it is.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class TvklError(Exception):
@@ -90,3 +92,17 @@ def _unit(name: str, x) -> float:
     if not (0.0 <= x <= 1.0):
         raise OutOfRangeError(f"{name}: {x!r} not in [0, 1]")
     return x
+
+
+def _integer(name: str, x, lo: int | None = None, hi: int | None = None) -> int:
+    """``operator.index(x)``, in [lo, hi] where given: True and numpy integers
+    pass, while 2.5, "10" or None raise OutOfRangeError naming the argument."""
+    try:
+        n = operator.index(x)
+    except TypeError:
+        raise OutOfRangeError(f"{name}: {x!r} is not an integer") from None
+    if hi is not None and not lo <= n <= hi:
+        raise OutOfRangeError(f"{name}: {n!r} not in [{lo}, {hi}]")
+    if lo is not None and n < lo:
+        raise OutOfRangeError(f"{name}: {n!r} must be >= {lo}")
+    return n

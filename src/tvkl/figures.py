@@ -14,7 +14,7 @@ import os
 import tempfile
 
 from .bounds import _FORWARD, _INVERSE, BoundId
-from .errors import OutOfRangeError
+from .errors import _integer
 
 
 class FigureId(enum.Enum):
@@ -50,8 +50,7 @@ def figure_header(figure: FigureId) -> list[str]:
 def figure_rows(figure: FigureId, points: int) -> list[list[float]]:
     """Curve values on a uniform grid of ``points`` abscissas (inclusive of
     both range endpoints)."""
-    if points < 2:
-        raise OutOfRangeError(f"points: {points!r} must be >= 2")
+    points = _integer("points", points, 2)
     axis, columns = _FIGURES[figure]
     (lo, hi), table = _AXES[axis]
     curves = [table[b] for b in columns]

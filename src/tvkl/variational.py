@@ -30,6 +30,7 @@ from .errors import (
     SupportMismatchError,
     TooLargeError,
     TvklError,
+    _integer,
     _real,
 )
 
@@ -124,8 +125,7 @@ def dv_supremum(
     value - dv_value(perturbed). All gaps are nonnegative up to rounding:
     no witness beats the maximiser. Deterministic given the seed.
     """
-    if trials < 0:
-        raise OutOfRangeError(f"trials: {trials!r} must be >= 0")
+    trials, seed = _integer("trials", trials, 0), _integer("seed", seed)
     best = dv_optimal_witness(p, q)
     value = dv_value(p, q, best)
     rng = random.Random(seed)
@@ -142,7 +142,7 @@ def dv_supremum(
 def pinsker_via_tfl(kl: float, param: TflParameter | float) -> float:
     """The bounded-witness bound TV <= kl / (2 lambda) + lambda / 4."""
     kl = _check_finite_kl(kl)
-    lam = param.lam if isinstance(param, TflParameter) else TflParameter(_real("lam", param)).lam
+    lam = (param if isinstance(param, TflParameter) else TflParameter(param)).lam
     return kl / (2.0 * lam) + lam / 4.0
 
 
@@ -195,8 +195,7 @@ def ipm_identity_check(
     broken). Returns half_supremum - total_variation, which is zero up to
     rounding.
     """
-    if trials < 0:
-        raise OutOfRangeError(f"trials: {trials!r} must be >= 0")
+    trials, seed = _integer("trials", trials, 0), _integer("seed", seed)
     labels, pw, qw = _aligned(p, q)
     n = len(labels)
     if n > IPM_SUPPORT_CAP:

@@ -20,7 +20,7 @@ cached logs and makes one call to the inequality's margin.
 
 Every margin is oriented as RHS - LHS of the inequality, so violations are
 margins below -tolerance; a NaN margin is a violation too, and a tolerance
-must be finite. All operations are deterministic given their seed;
+must be finite. Every operation is deterministic given its integer seed;
 reports carry no state beyond the wall-clock ``elapsed`` field, which is
 excluded from any serialised form.
 """
@@ -39,6 +39,7 @@ from .bounds import _FORWARD, BoundId, _vajda_inverse
 from .distributions import Distribution, _default_labels
 from .divergence import (
     EventSubset,
+    _binary_kl,
     binary_kl,
     binary_tv,
     event_mass,
@@ -46,7 +47,7 @@ from .divergence import (
     kl_divergence,
     total_variation,
 )
-from .errors import OutOfRangeError, UnsupportedInequalityError, _real, _unit
+from .errors import OutOfRangeError, UnsupportedInequalityError, _integer, _real, _unit
 from .variational import WitnessFunction, dv_value
 
 #: Default violation tolerances: closed-form grid cells vs 64-atom sums.
@@ -139,7 +140,7 @@ def _margin_dpi_binary(p: float, q: float, kl: float) -> float:
     # the pair gives margins kl - kl and tv - tv: 0, or NaN where kl is +inf.
     tv = abs(p - q)
     ps, qs = 1.0 - p, 1.0 - q
-    return min(kl - kl, tv - tv, kl - binary_kl(ps, qs), tv - abs(ps - qs))
+    return min(kl - kl, tv - tv, kl - _binary_kl(ps, qs), tv - abs(ps - qs))
 
 
 # The checks that need the pair itself, on Bernoulli pairs; _random_margin
@@ -183,7 +184,7 @@ def bernoulli_margin(inequality: InequalityId, p: float, q: float) -> float:
     """Margin (RHS - LHS) of one inequality at one Bernoulli pair."""
     _check_binary(inequality)
     p, q = _unit("p", p), _unit("q", q)
-    kl = binary_kl(p, q)
+    kl = _binary_kl(p, q)
     if inequality in _TV_KL_MARGINS:
         return _TV_KL_MARGINS[inequality](abs(p - q), kl)
     return _PAIR_MARGINS[inequality](p, q, kl)
@@ -217,17 +218,15 @@ def scan_bernoulli(
     skipped_infinite_kl is always 0. A cell whose margin is not at least
     -tolerance, NaN included, is a violation.
     """
-    if resolution < 2:
-        raise OutOfRangeError(f"resolution: {resolution!r} must be >= 2")
+    r = _integer("resolution", resolution, 2)
     tolerance = _check_tolerance(tolerance)
     _check_binary(inequality)
-    r = resolution
     axis = [i / r for i in range(1, r)]
     if inequality in _TV_KL_MARGINS:
         margins = _row_cached_margins(_TV_KL_MARGINS[inequality], axis)
     else:
         pair = _PAIR_MARGINS[inequality]
-        margins = (pair(p, q, binary_kl(p, q)) for p in axis for q in axis)
+        margins = (pair(p, q, _binary_kl(p, q)) for p in axis for q in axis)
     violations, worst, index, elapsed = _tally(margins, -tolerance)
     i, j = divmod(index, r - 1)
     worst_point = (axis[i], axis[j]) if index >= 0 else (math.nan, math.nan)
@@ -264,8 +263,7 @@ def random_distribution(seed: int, atoms: int, concentration: float) -> Distribu
     values give spiky ones. A floor of ``WEIGHT_FLOOR`` before the final
     normalisation guarantees full support. Deterministic given the seed.
     """
-    if atoms < 1:
-        raise OutOfRangeError(f"atoms: {atoms!r} must be >= 1")
+    seed, atoms = _integer("seed", seed), _integer("atoms", atoms, 1)
     concentration = _real("concentration", concentration)
     if not (concentration > 0.0):
         raise OutOfRangeError(f"concentration: {concentration!r} must be > 0")
@@ -329,10 +327,8 @@ def falsify(
     whose margin is not at least -tolerance, NaN included, is a violation.
     The worst point records the offending trial index.
     """
-    if trials < 1:
-        raise OutOfRangeError(f"trials: {trials!r} must be >= 1")
-    if not (2 <= atoms <= 64):
-        raise OutOfRangeError(f"atoms: {atoms!r} not in [2, 64]")
+    trials, atoms = _integer("trials", trials, 1), _integer("atoms", atoms, 2, 64)
+    seed = _integer("seed", seed)
     tolerance = _check_tolerance(tolerance)
     if inequality is InequalityId.PINSKER_BINARY:
         raise UnsupportedInequalityError(
@@ -360,8 +356,7 @@ def kl_finite_implies_tv_lt_one(trials: int, seed: int) -> ScanReport:
     for a trial whose bh bound reaches 1; a margin that is not positive
     (TV = 1 included), or NaN, is a violation.
     """
-    if trials < 1:
-        raise OutOfRangeError(f"trials: {trials!r} must be >= 1")
+    trials, seed = _integer("trials", trials, 1), _integer("seed", seed)
     rng = random.Random(seed)
     pairs = _seeded_pairs(rng, trials, 64, (1.0, 0.1, 0.01))
     margins = (_kl_finite_margin(p, q) for p, q in pairs)
@@ -394,6 +389,7 @@ def run_suite(
     its suite, at the same seed. Deterministic given the seed. Both
     tolerances must be finite, whichever checks the suite runs.
     """
+    seed = _integer("seed", seed)
     grid_tolerance = _check_tolerance(grid_tolerance)
     random_tolerance = _check_tolerance(random_tolerance)
     # (key, suite, check) in report order; random check k runs at seed + 101 k.

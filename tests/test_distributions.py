@@ -17,8 +17,10 @@ from tvkl import (
     SumToleranceError,
     TooLargeError,
     bernoulli,
+    dump_distribution,
     dumps_distribution,
     kl_divergence,
+    load_distribution,
     loads_distribution,
     new_distribution,
     tensor_power,
@@ -159,8 +161,12 @@ class TestTensorPower:
                 assert marginal[lab] == pytest.approx(w, abs=1e-12)
 
     def test_power_must_be_positive(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(OutOfRangeError, match=r"^power: 0 must be >= 1$"):
             ProductSpec(bernoulli(0.5), 0)
+
+    def test_power_is_stored_as_an_int(self):
+        spec = ProductSpec(bernoulli(0.5), True)
+        assert spec.power == 1 and type(spec.power) is int
 
     @pytest.mark.parametrize(
         "support, probs",
@@ -204,6 +210,11 @@ class TestTensorPower:
         # 2^20 atoms is exactly at the cap and allowed
         assert len(tensor_power(ProductSpec(bernoulli(0.5), 20))) == 2**20
 
+    def test_cap_at_a_huge_power(self):
+        # refused without forming 2^n, whose size grows with n
+        with pytest.raises(TooLargeError, match=r"^power: 2\^100000000 atoms exceed"):
+            tensor_power(ProductSpec(bernoulli(0.5), 10**8))
+
 
 @st.composite
 def weight_lists(draw):
@@ -227,6 +238,15 @@ class TestSerialization:
         back = loads_distribution(dumps_distribution(d))
         assert back.support == d.support
         assert back.probs == d.probs
+
+    def test_file_round_trip_is_bit_exact(self, tmp_path):
+        d = Distribution(("a", "b", "c"), (5e-324, 0.1, 0.9 - 5e-324))
+        path = tmp_path / "d.json"
+        dump_distribution(d, path)
+        back = load_distribution(path)
+        assert back.support == d.support
+        assert [w.hex() for w in back.probs] == [w.hex() for w in d.probs]
+        assert path.read_text(encoding="utf-8").endswith("}\n")
 
     def test_support_defaults_to_indices(self):
         d = loads_distribution('{"probs": [0.5, 0.5]}')

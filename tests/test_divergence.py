@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from tvkl import (
     EventSubset,
+    MismatchedSupportsError,
     OutOfRangeError,
     TooLargeError,
     bernoulli,
@@ -411,6 +412,11 @@ class TestQuantize:
         assert bp.probs[0] == 0.0 and bq.probs[0] == 0.0
         bp, bq = quantize(P3, Q3, EventSubset.full(n))
         assert bp.probs[0] == 1.0 and bq.probs[0] == 1.0
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_flag_count_must_match_the_weights(self, size):
+        with pytest.raises(MismatchedSupportsError, match=f"^subset: {size} flags for 3 atoms$"):
+            event_mass(P3.probs, EventSubset.full(size))
 
     def test_full_event_is_sure_however_the_weights_round(self):
         p = dist(0.25, 0.75 - 2.0**-53)
