@@ -10,6 +10,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import json
 import math
 import sys
@@ -20,8 +22,15 @@ from .errors import TvklError
 
 
 def _jsonable(value):
+    # The one JSON form of every result: an enum is its value and a
+    # dataclass its fields in declaration order.
     if isinstance(value, float) and math.isinf(value):
         return "inf"
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -150,17 +159,7 @@ def _cmd_bound(args) -> int:
     else:
         rows = [bounds.kl_lower(b, args.value) for b in bounds.INVERSE_ORDER]
     if args.json:
-        _print_json(
-            [
-                {
-                    "bound": r.bound.value,
-                    "input": r.input,
-                    "output": r.output,
-                    "vacuous": r.vacuous,
-                }
-                for r in rows
-            ]
-        )
+        _print_json(rows)
     else:
         width = max(len(r.bound.value) for r in rows)
         for r in rows:
@@ -214,7 +213,7 @@ def _cmd_verify(args) -> int:
     )
     for rep in reports:
         if args.json:
-            _print_json(rep.to_json_dict())
+            _print_json(rep)
         else:
             print(f"{rep.inequality.value}: violations={rep.violations} "
                   f"worst_margin={rep.worst_margin!r} "

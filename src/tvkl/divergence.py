@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .distributions import SUM_TOLERANCE, Distribution, bernoulli
-from .errors import MismatchedSupportsError, TooLargeError, TvklError, _unit
+from .errors import MismatchedSupportsError, TooLargeError, TvklError, _integer, _unit
 
 #: KL divergences and inverse bounds take values in [0, +inf]; +inf is
 #: represented by the ordinary float infinity.
@@ -158,16 +158,19 @@ class EventSubset:
 
     @classmethod
     def from_indices(cls, size: int, indices) -> EventSubset:
-        chosen = set(indices)
-        return cls(tuple(i in chosen for i in range(size)))
+        """The event of the given atom indices, each an integer in [0, size)."""
+        flags = [False] * _integer("size", size, 0)
+        for i in indices:
+            flags[_integer("index", i, 0, len(flags) - 1)] = True
+        return cls(tuple(flags))
 
     @classmethod
     def empty(cls, size: int) -> EventSubset:
-        return cls((False,) * size)
+        return cls((False,) * _integer("size", size, 0))
 
     @classmethod
     def full(cls, size: int) -> EventSubset:
-        return cls((True,) * size)
+        return cls((True,) * _integer("size", size, 0))
 
 
 def event_mass(weights, subset: EventSubset) -> float:

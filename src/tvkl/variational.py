@@ -43,10 +43,20 @@ class WitnessFunction:
     sup_norm: float = field(init=False)
 
     def __post_init__(self):
-        for i, v in enumerate(self.values):
+        try:
+            values = tuple(map(float, self.values))
+        except (TypeError, ValueError, OverflowError):
+            # Convert again, one value at a time, to name the one refused.
+            for i, v in enumerate(self.values):
+                _real(f"values[{i}]", v)
+            raise
+        if not values:
+            raise OutOfRangeError("values: a witness needs at least one value")
+        for i, v in enumerate(values):
             if not math.isfinite(v):
                 raise OutOfRangeError(f"values[{i}]: {v!r} is not finite")
-        object.__setattr__(self, "sup_norm", max(abs(v) for v in self.values))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "sup_norm", max(map(abs, values)))
 
 
 @dataclass(frozen=True, slots=True)

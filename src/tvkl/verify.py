@@ -20,9 +20,8 @@ cached logs and makes one call to the inequality's margin.
 
 Every margin is oriented as RHS - LHS of the inequality, so violations are
 margins below -tolerance; a NaN margin is a violation too, and a tolerance
-must be finite. Every operation is deterministic given its integer seed;
-reports carry no state beyond the wall-clock ``elapsed`` field, which is
-excluded from any serialised form.
+must be finite. Every operation is deterministic given its integer seed,
+and a report is a plain value: identical calls return equal reports.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import enum
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass
 from functools import partial
 
@@ -80,18 +78,6 @@ class ScanReport:
     violations: int
     worst_margin: float
     worst_point: tuple
-    elapsed: float
-
-    def to_json_dict(self) -> dict:
-        # elapsed is deliberately dropped: serialised reports must be
-        # byte-identical across runs.
-        return {
-            "inequality": self.inequality.value,
-            "grid": self.grid,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "worst_point": list(self.worst_point),
-        }
 
 
 # -- margins ----------------------------------------------------------------
@@ -166,18 +152,17 @@ def _check_tolerance(tolerance: float) -> float:
     return tolerance
 
 
-def _tally(margins, floor: float) -> tuple[int, float, int, float]:
-    """(violations, worst, index of worst, seconds taken) over ``margins``: a
-    margin not at least ``floor``, NaN included, is a violation; worst is
-    +inf and its index -1 when no margin is below +inf."""
-    start = time.perf_counter()
+def _tally(margins, floor: float) -> tuple[int, float, int]:
+    """(violations, worst, index of worst) over ``margins``: a margin not at
+    least ``floor``, NaN included, is a violation; worst is +inf and its
+    index -1 when no margin is below +inf."""
     violations, worst, index = 0, math.inf, -1
     for i, m in enumerate(margins):
         if m < worst:
             worst, index = m, i
         if not m >= floor:
             violations += 1
-    return violations, worst, index, time.perf_counter() - start
+    return violations, worst, index
 
 
 def bernoulli_margin(inequality: InequalityId, p: float, q: float) -> float:
@@ -227,14 +212,14 @@ def scan_bernoulli(
     else:
         pair = _PAIR_MARGINS[inequality]
         margins = (pair(p, q, _binary_kl(p, q)) for p in axis for q in axis)
-    violations, worst, index, elapsed = _tally(margins, -tolerance)
+    violations, worst, index = _tally(margins, -tolerance)
     i, j = divmod(index, r - 1)
     worst_point = (axis[i], axis[j]) if index >= 0 else (math.nan, math.nan)
     grid = (
         f"bernoulli open grid {r}x{r}, tolerance={tolerance!r}, "
         "skipped_infinite_kl=0"
     )
-    return ScanReport(inequality, grid, violations, worst, worst_point, elapsed)
+    return ScanReport(inequality, grid, violations, worst, worst_point)
 
 
 # -- seeded random generation -----------------------------------------------
@@ -278,9 +263,9 @@ def _seeded_pairs(rng: random.Random, trials: int, atoms: int, concentrations):
 
 
 def _trial_report(inequality: InequalityId, grid: str, margins, floor: float) -> ScanReport:
-    violations, worst, index, elapsed = _tally(margins, floor)
+    violations, worst, index = _tally(margins, floor)
     worst_point = (index,) if index >= 0 else ()
-    return ScanReport(inequality, grid, violations, worst, worst_point, elapsed)
+    return ScanReport(inequality, grid, violations, worst, worst_point)
 
 
 #: Concentrations cycled by the randomized checks, mixing flat and spiky.

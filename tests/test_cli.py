@@ -11,6 +11,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tvkl import figures
 from tvkl.cli import main
 from tvkl.figures import FigureId, figure_header, render_figure_csv
 
@@ -209,6 +210,17 @@ class TestFigure:
         last = out.read_text().strip().splitlines()[-1]
         assert last.split(",") == ["1.0", "2.0", "inf", "inf"]
 
+    def test_failed_rename_leaves_no_file(self, monkeypatch, tmp_path):
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(figures.os, "replace", fail)
+        target = tmp_path / "f.csv"
+        with pytest.raises(OSError, match="rename refused"):
+            figures.write_figure_csv(FigureId.FIG_PINSKER, 11, str(target))
+        assert not list(tmp_path.glob("*.tmp"))
+        assert not target.exists()
+
     def test_render_unclamped(self):
         text = render_figure_csv(FigureId.FIG_WEAK, 51)
         rows = [line.split(",") for line in text.strip().splitlines()[1:]]
@@ -268,7 +280,8 @@ class TestVerify:
             "hellinger_chain", "dpi_quantized", "tfl_lower",
         ]
         assert all(r["violations"] == 0 for r in reports)
-        assert all("elapsed" not in r for r in reports)
+        keys = ["inequality", "grid", "violations", "worst_margin", "worst_point"]
+        assert all(list(r) == keys for r in reports)
 
     def test_deterministic_output(self, capsys):
         args = ("verify", "all", "--resolution", "30", "--trials", "15",

@@ -6,12 +6,14 @@ import pytest
 
 from tvkl import (
     BoundId,
+    EventSubset,
     FigureId,
     InequalityId,
     OutOfRangeError,
     ProductSpec,
     SampleComplexityQuery,
     TflParameter,
+    WitnessFunction,
     bernoulli,
     bernoulli_margin,
     binary_kl,
@@ -79,6 +81,7 @@ ENTRY_POINTS = {
     "bernoulli_margin-p": ("p", lambda x: bernoulli_margin(InequalityId.BH, x, 0.5)),
     "bernoulli_margin-q": ("q", lambda x: bernoulli_margin(InequalityId.BH, 0.5, x)),
     "random_distribution": ("concentration", lambda x: random_distribution(0, 5, x)),
+    "WitnessFunction": ("values[1]", lambda x: WitnessFunction((0.0, x))),
 }
 
 
@@ -117,6 +120,10 @@ INTEGER_ENTRY_POINTS = {
     "ipm_identity_check-seed": ("seed", lambda x: ipm_identity_check(P, Q, 5, x)),
     "figure_rows": ("points", lambda x: figure_rows(FigureId.FIG_FORWARD, x)),
     "ProductSpec": ("power", lambda x: ProductSpec(P, x)),
+    "EventSubset.empty": ("size", EventSubset.empty),
+    "EventSubset.full": ("size", EventSubset.full),
+    "EventSubset.from_indices-size": ("size", lambda x: EventSubset.from_indices(x, [0])),
+    "EventSubset.from_indices-index": ("index", lambda x: EventSubset.from_indices(3, [0, x])),
 }
 
 
@@ -142,6 +149,17 @@ RANGE_EDGES = {
     "ipm_identity_check": (lambda: ipm_identity_check(P, Q, -1, 0), "trials: -1 must be >= 0"),
     "figure_rows": (lambda: figure_rows(FigureId.FIG_FORWARD, 1), "points: 1 must be >= 2"),
     "ProductSpec": (lambda: ProductSpec(P, 0), "power: 0 must be >= 1"),
+    "EventSubset.empty": (lambda: EventSubset.empty(-2), "size: -2 must be >= 0"),
+    "EventSubset.full": (lambda: EventSubset.full(-2), "size: -2 must be >= 0"),
+    "EventSubset.from_indices-size": (
+        lambda: EventSubset.from_indices(-2, []), "size: -2 must be >= 0"
+    ),
+    "EventSubset.from_indices-index-high": (
+        lambda: EventSubset.from_indices(3, [5]), "index: 5 not in [0, 2]"
+    ),
+    "EventSubset.from_indices-index-negative": (
+        lambda: EventSubset.from_indices(3, [-1]), "index: -1 not in [0, 2]"
+    ),
 }
 
 
@@ -169,5 +187,7 @@ def test_integer_types_pass_and_are_converted():
     assert random_distribution(True, 4, 1.0) == random_distribution(1, 4, 1.0)
     # a negative seed is an integer like any other
     report = falsify(InequalityId.BH, _Index(10), _Index(8), _Index(-3))
-    assert report.to_json_dict() == falsify(InequalityId.BH, 10, 8, -3).to_json_dict()
+    assert report == falsify(InequalityId.BH, 10, 8, -3)
     assert "seed=-3," in report.grid
+    assert EventSubset.from_indices(_Index(3), [_Index(2)]) == EventSubset.from_indices(3, [2])
+    assert EventSubset.full(_Index(2)) == EventSubset.full(2)

@@ -60,6 +60,16 @@ class TestDvValue:
         with pytest.raises(OutOfRangeError):
             WitnessFunction((math.inf, 0.0))
 
+    def test_witness_needs_a_value(self):
+        with pytest.raises(OutOfRangeError, match="^values: "):
+            WitnessFunction(())
+
+    def test_witness_values_are_stored_as_floats(self):
+        f = WitnessFunction((1, "-3.5", True))
+        assert f.values == (1.0, -3.5, 1.0)
+        assert all(type(v) is float for v in f.values)
+        assert f.sup_norm == 3.5
+
     def test_sup_norm_cached(self):
         assert WitnessFunction((-3.0, 2.0)).sup_norm == 3.0
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -26,10 +25,6 @@ BINARY_INEQUALITIES = GRID_INEQUALITIES + (
 )
 
 
-def strip_elapsed(report):
-    return dataclasses.replace(report, elapsed=0.0)
-
-
 def reference_scan(inequality, r, tolerance=GRID_TOLERANCE):
     # The scan as a plain per-cell loop over the validated public functions.
     worst, worst_point = math.inf, (math.nan, math.nan)
@@ -50,7 +45,7 @@ def reference_scan(inequality, r, tolerance=GRID_TOLERANCE):
         f"bernoulli open grid {r}x{r}, tolerance={tolerance!r}, "
         f"skipped_infinite_kl={skipped}"
     )
-    return ScanReport(inequality, grid, violations, worst, worst_point, 0.0)
+    return ScanReport(inequality, grid, violations, worst, worst_point)
 
 
 class TestRandomDistribution:
@@ -142,12 +137,12 @@ class TestScanBernoulli:
     def test_deterministic_reports(self):
         a = scan_bernoulli(InequalityId.VAJDA, 80, 1e-12)
         b = scan_bernoulli(InequalityId.VAJDA, 80, 1e-12)
-        assert strip_elapsed(a) == strip_elapsed(b)
+        assert a == b
 
     @pytest.mark.parametrize("r", [2, 3, 7, 50, 101])
     @pytest.mark.parametrize("ineq", BINARY_INEQUALITIES)
     def test_matches_the_per_cell_reference(self, ineq, r):
-        assert strip_elapsed(scan_bernoulli(ineq, r)) == reference_scan(ineq, r)
+        assert scan_bernoulli(ineq, r) == reference_scan(ineq, r)
 
     def test_row_cached_kl_is_binary_kl_bit_for_bit(self, monkeypatch):
         cells = []
@@ -231,7 +226,7 @@ class TestFalsify:
     def test_deterministic(self):
         a = falsify(InequalityId.TFL_LOWER, 50, 8, seed=5)
         b = falsify(InequalityId.TFL_LOWER, 50, 8, seed=5)
-        assert strip_elapsed(a) == strip_elapsed(b)
+        assert a == b
 
     def test_pinsker_binary_rejected(self):
         with pytest.raises(UnsupportedInequalityError):
@@ -273,7 +268,7 @@ class TestKlFiniteImpliesTvBelowOne:
     def test_deterministic(self):
         a = kl_finite_implies_tv_lt_one(50, seed=9)
         b = kl_finite_implies_tv_lt_one(50, seed=9)
-        assert strip_elapsed(a) == strip_elapsed(b)
+        assert a == b
 
 
 class TestSuites:
@@ -315,16 +310,14 @@ class TestSuites:
         ids=["scan_bernoulli", "falsify", "run_suite"],
     )
     def test_numeric_string_tolerance_computes_as_its_float(self, call):
-        expected = [strip_elapsed(r) for r in call(0.1)]
-        assert [strip_elapsed(r) for r in call("0.1")] == expected
+        assert call("0.1") == call(0.1)
 
     def test_deterministic_given_seed(self):
         a = run_suite("random", seed=4, trials=30, atoms=8)
         b = run_suite("random", seed=4, trials=30, atoms=8)
-        assert [strip_elapsed(r) for r in a] == [strip_elapsed(r) for r in b]
+        assert a == b
 
-    def test_json_form_excludes_elapsed(self):
-        (report,) = run_suite("bh", resolution=40)
-        d = report.to_json_dict()
-        assert "elapsed" not in d
-        assert d["inequality"] == "bh"
+    def test_identical_runs_return_equal_reports(self):
+        # A report is a plain value: nothing in it depends on when it ran.
+        args = dict(seed=42, resolution=40, trials=50, atoms=8)
+        assert run_suite("all", **args) == run_suite("all", **args)
