@@ -450,6 +450,34 @@ class TestPinnedOutputs:
         assert code == 0
         assert _sha256(out) == digest
 
+    @pytest.mark.parametrize(
+        "flags, epsilon, delta, digest",
+        [
+            ((), "0.1", "0.01",
+             "8c8f81ae227ff96bdcdadd1c6a11827c03520d06484654c6dac615ba88474847"),
+            ((), "0.3", "0.4",
+             "88157ee4c13b6b341d1c9e5c0ca942a70a628e279c47071558a6743deb2ecf48"),
+            ((), "1e-6", "1e-9",
+             "8c7e73be49b09f0111f8ae6b09ef4ed0069534b84ed0ce727c292def9e18f8bf"),
+            (("--ceil",), "0.1", "0.01",
+             "0f05ed60bf3192bc2abe017044e57b2fc64e422415279792e44a41be44dccd30"),
+            (("--ceil",), "0.3", "0.4",
+             "5f020d6b084333b0a375a0e85350d683bf0a39f4f1ee70b0a410c9d9cd9c8a99"),
+            (("--ceil",), "1e-6", "1e-9",
+             "5645f5b9388714d5de76fc5caaf65464c15a93e02f191e0af9ed3d0ddfb0915d"),
+            (("--json", "--ceil"), "0.1", "0.01",
+             "dada3d473bd8c67f06915d4e0f14a13fd8c40ebd3913e717a71f64d8175d3049"),
+            (("--json", "--ceil"), "0.3", "0.4",
+             "edb1e79e6434a8b407b8aa20738c531ff31948ba0243d7e23bf0f04bfb70f3d8"),
+            (("--json", "--ceil"), "1e-6", "1e-9",
+             "041196dd88890b1f3d71f89a620f3e6c509b93256519012f1c6b804e5e7626b2"),
+        ],
+    )
+    def test_samples_text_and_ceil(self, capsys, flags, epsilon, delta, digest):
+        code, out, _ = run_cli(capsys, "samples", epsilon, delta, *flags)
+        assert code == 0
+        assert _sha256(out) == digest
+
     def test_verify_all_text(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "all", "--seed", "42", "--resolution",
                                "40", "--trials", "50", "--atoms", "8")
