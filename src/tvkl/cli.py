@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: div, bound, figure, samples, verify, dv. Single results print
-as JSON (with +inf rendered as the string "inf"), curves as CSV files, the
-verify suite as one deterministic line per report. Exit codes: 0 success,
-1 validation, input or usage error (one line on stderr), 2 verification
-failure.
+as JSON (a non-finite float as the string of its repr: "inf", "-inf" or
+"nan"), curves as CSV files, the verify suite as one deterministic line per
+report. Exit codes: 0 success, 1 validation, input or usage error (one line
+on stderr), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from .errors import TvklError
 
 
 def _jsonable(value):
-    # The one JSON form of every result: an enum is its value and a
-    # dataclass its fields in declaration order.
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
+    # The one JSON form of every result: a non-finite float is its repr, an
+    # enum its value and a dataclass its fields in declaration order.
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
     if isinstance(value, enum.Enum):
         return value.value
     if dataclasses.is_dataclass(value):
@@ -174,27 +174,19 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_samples(args) -> int:
-    query = samples.SampleComplexityQuery(args.epsilon, args.delta)
-    rep = samples.report(query)
-    shape = math.ceil if args.ceil else (lambda x: x)
-    fields = {
-        "epsilon": rep.query.epsilon,
-        "delta": rep.query.delta,
-        "required_tv": rep.required_tv,
-        "kl_per_toss": rep.kl_per_toss,
-        "n_pinsker": shape(rep.n_pinsker),
-        "n_bh": shape(rep.n_bh),
-        "n_tsybakov": shape(rep.n_tsybakov),
-        "n_bh_simplified": shape(rep.n_bh_simplified),
-        "notes": list(rep.notes),
-    }
+    rep = samples.report(samples.SampleComplexityQuery(args.epsilon, args.delta))
+    if args.ceil:
+        rep = dataclasses.replace(rep, **{
+            f.name: math.ceil(getattr(rep, f.name))
+            for f in dataclasses.fields(rep) if f.name.startswith("n_")})
     if args.json:
-        _print_json(fields)
+        _print_json(rep)
     else:
-        for key, value in fields.items():
-            if key == "notes":
-                value = ",".join(rep.notes) if rep.notes else "-"
-            print(f"{key:<16} {value}")
+        for f in dataclasses.fields(rep):
+            value = getattr(rep, f.name)
+            if f.name == "notes":
+                value = ",".join(value) or "-"
+            print(f"{f.name:<16} {value}")
     return 0
 
 

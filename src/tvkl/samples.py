@@ -59,7 +59,11 @@ class SampleComplexityQuery:
 
 @dataclass(frozen=True, slots=True)
 class SampleComplexityReport:
-    query: SampleComplexityQuery
+    """Every route at one query, flat: its fields, in order, are what
+    ``tvkl samples`` prints."""
+
+    epsilon: float
+    delta: float
     required_tv: float
     kl_per_toss: float
     n_pinsker: float
@@ -143,7 +147,8 @@ def report(query: SampleComplexityQuery) -> SampleComplexityReport:
     if query.delta >= 0.25:
         notes.append(FLAG_TSYBAKOV_VACUOUS)
     return SampleComplexityReport(
-        query=query,
+        epsilon=query.epsilon,
+        delta=query.delta,
         required_tv=required_tv(query),
         kl_per_toss=0.5 * _log_inv(query.epsilon),
         n_pinsker=min_samples_pinsker(query),

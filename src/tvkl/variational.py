@@ -43,11 +43,12 @@ class WitnessFunction:
     sup_norm: float = field(init=False)
 
     def __post_init__(self):
+        raw = tuple(self.values)  # read an iterator once
         try:
-            values = tuple(map(float, self.values))
+            values = tuple(map(float, raw))
         except (TypeError, ValueError, OverflowError):
             # Convert again, one value at a time, to name the one refused.
-            for i, v in enumerate(self.values):
+            for i, v in enumerate(raw):
                 _real(f"values[{i}]", v)
             raise
         if not values:

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .bounds import _FORWARD, BoundId, _vajda_inverse
+from .bounds import _FORWARD, _INVERSE, BoundId
 from .distributions import Distribution, _default_labels
 from .divergence import (
     EventSubset,
@@ -83,10 +83,6 @@ class ScanReport:
 # -- margins ----------------------------------------------------------------
 
 
-def _margin_pinsker_binary(tv: float, kl: float) -> float:
-    return kl - 2.0 * tv * tv
-
-
 def _forward_margin(bound: BoundId):
     curve = _FORWARD[bound]
 
@@ -96,17 +92,22 @@ def _forward_margin(bound: BoundId):
     return margin
 
 
-def _margin_vajda(tv: float, kl: float) -> float:
-    return kl - _vajda_inverse(tv)
+def _inverse_margin(bound: BoundId):
+    curve = _INVERSE[bound]
+
+    def margin(tv: float, kl: float) -> float:
+        return kl - curve(tv)
+
+    return margin
 
 
 _TV_KL_MARGINS = {
-    InequalityId.PINSKER_BINARY: _margin_pinsker_binary,
+    InequalityId.PINSKER_BINARY: _inverse_margin(BoundId.PINSKER),
     InequalityId.PINSKER: _forward_margin(BoundId.PINSKER),
     InequalityId.BH: _forward_margin(BoundId.BH),
     InequalityId.TSYBAKOV: _forward_margin(BoundId.TSYBAKOV),
     InequalityId.WEAK_BH: _forward_margin(BoundId.WEAK_BH),
-    InequalityId.VAJDA: _margin_vajda,
+    InequalityId.VAJDA: _inverse_margin(BoundId.VAJDA),
 }
 
 
@@ -281,8 +282,11 @@ RANDOM_INEQUALITIES = (
 def _random_margin(
     inequality: InequalityId, rng: random.Random, p: Distribution, q: Distribution
 ) -> float:
-    tv = total_variation(p, q)
     kl = kl_divergence(p, q)
+    if inequality is InequalityId.TFL_LOWER:
+        f = WitnessFunction(tuple(rng.uniform(-3.0, 3.0) for _ in range(len(p))))
+        return kl - dv_value(p, q, f)
+    tv = total_variation(p, q)
     if inequality is InequalityId.HELLINGER_CHAIN:
         return _hellinger_chain(tv, kl, hellinger_affinity(p, q) ** 2)
     if inequality is InequalityId.DPI_QUANTIZED:
@@ -290,9 +294,6 @@ def _random_margin(
         ps = event_mass(p.probs, EventSubset(flags))
         qs = event_mass(q.probs, EventSubset(flags))
         return min(kl - binary_kl(ps, qs), tv - binary_tv(ps, qs))
-    if inequality is InequalityId.TFL_LOWER:
-        f = WitnessFunction(tuple(rng.uniform(-3.0, 3.0) for _ in range(len(p))))
-        return kl - dv_value(p, q, f)
     return _TV_KL_MARGINS[inequality](tv, kl)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,9 +12,11 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvkl import figures
-from tvkl.cli import main
+from tvkl import figures, samples, verify
+from tvkl.bounds import BoundId
+from tvkl.cli import _jsonable, main
 from tvkl.figures import FigureId, figure_header, render_figure_csv
+from tvkl.samples import SampleComplexityReport
 
 
 @pytest.fixture
@@ -242,6 +245,21 @@ class TestSamples:
         assert payload["required_tv"] == pytest.approx(0.98)
         assert payload["notes"] == ["simplified_exceeds_exact"]
 
+    def test_output_is_the_report_fields_in_order(self, capsys):
+        names = [f.name for f in dataclasses.fields(SampleComplexityReport)]
+        for flags in ((), ("--ceil",)):
+            _, out, _ = run_cli(capsys, "--json", "samples", "0.3", "0.4", *flags)
+            assert list(json.loads(out)) == names
+            _, out, _ = run_cli(capsys, "samples", "0.3", "0.4", *flags)
+            assert [line.split()[0] for line in out.splitlines()] == names
+
+    def test_text_notes_dash_when_empty(self, monkeypatch, capsys):
+        real = samples.report
+        monkeypatch.setattr(
+            samples, "report", lambda q: dataclasses.replace(real(q), notes=()))
+        _, out, _ = run_cli(capsys, "samples", "0.1", "0.01")
+        assert out.splitlines()[-1] == "notes            -"
+
     def test_ceil_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "samples", "0.1", "0.01", "--ceil")
         payload = json.loads(out)
@@ -306,6 +324,15 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "tolerance" in err
+
+    def test_negative_infinite_margin_keeps_its_sign(self, monkeypatch, capsys):
+        # a bh bound that reaches 1 gives a kl_finite trial margin -inf
+        monkeypatch.setitem(verify._FORWARD, BoundId.BH, lambda kl: 1.0)
+        code, out, _ = run_cli(capsys, "--json", "verify", "kl_finite", "--trials", "3")
+        assert code == 2
+        assert json.loads(out)["worst_margin"] == "-inf"
+        _, text, _ = run_cli(capsys, "verify", "kl_finite", "--trials", "3")
+        assert "worst_margin=-inf " in text
 
     def test_kl_finite_seed_zero_passes(self, capsys):
         # its trials include a pair whose KL sum rounds below zero
@@ -493,6 +520,14 @@ class TestPinnedOutputs:
         assert _sha256(out) == (
             "a069263f8a6fd9a0772a2c2a99613069ab073913c6e11cc145c28509aeda6323"
         )
+
+
+class TestJsonForm:
+    @pytest.mark.parametrize(
+        "value, text", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+    def test_non_finite_float_is_its_repr(self, value, text):
+        assert _jsonable(value) == text == repr(value)
+        assert _jsonable([value]) == [text]
 
 
 class TestUsageErrors:

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -242,6 +243,17 @@ class TestKlDivergence:
         # sum of the two terms is about -2.7e-322
         kl = kl_divergence(dist(5e-324, 1.0), dist(1e-300, 1.0))
         assert kl >= 0.0
+
+    def test_overflowing_ratio_falls_back_to_the_log_difference(self):
+        # 1.0 / 5e-324 overflows, so the log ratio is log(1) - log(5e-324)
+        p = Distribution(("0", "1"), (1.0, 0.0))
+        q = Distribution(("0", "1"), (5e-324, 1.0))
+        kl = kl_divergence(p, q)
+        assert kl == math.log(1.0) - math.log(5e-324) == 744.4400719213812
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            exact = -decimal.Decimal(5e-324).ln()
+        assert abs(decimal.Decimal(kl) - exact) <= decimal.Decimal(math.ulp(kl))
 
     @given(integer_weight_pair())
     def test_nonnegative_and_zero_iff_equal(self, pair):

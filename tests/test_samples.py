@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -158,6 +159,14 @@ class TestReport:
     def test_exact_values_not_rounded(self):
         rep = report(Q_MAIN)
         assert rep.n_pinsker != math.ceil(rep.n_pinsker)
+
+    def test_report_is_flat_and_starts_with_the_query(self):
+        q = SampleComplexityQuery("0.1", 0.01)
+        rep = report(q)
+        assert [f.name for f in dataclasses.fields(rep)][:3] == [
+            "epsilon", "delta", "required_tv"]
+        assert (rep.epsilon, rep.delta) == (q.epsilon, q.delta) == (0.1, 0.01)
+        assert report(q) == rep
 
 
 class TestAdditivityCrossCheck:

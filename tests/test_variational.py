@@ -64,6 +64,12 @@ class TestDvValue:
         with pytest.raises(OutOfRangeError, match="^values: "):
             WitnessFunction(())
 
+    def test_witness_reads_an_iterator_once(self):
+        # the refused value is named, not lost to a used-up generator
+        with pytest.raises(OutOfRangeError, match=r"^values\[1\]: "):
+            WitnessFunction(x for x in [1.0, "a"])
+        assert WitnessFunction(x for x in [1.0, -2.0]).values == (1.0, -2.0)
+
     def test_witness_values_are_stored_as_floats(self):
         f = WitnessFunction((1, "-3.5", True))
         assert f.values == (1.0, -3.5, 1.0)
