@@ -40,7 +40,6 @@ from .distributions import (
 )
 from .divergence import (
     BhDecomposition,
-    DivergenceValue,
     EventSubset,
     bh_decomposition,
     binary_kl,
@@ -55,7 +54,6 @@ from .divergence import (
 )
 from .errors import (
     DuplicateLabelError,
-    EmptyPSupportError,
     EmptySupportError,
     InvalidLabelError,
     MisalignedWitnessError,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import json
 import math
 import sys
@@ -42,37 +43,6 @@ def _print_json(obj) -> None:
     print(json.dumps(_jsonable(obj)))
 
 
-def _global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
-    # The same flags are accepted before and after the subcommand name; the
-    # subparser copies use SUPPRESS defaults so an omitted flag does not
-    # wipe out a value given at the top level.
-    suppress = argparse.SUPPRESS
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit JSON instead of text tables",
-        default=False if top else suppress,
-    )
-    parser.add_argument(
-        "--renormalize",
-        action="store_true",
-        help="renormalize distribution files on load",
-        default=False if top else suppress,
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        help="override the verification tolerance",
-        default=None if top else suppress,
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        help="seed for randomized checks (default 0)",
-        default=0 if top else suppress,
-    )
-
-
 class _Parser(argparse.ArgumentParser):
     # A usage error is invalid input (exit 1, one line), not argparse's exit 2,
     # which means a verification failure. Subparsers inherit the class.
@@ -80,42 +50,55 @@ class _Parser(argparse.ArgumentParser):
         raise TvklError(message)
 
 
+# The flags every command takes, before or after its name. An omitted flag
+# stays out of the namespace, so a subcommand never wipes out a value given
+# before its name; main starts the parse from these defaults.
+_DEFAULTS = {"json": False, "renormalize": False, "tolerance": None, "seed": 0}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False,
+                                    argument_default=argparse.SUPPRESS)
+    flags.add_argument("--json", action="store_true",
+                       help="emit JSON instead of text tables")
+    flags.add_argument("--renormalize", action="store_true",
+                       help="renormalize distribution files on load")
+    flags.add_argument("--tolerance", type=float,
+                       help="override the verification tolerance")
+    flags.add_argument("--seed", type=int,
+                       help="seed for randomized checks (default 0)")
     parser = _Parser(
         prog="tvkl",
         description="Total variation / KL divergence bounds toolkit",
+        parents=[flags],
     )
-    _global_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, parents=[flags])
 
-    p_div = sub.add_parser("div", help="divergences between two distribution files")
+    p_div = command("div", help="divergences between two distribution files")
     p_div.add_argument("file_p")
     p_div.add_argument("file_q")
-    _global_flags(p_div, top=False)
 
-    p_bound = sub.add_parser("bound", help="evaluate the bound family at one value")
+    p_bound = command("bound", help="evaluate the bound family at one value")
     p_bound.add_argument("direction", choices=("forward", "inverse"))
     p_bound.add_argument(
         "value", type=float, help="KL (forward, 'inf' allowed) or TV (inverse)"
     )
-    _global_flags(p_bound, top=False)
 
-    p_fig = sub.add_parser("figure", help="emit CSV data for one of the bound plots")
+    p_fig = command("figure", help="emit CSV data for one of the bound plots")
     p_fig.add_argument("figure", choices=[f.value for f in figures.FigureId])
     p_fig.add_argument("--points", type=int, default=501)
     p_fig.add_argument("--out", required=True)
-    _global_flags(p_fig, top=False)
 
-    p_samples = sub.add_parser(
+    p_samples = command(
         "samples", help="coin-distinguishing sample-complexity lower bounds"
     )
     p_samples.add_argument("epsilon", type=float)
     p_samples.add_argument("delta", type=float)
     p_samples.add_argument("--ceil", action="store_true",
                            help="round the bounds up to whole tosses")
-    _global_flags(p_samples, top=False)
 
-    p_verify = sub.add_parser("verify", help="run an inequality verification suite")
+    p_verify = command("verify", help="run an inequality verification suite")
     p_verify.add_argument(
         "suite",
         help="one of %s or a single inequality identifier"
@@ -124,22 +107,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--resolution", type=int, default=500)
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--atoms", type=int, default=64)
-    _global_flags(p_verify, top=False)
 
-    p_dv = sub.add_parser(
+    p_dv = command(
         "dv", help="variational divergence value and random-witness check"
     )
     p_dv.add_argument("file_p")
     p_dv.add_argument("file_q")
     p_dv.add_argument("--trials", type=int, default=100)
-    _global_flags(p_dv, top=False)
 
     return parser
 
 
+def _load_pair(args):
+    return (load_distribution(args.file_p, renormalize=args.renormalize),
+            load_distribution(args.file_q, renormalize=args.renormalize))
+
+
 def _cmd_div(args) -> int:
-    p = load_distribution(args.file_p, renormalize=args.renormalize)
-    q = load_distribution(args.file_q, renormalize=args.renormalize)
+    p, q = _load_pair(args)
     min_sum, max_sum = divergence.overlap_identities(p, q)
     _print_json(
         {
@@ -214,8 +199,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dv(args) -> int:
-    p = load_distribution(args.file_p, renormalize=args.renormalize)
-    q = load_distribution(args.file_q, renormalize=args.renormalize)
+    p, q = _load_pair(args)
     value, gaps = variational.dv_supremum(p, q, args.trials, args.seed)
     min_gap = min(gaps) if gaps else None
     _print_json({"value": value, "trials": args.trials, "min_gap": min_gap})
@@ -235,7 +219,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(**_DEFAULTS))
         return _COMMANDS[args.command](args)
     except (TvklError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,11 +18,8 @@ import sys
 from dataclasses import dataclass
 
 from .distributions import SUM_TOLERANCE, Distribution, bernoulli
-from .errors import MismatchedSupportsError, TooLargeError, TvklError, _integer, _unit
-
-#: KL divergences and inverse bounds take values in [0, +inf]; +inf is
-#: represented by the ordinary float infinity.
-DivergenceValue = float
+from .errors import (MismatchedSupportsError, OutOfRangeError, TooLargeError,
+                     TvklError, _integer, _tuple, _unit)
 
 _MIN_NORMAL = sys.float_info.min
 
@@ -81,7 +78,7 @@ def total_variation(p: Distribution, q: Distribution) -> float:
     return min(0.5 * math.fsum(abs(a - b) for a, b in zip(pw, qw)), 1.0)
 
 
-def kl_divergence(p: Distribution, q: Distribution) -> DivergenceValue:
+def kl_divergence(p: Distribution, q: Distribution) -> float:
     """KL(p || q) = sum over p's support of p(x) log(p(x)/q(x)), in nats.
 
     Returns +inf iff some atom has p(x) > 0 and q(x) = 0, and exactly 0.0
@@ -106,7 +103,7 @@ def binary_tv(a: float, b: float) -> float:
     return abs(_unit("a", a) - _unit("b", b))
 
 
-def binary_kl(a: float, b: float) -> DivergenceValue:
+def binary_kl(a: float, b: float) -> float:
     """Closed-form KL between two-point distributions, in nats.
 
     Handles the boundary cases explicitly: the divergence is 0 when a == b,
@@ -116,7 +113,7 @@ def binary_kl(a: float, b: float) -> DivergenceValue:
     return _binary_kl(_unit("a", a), _unit("b", b))
 
 
-def _binary_kl(a: float, b: float) -> DivergenceValue:
+def _binary_kl(a: float, b: float) -> float:
     # binary_kl on weights already checked to be floats in [0, 1].
     if a == b:
         return 0.0
@@ -155,6 +152,13 @@ class EventSubset:
     """Membership flags, one per atom of an aligned support."""
 
     flags: tuple[bool, ...]
+
+    def __post_init__(self):
+        flags = _tuple("flags", self.flags)
+        if not {bool}.issuperset(map(type, flags)):  # a C-speed scan first
+            i = next(i for i, f in enumerate(flags) if type(f) is not bool)
+            raise OutOfRangeError(f"flags[{i}]: {flags[i]!r} is not a bool")
+        object.__setattr__(self, "flags", flags)
 
     @classmethod
     def from_indices(cls, size: int, indices) -> EventSubset:

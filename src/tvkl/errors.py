@@ -2,8 +2,8 @@
 
 Everything raised on bad input derives from ValidationError, which is also a
 ValueError so that callers using plain ``except ValueError`` keep working.
-A public entry point checks each scalar argument once, with ``_real``,
-``_unit`` or ``_integer``; internal loops take the checked value as it is.
+A public entry point checks each argument once, with ``_real``, ``_unit``,
+``_integer`` or ``_tuple``; internal loops take the checked value as it is.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class MismatchedSupportsError(ValidationError):
     """A per-atom structure does not line up with the support it refers to."""
 
 
-class EmptyPSupportError(ValidationError):
-    """The first distribution puts mass nowhere (never true for valid inputs)."""
-
-
 class MisalignedWitnessError(ValidationError):
     """A witness function's length does not match the aligned support."""
 
@@ -106,3 +102,12 @@ def _integer(name: str, x, lo: int | None = None, hi: int | None = None) -> int:
     if lo is not None and n < lo:
         raise OutOfRangeError(f"{name}: {n!r} must be >= {lo}")
     return n
+
+
+def _tuple(name: str, x) -> tuple:
+    """``tuple(x)``; a non-iterable x raises OutOfRangeError naming it."""
+    try:
+        items = iter(x)
+    except TypeError:
+        raise OutOfRangeError(f"{name}: {x!r} is not iterable") from None
+    return tuple(items)

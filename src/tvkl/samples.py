@@ -14,12 +14,12 @@ terms of KL, plus KL additivity across the n independent tosses
 The pinsker route saturates as delta -> 0 (its numerator is capped by 2),
 while the bh and tsybakov routes grow like log(1/delta): only they witness
 the full log(1/delta)/eps^2 rate. A commonly quoted simplification of the
-bh route, log(1/(2 delta)) / (2 eps^2), is NOT below the exact bh expression
-for all parameters; reports expose both and flag whenever the simplified
-form exceeds the exact one rather than asserting a chain between them.
+bh route, log(1/(2 delta)) / (2 eps^2), is no lower bound on n: it can
+exceed the bh route and even n*, the least n with TV(P0^n, P1^n) >= 1 - 2
+delta (7.14 against n* = 4 at eps = 1/8, delta = 0.4). Reports expose both
+and flag whenever the simplified form exceeds the exact bh route.
 
-All routes return exact reals; rounding up to whole tosses is left to
-presentation layers.
+All routes return exact reals; the CLI's --ceil rounds up to whole tosses.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from .errors import (
     TvklError,
     _integer,
     _real,
+    _tuple,
 )
 
 
@@ -43,7 +44,7 @@ class WitnessFunction:
     sup_norm: float = field(init=False)
 
     def __post_init__(self):
-        raw = tuple(self.values)  # read an iterator once
+        raw = _tuple("values", self.values)
         try:
             values = tuple(map(float, raw))
         except (TypeError, ValueError, OverflowError):

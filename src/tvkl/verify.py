@@ -290,9 +290,8 @@ def _random_margin(
     if inequality is InequalityId.HELLINGER_CHAIN:
         return _hellinger_chain(tv, kl, hellinger_affinity(p, q) ** 2)
     if inequality is InequalityId.DPI_QUANTIZED:
-        flags = tuple(rng.random() < 0.5 for _ in range(len(p)))
-        ps = event_mass(p.probs, EventSubset(flags))
-        qs = event_mass(q.probs, EventSubset(flags))
+        event = EventSubset(tuple(rng.random() < 0.5 for _ in range(len(p))))
+        ps, qs = event_mass(p.probs, event), event_mass(q.probs, event)
         return min(kl - binary_kl(ps, qs), tv - binary_tv(ps, qs))
     return _TV_KL_MARGINS[inequality](tv, kl)
 

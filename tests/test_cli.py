@@ -553,6 +553,42 @@ class TestUsageErrors:
         assert "--resolution" in capsys.readouterr().out
 
 
+class TestFlagPosition:
+    """Each shared flag reads the same before and after the command name, on
+    a command that reads it; given at both positions, the later value wins."""
+
+    CASES = {
+        "json": (["--json"], ["bound", "inverse", "0.5"]),
+        "renormalize": (["--renormalize"], ["div", "offsum", "fair"]),
+        "tolerance": (["--tolerance=-0.5"], ["verify", "bh", "--resolution", "10"]),
+        "seed": (["--seed", "7"], ["dv", "fair", "biased", "--trials", "5"]),
+    }
+
+    @staticmethod
+    def argv(dist_files, words):
+        return [dist_files.get(w, w) for w in words]
+
+    @pytest.mark.parametrize("flag", CASES)
+    def test_same_output_before_and_after_the_command(self, capsys, dist_files, flag):
+        flag_args, words = self.CASES[flag]
+        command = self.argv(dist_files, words)
+        before = run_cli(capsys, *flag_args, *command)
+        after = run_cli(capsys, *command, *flag_args)
+        assert before[:2] == after[:2]
+        assert before[:2] != run_cli(capsys, *command)[:2]  # the flag is read
+
+    @pytest.mark.parametrize("flag, first, last", [
+        ("seed", "--seed=1", "--seed=7"),
+        ("tolerance", "--tolerance=1", "--tolerance=-0.5"),
+    ])
+    def test_later_value_wins(self, capsys, dist_files, flag, first, last):
+        command = self.argv(dist_files, self.CASES[flag][1])
+        expected = run_cli(capsys, *command, last)
+        assert run_cli(capsys, first, *command, last) == expected
+        assert run_cli(capsys, last, *command, first) != expected
+        assert run_cli(capsys, *command, first, last) == expected
+
+
 def run_isolated(argv):
     # hypothesis examples cannot share the function-scoped capsys fixture
     out, err = io.StringIO(), io.StringIO()

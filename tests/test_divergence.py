@@ -430,6 +430,23 @@ class TestQuantize:
         with pytest.raises(MismatchedSupportsError, match=f"^subset: {size} flags for 3 atoms$"):
             event_mass(P3.probs, EventSubset.full(size))
 
+    @pytest.mark.parametrize("flags, message", [
+        (None, r"^flags: None is not iterable$"),
+        (3, r"^flags: 3 is not iterable$"),
+        ("ab", r"^flags\[0\]: 'a' is not a bool$"),
+        ((True, 1), r"^flags\[1\]: 1 is not a bool$"),
+        ((False, True, 0.0), r"^flags\[2\]: 0.0 is not a bool$"),
+    ], ids=["none", "int", "str", "int_flag", "float_flag"])
+    def test_flags_must_be_bools(self, flags, message):
+        with pytest.raises(OutOfRangeError, match=message):
+            EventSubset(flags)
+
+    def test_flags_are_read_once_into_a_tuple(self):
+        s = EventSubset(f for f in [False, True])
+        assert s.flags == (False, True)
+        assert event_mass(bernoulli(0.3).probs, s) == 0.7
+        assert EventSubset([True]) == EventSubset((True,))
+
     def test_full_event_is_sure_however_the_weights_round(self):
         p = dist(0.25, 0.75 - 2.0**-53)
         q = dist(0.5, 0.5)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from tvkl import (
     report,
     required_tv,
     tensor_power,
+    total_variation,
 )
 from tvkl.bounds import BoundId
 from tvkl.samples import FLAG_SIMPLIFIED_EXCEEDS_EXACT, FLAG_TSYBAKOV_VACUOUS
@@ -179,6 +181,65 @@ class TestAdditivityCrossCheck:
             assert kl_divergence(pn, qn) == pytest.approx(
                 n * kl_per_toss(eps), abs=1e-10
             )
+
+
+def binomial_tv(n, eps):
+    """Exact TV(Bin(n, 1/2), Bin(n, 1/2 + eps)) for a rational eps: the TV of
+    n tosses depends only on the count of heads. With 1/2 + eps = a/den and
+    1/2 - eps = b/den, it is sum_k C(n, k) |a^k b^(n-k) - (den/2)^n| / (2 den^n)."""
+    a, den = (Fraction(1, 2) + eps).as_integer_ratio()
+    b, half = den - a, den // 2
+    total = sum(math.comb(n, k) * abs(a**k * b ** (n - k) - half**n)
+                for k in range(n + 1))
+    return Fraction(total, 2 * den**n)
+
+
+def least_tosses(eps, delta):
+    """n*, the least n with TV(Bin(n, 1/2), Bin(n, 1/2 + eps)) >= 1 - 2 delta,
+    by doubling and then bisection: the TV of n tosses does not decrease in n,
+    because a tester may ignore tosses."""
+    target = 1 - 2 * Fraction(delta)
+    lo, hi = 0, 1  # TV(n = lo) < target <= TV(n = hi) once the doubling ends
+    while binomial_tv(hi, eps) < target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if binomial_tv(mid, eps) >= target else (mid, hi)
+    return hi
+
+
+class TestExactCoinAnswer:
+    """Every sample route is a lower bound on one exact number, n*, computed
+    here in exact rational arithmetic for dyadic eps."""
+
+    DELTAS = (0.4, 0.25, 0.1, 0.01, 0.001)
+    EXACT = {
+        Fraction(1, 8): (4, 29, 104, 338, 597),
+        Fraction(1, 4): (1, 7, 24, 78, 138),
+    }
+
+    @pytest.mark.parametrize("eps", EXACT, ids=str)
+    def test_every_route_is_at_most_the_least_number_of_tosses(self, eps):
+        for delta, expected in zip(self.DELTAS, self.EXACT[eps]):
+            n_star = least_tosses(eps, delta)
+            assert n_star == expected
+            rep = report(SampleComplexityQuery(float(eps), delta))
+            # 2 n_pinsker, the pinsker route as derived, must hold as well
+            for route in (rep.n_pinsker, 2 * rep.n_pinsker, rep.n_bh, rep.n_tsybakov):
+                assert route <= n_star
+
+    def test_simplified_bh_form_can_exceed_the_exact_answer(self):
+        rep = report(SampleComplexityQuery(0.125, 0.4))
+        assert rep.n_bh_simplified > least_tosses(Fraction(1, 8), 0.4) == 4
+        assert FLAG_SIMPLIFIED_EXCEEDS_EXACT in rep.notes
+
+    @pytest.mark.parametrize("eps", EXACT, ids=str)
+    def test_materialised_powers_match_the_binomial_tv(self, eps):
+        p1, q1 = bernoulli(0.5), bernoulli(0.5 + float(eps))
+        for n in range(1, 13):
+            tv = total_variation(tensor_power(ProductSpec(p1, n)),
+                                 tensor_power(ProductSpec(q1, n)))
+            assert tv == float(binomial_tv(n, eps))
 
 
 class TestRouteProperties:

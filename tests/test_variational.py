@@ -64,6 +64,11 @@ class TestDvValue:
         with pytest.raises(OutOfRangeError, match="^values: "):
             WitnessFunction(())
 
+    @pytest.mark.parametrize("values", [None, 3.0])
+    def test_witness_values_must_be_iterable(self, values):
+        with pytest.raises(OutOfRangeError, match=rf"^values: {values!r} is not iterable$"):
+            WitnessFunction(values)
+
     def test_witness_reads_an_iterator_once(self):
         # the refused value is named, not lost to a used-up generator
         with pytest.raises(OutOfRangeError, match=r"^values\[1\]: "):
