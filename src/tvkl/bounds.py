@@ -132,6 +132,23 @@ def _vajda_inverse(tv: float) -> float:
     return math.log1p(tv) - math.log1p(-tv) - 2.0 * tv / (1.0 + tv)
 
 
+# The pinsker, bh and tsybakov inverses at t = 1 - u, u in (0, 1]: given u
+# exactly (samples passes 2 delta), they keep the digits that rounding t loses.
+def _pinsker_inverse_of_complement(u: float) -> float:
+    return _pinsker_inverse(1.0 - u)
+
+
+def _bh_inverse_of_complement(u: float) -> float:
+    t = 1.0 - u  # exact for u >= 1/2
+    if u >= 0.5:
+        return -math.log1p(-t * t)
+    return -(math.log(u) + math.log1p(t))
+
+
+def _tsybakov_inverse_of_complement(u: float) -> float:
+    return max(0.0, -math.log(2.0 * u))
+
+
 _VAJDA_BRACKET_TOP = 1.0 - 1e-15
 
 
@@ -176,6 +193,12 @@ _INVERSE = {
     BoundId.BH: _bh_inverse,
     BoundId.TSYBAKOV: _tsybakov_inverse,
     BoundId.VAJDA: _vajda_inverse,
+}
+
+_INVERSE_OF_COMPLEMENT = {
+    BoundId.PINSKER: _pinsker_inverse_of_complement,
+    BoundId.BH: _bh_inverse_of_complement,
+    BoundId.TSYBAKOV: _tsybakov_inverse_of_complement,
 }
 
 

@@ -162,7 +162,7 @@ def _cmd_samples(args) -> int:
     rep = samples.report(samples.SampleComplexityQuery(args.epsilon, args.delta))
     if args.ceil:
         rep = dataclasses.replace(rep, **{
-            f.name: math.ceil(getattr(rep, f.name))
+            f.name: math.ceil(n) if math.isfinite(n := getattr(rep, f.name)) else n
             for f in dataclasses.fields(rep) if f.name.startswith("n_")})
     if args.json:
         _print_json(rep)

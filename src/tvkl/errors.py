@@ -9,6 +9,7 @@ A public entry point checks each argument once, with ``_real``, ``_unit``,
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 
 
 class TvklError(Exception):
@@ -105,7 +106,10 @@ def _integer(name: str, x, lo: int | None = None, hi: int | None = None) -> int:
 
 
 def _tuple(name: str, x) -> tuple:
-    """``tuple(x)``; a non-iterable x raises OutOfRangeError naming it."""
+    """``tuple(x)``; a non-iterable x, or a str, bytes or mapping, whose
+    items are characters, ints or keys, raises OutOfRangeError naming it."""
+    if isinstance(x, (str, bytes, bytearray, Mapping)):
+        raise OutOfRangeError(f"{name}: {x!r} is a {type(x).__name__}, not a sequence")
     try:
         items = iter(x)
     except TypeError:

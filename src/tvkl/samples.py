@@ -3,21 +3,21 @@ epsilon-biased one.
 
 An n-toss tester that is wrong with probability at most delta on both
 hypotheses forces TV(P0^n, P1^n) >= 1 - 2 delta, where P0 = Bernoulli(1/2)
-and P1 = Bernoulli(1/2 + epsilon). Combining that with a TV upper bound in
-terms of KL, plus KL additivity across the n independent tosses
-(KL_n = n * kl_per_toss), turns each forward bound into a lower bound on n:
+and P1 = Bernoulli(1/2 + epsilon). KL is additive across the n independent
+tosses, KL_n = n * kl_per_toss, so each inverse bound of ``bounds`` turns
+the required TV into a lower bound on n by one recipe:
 
-    pinsker route    n >= 2 (1 - 2 delta)^2 / log(1/(1 - 4 eps^2))
-    bh route         n >= 2 log(1/(1 - (1-2 delta)^2)) / log(1/(1 - 4 eps^2))
-    tsybakov route   n >= log(1/(4 delta)) / kl_per_toss   (0 for delta >= 1/4)
+    n >= kl_lower(bound, 1 - 2 delta) / kl_per_toss
 
-The pinsker route saturates as delta -> 0 (its numerator is capped by 2),
-while the bh and tsybakov routes grow like log(1/delta): only they witness
-the full log(1/delta)/eps^2 rate. A commonly quoted simplification of the
-bh route, log(1/(2 delta)) / (2 eps^2), is no lower bound on n: it can
-exceed the bh route and even n*, the least n with TV(P0^n, P1^n) >= 1 - 2
-delta (7.14 against n* = 4 at eps = 1/8, delta = 0.4). Reports expose both
-and flag whenever the simplified form exceeds the exact bh route.
+At (eps, delta) = (0.1, 0.01) the pinsker route is 94.106 and the bh route
+158.195. The curves read 1 - t = 2 delta, exact where 1 - 2 delta rounds.
+The pinsker route saturates at 2 / kl_per_toss as delta -> 0, while the bh
+and tsybakov routes grow like log(1/delta): only they witness the full
+log(1/delta)/eps^2 rate. A commonly quoted simplification of the bh route,
+log(1/(2 delta)) / (2 eps^2), is no lower bound on n: it can exceed the bh
+route and even n*, the least n with TV(P0^n, P1^n) >= 1 - 2 delta (7.14
+against n* = 4 at eps = 1/8, delta = 0.4). Reports expose both and flag
+whenever the simplified form exceeds the exact bh route.
 
 All routes return exact reals; the CLI's --ceil rounds up to whole tosses.
 """
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bounds import _INVERSE_OF_COMPLEMENT, BoundId
 from .errors import OutOfRangeError, _real
 
 #: Flag set on a report when the simplified bh closed form exceeds the exact
@@ -36,20 +37,24 @@ FLAG_SIMPLIFIED_EXCEEDS_EXACT = "simplified_exceeds_exact"
 #: Flag set on a report when delta >= 1/4 makes the tsybakov route vacuous.
 FLAG_TSYBAKOV_VACUOUS = "tsybakov_vacuous"
 
+# Looked up once: an enum-keyed lookup costs about as much as the curve.
+_PINSKER, _BH, _TSYBAKOV = (
+    _INVERSE_OF_COMPLEMENT[b] for b in (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV))
+
 
 @dataclass(frozen=True, slots=True)
 class SampleComplexityQuery:
     """Bias epsilon in (0, 1/3) and error budget delta in (0, 1/2), both
-    strict: the closed forms below are only valid inside the open box. Nor
-    may eps^2 or the per-toss KL round to 0 (eps below about 1.6e-162).
-    Both fields are stored as floats."""
+    strict: the routes are only valid inside the open box. Nor may eps^2 or
+    the per-toss KL round to 0 (eps below about 1.6e-162). Both fields are
+    stored as floats."""
 
     epsilon: float
     delta: float
 
     def __post_init__(self):
         e, d = _check_epsilon(self.epsilon), _real("delta", self.delta)
-        if e**2 == 0.0 or 0.5 * _log_inv(e) == 0.0:  # every route divides by one
+        if e**2 == 0.0 or kl_per_toss(e) == 0.0:  # every route divides by one
             raise OutOfRangeError(f"epsilon: {e!r} too small, eps^2 or its KL is 0.0")
         if not (0.0 < d < 0.5):
             raise OutOfRangeError(f"delta: {d!r} not in (0, 1/2)")
@@ -83,7 +88,8 @@ def kl_per_toss(epsilon: float) -> float:
 
     Matches the generic two-point divergence on the same pair to 1e-15.
     """
-    return 0.5 * _log_inv(_check_epsilon(epsilon))
+    e = _check_epsilon(epsilon)
+    return -0.5 * math.log1p(-4.0 * e * e)
 
 
 def _check_epsilon(epsilon: float) -> float:
@@ -93,43 +99,19 @@ def _check_epsilon(epsilon: float) -> float:
     return e
 
 
-def _log_inv(epsilon: float) -> float:
-    # log(1/(1 - 4 eps^2)) = 2 * kl_per_toss(eps), without a range check.
-    return -math.log1p(-4.0 * epsilon * epsilon)
-
-
 def min_samples_pinsker(query: SampleComplexityQuery) -> float:
-    """Pinsker route: 2 (1 - 2 delta)^2 / log(1/(1 - 4 eps^2)).
-
-    Capped at 2 / log(1/(1 - 4 eps^2)) no matter how small delta gets, so
-    this route can never certify more than a 1/eps^2 rate.
-    """
-    t = required_tv(query)
-    return 2.0 * t * t / _log_inv(query.epsilon)
+    """Pinsker route: at most 2 / kl_per_toss, a 1/eps^2 rate, for every delta."""
+    return report(query).n_pinsker
 
 
 def min_samples_bh(query: SampleComplexityQuery) -> float:
-    """BH route: 2 log(1/(1 - (1-2 delta)^2)) / log(1/(1 - 4 eps^2)).
-
-    With 1 - (1-2 delta)^2 = 4 delta (1 - delta) the numerator is computed
-    cancellation-free, keeping full accuracy down to delta near 0, where the
-    route grows without bound like log(1/delta).
-    """
-    d = query.delta
-    numerator = -(math.log(4.0) + math.log(d) + math.log1p(-d))
-    return 2.0 * numerator / _log_inv(query.epsilon)
+    """BH route: it grows without bound like log(1/delta) as delta -> 0."""
+    return report(query).n_bh
 
 
 def min_samples_tsybakov(query: SampleComplexityQuery) -> float:
-    """Tsybakov route: log(1/(4 delta)) / kl_per_toss, floored at 0.
-
-    From 1 - 2 delta <= 1 - exp(-n kl)/2. Vacuous (0) for delta >= 1/4.
-    """
-    d = query.delta
-    if d >= 0.25:
-        return 0.0
-    kl = 0.5 * _log_inv(query.epsilon)
-    return max(0.0, -(math.log(4.0) + math.log(d)) / kl)
+    """Tsybakov route: vacuous (0) for delta >= 1/4."""
+    return report(query).n_tsybakov
 
 
 def report(query: SampleComplexityQuery) -> SampleComplexityReport:
@@ -139,8 +121,9 @@ def report(query: SampleComplexityQuery) -> SampleComplexityReport:
     bh route (so the two cannot be chained in that direction at these
     parameters), one when the tsybakov route is vacuous.
     """
-    n_bh = min_samples_bh(query)
-    n_simplified = math.log(1.0 / (2.0 * query.delta)) / (2.0 * query.epsilon**2)
+    u, klt = 2.0 * query.delta, kl_per_toss(query.epsilon)
+    n_bh = _BH(u) / klt
+    n_simplified = -math.log(u) / (2.0 * query.epsilon**2)
     notes = []
     if n_simplified > n_bh:
         notes.append(FLAG_SIMPLIFIED_EXCEEDS_EXACT)
@@ -149,11 +132,11 @@ def report(query: SampleComplexityQuery) -> SampleComplexityReport:
     return SampleComplexityReport(
         epsilon=query.epsilon,
         delta=query.delta,
-        required_tv=required_tv(query),
-        kl_per_toss=0.5 * _log_inv(query.epsilon),
-        n_pinsker=min_samples_pinsker(query),
+        required_tv=1.0 - u,
+        kl_per_toss=klt,
+        n_pinsker=_PINSKER(u) / klt,
         n_bh=n_bh,
-        n_tsybakov=min_samples_tsybakov(query),
+        n_tsybakov=_TSYBAKOV(u) / klt,
         n_bh_simplified=n_simplified,
         notes=tuple(notes),
     )

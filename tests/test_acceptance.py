@@ -11,9 +11,11 @@ state it inline:
   after 4 eps^2 lies in [(32/3) eps^4, (32/3) eps^4 + 32 eps^6/(1 - 4 eps^2)]
   (the small-TV end of Fedotov, Harremoes and Topsoe's joint range); the
   test takes eps as the pair's exact float TV and allows 1e-13 of rounding;
-* criterion 6 (anchors): the routes at (eps, delta) = (0.1, 0.01) with
-  log(1/(1 - 4 eps^2)) = -ln 0.96: bh is 2 ln(1/0.0396) / -ln 0.96 = 158.195
-  and pinsker 2 * 0.98^2 / -ln 0.96 = 47.053, each pinned to +/- 0.01;
+* criterion 6 (anchors): each route at (eps, delta) = (0.1, 0.01) is
+  kl_lower(bound, 0.98) / kl_per_toss with kl_per_toss = -ln(0.96) / 2:
+  bh is ln(1/0.0396) / kl_per_toss = 158.195 and pinsker 2 * 0.98^2 /
+  kl_per_toss = 94.106, each pinned to +/- 0.01; pinsker's 2 t^2 is at most
+  2, so its route is capped at 2 / kl_per_toss = 97.986 for every delta;
 * criterion 7 (kl direction): the forward value t near 1 is a double with
   spacing 2^-53 there and dk/dt is at most 2 e^k, so no inversion recovers
   k better than about 2 e^k 2^-53; the tolerance is 1e-10 plus two such
@@ -134,12 +136,13 @@ def test_criterion_5_vacuity_thresholds():
 
 
 def test_criterion_6_sample_complexity_anchors():
-    # With log(1/(1 - 4 eps^2)) = -ln 0.96 = 0.0408220 at eps = 0.1: the bh
-    # route is 2 ln(1/0.0396) / -ln 0.96 = 158.19541 and the pinsker route
-    # 2 * 0.98^2 / -ln 0.96 = 47.05307.
+    # With kl_per_toss = -ln(0.96) / 2 = 0.0204110 at eps = 0.1 and the
+    # required TV t = 0.98: the bh route is -ln(1 - t^2) / kl_per_toss =
+    # ln(1/0.0396) / kl_per_toss = 158.19541 and the pinsker route
+    # 2 t^2 / kl_per_toss = 94.10613.
     rep = report(SampleComplexityQuery(0.1, 0.01))
     assert FLAG_SIMPLIFIED_EXCEEDS_EXACT in rep.notes
-    assert abs(rep.n_pinsker - 47.053) <= 0.01
+    assert abs(rep.n_pinsker - 94.106) <= 0.01
     assert abs(rep.n_tsybakov - 157.70) <= 0.01
     assert abs(rep.n_bh_simplified - 195.60) <= 0.01
     assert abs(rep.n_bh - 158.195) <= 0.01
@@ -149,7 +152,8 @@ def test_criterion_6_route_behaviour_across_delta():
     deltas = [10.0**-e for e in range(1, 11)]
     for delta in deltas:
         q = SampleComplexityQuery(0.1, delta)
-        assert min_samples_pinsker(q) <= 48.995
+        # pinsker's cap, 2 / kl_per_toss(0.1) = 97.986
+        assert min_samples_pinsker(q) <= 97.99
     assert min_samples_bh(SampleComplexityQuery(0.1, 10.0**-9.5)) > 1e3
     assert min_samples_bh(SampleComplexityQuery(0.1, 1e-10)) > 1e3
 

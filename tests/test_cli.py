@@ -240,8 +240,8 @@ class TestSamples:
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "samples", "0.1", "0.01")
         payload = json.loads(out)
-        assert payload["n_pinsker"] == pytest.approx(47.05306594088472)
-        assert payload["n_bh"] == pytest.approx(158.19541395115158)
+        assert payload["n_pinsker"] == pytest.approx(94.10613188176944)
+        assert payload["n_bh"] == pytest.approx(158.1954139511516)
         assert payload["required_tv"] == pytest.approx(0.98)
         assert payload["notes"] == ["simplified_exceeds_exact"]
 
@@ -263,8 +263,17 @@ class TestSamples:
     def test_ceil_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "samples", "0.1", "0.01", "--ceil")
         payload = json.loads(out)
-        assert payload["n_pinsker"] == 48
+        assert payload["n_pinsker"] == 95
         assert payload["n_bh"] == 159
+
+    def test_ceil_leaves_an_infinite_route_as_it_is(self, capsys):
+        # kl_per_toss(1e-160) is 2e-320, so every route overflows to inf
+        code, out, err = run_cli(capsys, "--json", "samples", "1e-160", "0.01", "--ceil")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert [payload[k] for k in ("n_pinsker", "n_bh", "n_tsybakov")] == ["inf"] * 3
+        _, out, _ = run_cli(capsys, "samples", "1e-160", "0.01", "--ceil")
+        assert "n_bh             inf" in out.splitlines()
 
     def test_invalid_query_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "samples", "0.5", "0.01")
@@ -467,9 +476,9 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "epsilon, delta, digest",
         [
-            ("0.1", "0.01", "60d8811df4d7b32304d3898d6cded837ccaacef9989e74f6526ef7c5699b44b5"),
-            ("0.3", "0.4", "5ab9618bcb8c12cc9fe086d2c89ce4f471d6dc5176b8147a73069df4b469d256"),
-            ("1e-6", "1e-9", "e62f597350ac1c95414af5b6a0bdd934d9957fa825c0cba9285d305ea0903c7d"),
+            ("0.1", "0.01", "e9250312ab070f091df85ca4c8c638f47a75f2cb69b9ec8ac994012f3fbb4459"),
+            ("0.3", "0.4", "5b7efe11427cf2a4465191f8452c14697b059a8e2725daadd35f0848055f6576"),
+            ("1e-6", "1e-9", "72fce77411e121286c7613102d05c6695a709dc2daa131d3fe682b123ab6be9c"),
         ],
     )
     def test_samples(self, capsys, epsilon, delta, digest):
@@ -481,23 +490,23 @@ class TestPinnedOutputs:
         "flags, epsilon, delta, digest",
         [
             ((), "0.1", "0.01",
-             "8c8f81ae227ff96bdcdadd1c6a11827c03520d06484654c6dac615ba88474847"),
+             "d34ccf423f8f9cb88c653bac6a5050e81bb752f40445ea2c2c2f00717a36e8eb"),
             ((), "0.3", "0.4",
-             "88157ee4c13b6b341d1c9e5c0ca942a70a628e279c47071558a6743deb2ecf48"),
+             "600e757bc04c54940c0ee70e5d1c9f1e097bb255c62c943a8e525924687f1ac6"),
             ((), "1e-6", "1e-9",
-             "8c7e73be49b09f0111f8ae6b09ef4ed0069534b84ed0ce727c292def9e18f8bf"),
+             "72bebc55ac99060c8871a261d82918889deded5a1ef8358a0dc2521f31d82973"),
             (("--ceil",), "0.1", "0.01",
-             "0f05ed60bf3192bc2abe017044e57b2fc64e422415279792e44a41be44dccd30"),
+             "79c45a8b1217a4189c367ab469a71fee55854d36dea5c413e5d115f3676a5e8a"),
             (("--ceil",), "0.3", "0.4",
              "5f020d6b084333b0a375a0e85350d683bf0a39f4f1ee70b0a410c9d9cd9c8a99"),
             (("--ceil",), "1e-6", "1e-9",
-             "5645f5b9388714d5de76fc5caaf65464c15a93e02f191e0af9ed3d0ddfb0915d"),
+             "1e72a17c17d147c02847adb2989057e37f00c4c6204dbcb735ac45d3a9c49ff6"),
             (("--json", "--ceil"), "0.1", "0.01",
-             "dada3d473bd8c67f06915d4e0f14a13fd8c40ebd3913e717a71f64d8175d3049"),
+             "0f2a1ade04d0ebf04a4147e38c4147383a94b1a160b71b3d0027b14beda731a5"),
             (("--json", "--ceil"), "0.3", "0.4",
              "edb1e79e6434a8b407b8aa20738c531ff31948ba0243d7e23bf0f04bfb70f3d8"),
             (("--json", "--ceil"), "1e-6", "1e-9",
-             "041196dd88890b1f3d71f89a620f3e6c509b93256519012f1c6b804e5e7626b2"),
+             "a0bb33672132695b532bf7737d8e63f709470db14c46bcd8b78e49976f62e242"),
         ],
     )
     def test_samples_text_and_ceil(self, capsys, flags, epsilon, delta, digest):

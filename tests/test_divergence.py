@@ -433,10 +433,11 @@ class TestQuantize:
     @pytest.mark.parametrize("flags, message", [
         (None, r"^flags: None is not iterable$"),
         (3, r"^flags: 3 is not iterable$"),
-        ("ab", r"^flags\[0\]: 'a' is not a bool$"),
+        ("ab", r"^flags: 'ab' is a str, not a sequence$"),
+        ({True: 0, False: 0}, r"^flags: \{True: 0, False: 0\} is a dict, not a sequence$"),
         ((True, 1), r"^flags\[1\]: 1 is not a bool$"),
         ((False, True, 0.0), r"^flags\[2\]: 0.0 is not a bool$"),
-    ], ids=["none", "int", "str", "int_flag", "float_flag"])
+    ], ids=["none", "int", "str", "mapping", "int_flag", "float_flag"])
     def test_flags_must_be_bools(self, flags, message):
         with pytest.raises(OutOfRangeError, match=message):
             EventSubset(flags)

@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -81,7 +83,7 @@ class TestRoutes:
     # frozen from the closed forms evaluated at double precision
     def test_pinsker_anchor(self):
         assert min_samples_pinsker(Q_MAIN) == pytest.approx(
-            47.05306594088472, abs=1e-10
+            94.10613188176944, abs=1e-10
         )
 
     def test_bh_anchor(self):
@@ -96,17 +98,17 @@ class TestRoutes:
         assert min_samples_pinsker(SampleComplexityQuery(0.1, 0.499999)) < 1e-7
 
     def test_pinsker_delta_free_cap(self):
-        cap = 2.0 / (2.0 * kl_per_toss(0.1))
-        assert cap == pytest.approx(48.993196523203586, abs=1e-9)
-        for exponent in range(1, 11):
-            q = SampleComplexityQuery(0.1, 10.0**-exponent)
-            assert min_samples_pinsker(q) <= cap
+        cap = 2.0 / kl_per_toss(0.1)
+        assert cap == pytest.approx(97.98639304640717, abs=1e-9)
+        for delta in [10.0**-exponent for exponent in range(1, 11)] + [5e-324]:
+            assert min_samples_pinsker(SampleComplexityQuery(0.1, delta)) <= cap
 
     def test_bh_at_quarter_delta(self):
+        # t = 1/2: bh is log(4/3) / kl_per_toss, below pinsker's 1/2 / kl_per_toss
         q = SampleComplexityQuery(0.1, 0.25)
         assert min_samples_bh(q) == pytest.approx(14.094464311832596, abs=1e-9)
-        assert min_samples_bh(q) > min_samples_pinsker(q) == pytest.approx(
-            12.248299130800896, abs=1e-9
+        assert min_samples_bh(q) < min_samples_pinsker(q) == pytest.approx(
+            24.496598261601793, abs=1e-9
         )
 
     def test_bh_with_unit_log_numerator(self):
@@ -130,7 +132,7 @@ class TestRoutes:
 class TestReport:
     def test_main_anchor_with_flag(self):
         rep = report(Q_MAIN)
-        assert rep.n_pinsker == pytest.approx(47.05306594088472, abs=1e-9)
+        assert rep.n_pinsker == pytest.approx(94.10613188176944, abs=1e-9)
         assert rep.n_bh == pytest.approx(158.19541395115158, abs=1e-9)
         assert rep.n_tsybakov == pytest.approx(157.7030158715568, abs=1e-9)
         assert rep.n_bh_simplified == pytest.approx(195.60115027140725, abs=1e-9)
@@ -224,8 +226,7 @@ class TestExactCoinAnswer:
             n_star = least_tosses(eps, delta)
             assert n_star == expected
             rep = report(SampleComplexityQuery(float(eps), delta))
-            # 2 n_pinsker, the pinsker route as derived, must hold as well
-            for route in (rep.n_pinsker, 2 * rep.n_pinsker, rep.n_bh, rep.n_tsybakov):
+            for route in (rep.n_pinsker, rep.n_bh, rep.n_tsybakov):
                 assert route <= n_star
 
     def test_simplified_bh_form_can_exceed_the_exact_answer(self):
@@ -265,24 +266,63 @@ class TestRouteProperties:
             assert kl_per_toss(eps) <= 4.0 * eps * eps
 
     def test_bh_dominates_pinsker_for_small_delta(self):
-        for delta in (0.09, 0.05, 0.01, 1e-4):
+        # Both routes divide by kl_per_toss, so bh >= pinsker iff
+        # -log(1 - t^2) >= 2 t^2. That holds exactly for t >= t0 = 0.892643,
+        # the positive root, that is for delta <= (1 - t0)/2 = 0.0536783.
+        for delta in (0.0536783, 0.05, 0.01, 1e-4, 5e-324):
             q = SampleComplexityQuery(0.2, delta)
             assert min_samples_bh(q) >= min_samples_pinsker(q)
+        for delta in (0.0536784, 0.09, 0.25, 0.45):
+            q = SampleComplexityQuery(0.2, delta)
+            assert min_samples_bh(q) < min_samples_pinsker(q)
 
     def test_routes_agree_with_the_inverse_bound_pipeline(self):
-        # feeding the required TV through each inverse bound and dividing by
-        # the per-toss rate reproduces the closed forms; the pinsker route
-        # uses log(1/(1-4 eps^2)) = 2 kl_per_toss as its denominator, so the
-        # pipeline value is twice the route value
+        # feeding the required TV through each public inverse bound and
+        # dividing by the per-toss rate reproduces every route
+        routes = {BoundId.PINSKER: min_samples_pinsker, BoundId.BH: min_samples_bh,
+                  BoundId.TSYBAKOV: min_samples_tsybakov}
         for q in (Q_MAIN, SampleComplexityQuery(0.25, 0.2), SampleComplexityQuery(0.05, 0.3)):
             t = required_tv(q)
             klt = kl_per_toss(q.epsilon)
-            assert inverse_value(BoundId.BH, t) / klt == pytest.approx(
-                min_samples_bh(q), abs=1e-12, rel=1e-12
-            )
-            assert inverse_value(BoundId.TSYBAKOV, t) / klt == pytest.approx(
-                min_samples_tsybakov(q), abs=1e-12, rel=1e-12
-            )
-            assert inverse_value(BoundId.PINSKER, t) / (2.0 * klt) == pytest.approx(
-                min_samples_pinsker(q), abs=1e-12, rel=1e-12
-            )
+            for bound, route in routes.items():
+                assert inverse_value(bound, t) / klt == pytest.approx(
+                    route(q), abs=1e-12, rel=1e-12
+                )
+
+
+def exact_routes(eps, delta):
+    """kl_lower(bound, 1 - 2 delta) / kl_per_toss(eps) for the three routes,
+    at 60 digits from the exact values of the two doubles. With u = 2 delta,
+    1 - t^2 is taken as u (2 - u), which stays exact where t = 1 - u rounds
+    to 1 even at 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        e, u = Decimal(eps), 2 * Decimal(delta)
+        klt = -(1 - 4 * e * e).ln() / 2
+        return (2 * (1 - u) ** 2 / klt,
+                -(u * (2 - u)).ln() / klt,
+                max(Decimal(0), -(2 * u).ln()) / klt)
+
+
+def oracle_deltas():
+    """Log-spaced from 5e-324 to the largest double below 1/2, plus the
+    doubles on either side of 1/4 and 1/2 - 2^-k up to that largest one."""
+    lo, hi = math.log(5e-324), math.log(0.5)
+    deltas = {5e-324}
+    deltas.update(math.exp(lo + (hi - lo) * i / 200) for i in range(1, 200))
+    deltas.update(0.5 - 2.0**-k for k in range(2, 55))
+    deltas.update(0.25 - 2.0**-k for k in range(3, 56))
+    deltas.update(0.25 + 2.0**-k for k in range(3, 55))
+    return sorted(d for d in deltas if 0.0 < d < 0.5)
+
+
+class TestRouteOracle:
+    @pytest.mark.parametrize("eps", [1e-5, 0.01, 0.1, 0.25, 0.33])
+    def test_every_route_is_its_recipe_within_8_ulps(self, eps):
+        for delta in oracle_deltas():
+            rep = report(SampleComplexityQuery(eps, delta))
+            routes = (rep.n_pinsker, rep.n_bh, rep.n_tsybakov)
+            for route, exact in zip(routes, exact_routes(eps, delta)):
+                assert math.copysign(1.0, route) == 1.0, (eps, delta, route)
+                ulps = abs(Decimal(route) - exact) / Decimal(math.ulp(float(exact)))
+                assert ulps <= 8, (eps, delta, route, exact)

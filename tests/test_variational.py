@@ -64,9 +64,15 @@ class TestDvValue:
         with pytest.raises(OutOfRangeError, match="^values: "):
             WitnessFunction(())
 
-    @pytest.mark.parametrize("values", [None, 3.0])
-    def test_witness_values_must_be_iterable(self, values):
-        with pytest.raises(OutOfRangeError, match=rf"^values: {values!r} is not iterable$"):
+    @pytest.mark.parametrize("values, message", [
+        (None, r"^values: None is not iterable$"),
+        (3.0, r"^values: 3.0 is not iterable$"),
+        ("12", r"^values: '12' is a str, not a sequence$"),
+        (b"12", r"^values: b'12' is a bytes, not a sequence$"),
+        ({3.0: 1, 1.0: 2}, r"^values: \{3.0: 1, 1.0: 2\} is a dict, not a sequence$"),
+    ], ids=["None", "3.0", "str", "bytes", "mapping"])
+    def test_witness_values_must_be_iterable(self, values, message):
+        with pytest.raises(OutOfRangeError, match=message):
             WitnessFunction(values)
 
     def test_witness_reads_an_iterator_once(self):
