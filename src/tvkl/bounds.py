@@ -8,12 +8,17 @@ Forward bounds map a KL value to an upper bound on TV:
     weak_bh    sqrt((1 - exp(-kl)) / (1 - exp(-2)))   vacuous for kl >= 2
     trivial    1
 
-Inverse bounds map a TV value to a lower bound on KL:
+Inverse bounds map a TV value t to a lower bound on KL. Each curve in
+``_INVERSE`` takes (t, u) with u = 1 - t and reads whichever is nearer 0: a
+caller holding t passes (t, 1 - t), one holding u exactly (``samples``)
+passes (1 - u, u), and 1 - x is exact for x in [1/2, 1] (Sterbenz):
 
     pinsker    2 t^2
-    bh         -log(1 - t^2)
-    tsybakov   max(0, -log(2 (1 - t)))           kicks in only for t >= 1/2
-    vajda      log((1+t)/(1-t)) - 2t/(1+t)       tighter than the bh inverse
+    bh         -log(1 - t^2): -log1p(-t^2) if u >= 1/2, else -(log u + log1p(t))
+    tsybakov   max(0, -log(2 u))                kicks in only for t >= 1/2
+    vajda      log1p(t) - log1p(-t) - 2t/(1+t)  above bh in exact arithmetic
+
+bh, tsybakov and vajda are +inf at u = 0.
 
 Forward outputs are reported raw, never clamped to 1; a ``vacuous`` flag
 marks outputs >= 1 instead. 1 - exp(-x) is always computed through expm1 so
@@ -110,43 +115,28 @@ def _trivial_forward(kl: float) -> float:
     return 1.0
 
 
-def _pinsker_inverse(tv: float) -> float:
-    return 2.0 * tv * tv
+def _pinsker_inverse(t: float, u: float) -> float:
+    return 2.0 * t * t
 
 
-def _bh_inverse(tv: float) -> float:
-    if tv == 1.0:
-        return math.inf
-    return -(math.log1p(-tv) + math.log1p(tv))
-
-
-def _tsybakov_inverse(tv: float) -> float:
-    if tv == 1.0:
-        return math.inf
-    return max(0.0, -(math.log(2.0) + math.log1p(-tv)))
-
-
-def _vajda_inverse(tv: float) -> float:
-    if tv == 1.0:
-        return math.inf
-    return math.log1p(tv) - math.log1p(-tv) - 2.0 * tv / (1.0 + tv)
-
-
-# The pinsker, bh and tsybakov inverses at t = 1 - u, u in (0, 1]: given u
-# exactly (samples passes 2 delta), they keep the digits that rounding t loses.
-def _pinsker_inverse_of_complement(u: float) -> float:
-    return _pinsker_inverse(1.0 - u)
-
-
-def _bh_inverse_of_complement(u: float) -> float:
-    t = 1.0 - u  # exact for u >= 1/2
+def _bh_inverse(t: float, u: float) -> float:
     if u >= 0.5:
         return -math.log1p(-t * t)
+    if u == 0.0:
+        return math.inf
     return -(math.log(u) + math.log1p(t))
 
 
-def _tsybakov_inverse_of_complement(u: float) -> float:
+def _tsybakov_inverse(t: float, u: float) -> float:
+    if u == 0.0:
+        return math.inf
     return max(0.0, -math.log(2.0 * u))
+
+
+def _vajda_inverse(t: float, u: float) -> float:
+    if u == 0.0:
+        return math.inf
+    return math.log1p(t) - math.log1p(-t) - 2.0 * t / (1.0 + t)
 
 
 _VAJDA_BRACKET_TOP = 1.0 - 1e-15
@@ -166,13 +156,13 @@ def tv_upper_from_vajda(kl: float) -> float:
     if math.isinf(kl):
         return 1.0
     lo, hi = 0.0, _VAJDA_BRACKET_TOP
-    if _vajda_inverse(hi) <= kl:
+    if _vajda_inverse(hi, 1.0 - hi) <= kl:
         # Root lies within one ulp of 1; the bracket top already satisfies
         # the tolerance.
         return hi
     while hi - lo > VAJDA_BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if _vajda_inverse(mid) < kl:
+        if _vajda_inverse(mid, 1.0 - mid) < kl:
             lo = mid
         else:
             hi = mid
@@ -193,12 +183,6 @@ _INVERSE = {
     BoundId.BH: _bh_inverse,
     BoundId.TSYBAKOV: _tsybakov_inverse,
     BoundId.VAJDA: _vajda_inverse,
-}
-
-_INVERSE_OF_COMPLEMENT = {
-    BoundId.PINSKER: _pinsker_inverse_of_complement,
-    BoundId.BH: _bh_inverse_of_complement,
-    BoundId.TSYBAKOV: _tsybakov_inverse_of_complement,
 }
 
 
@@ -251,18 +235,32 @@ def tv_upper_best(kl: float) -> BoundEvaluation:
 # -- inverse bounds ---------------------------------------------------------
 
 
+#: Inverse bounds in report order.
+INVERSE_ORDER = (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV, BoundId.VAJDA)
+
+
+def kl_lower(bound: BoundId, tv: float) -> BoundEvaluation:
+    """Evaluate one inverse bound; inverse outputs are never vacuous."""
+    tv = _unit("tv", tv)
+    return BoundEvaluation(bound, tv, _INVERSE[bound](tv, 1.0 - tv), False)
+
+
+def inverse_value(bound: BoundId, tv: float) -> float:
+    """Raw inverse curve value, same code path the evaluations use."""
+    return kl_lower(bound, tv).output
+
+
 def kl_lower_pinsker(tv: float) -> float:
     """KL >= 2 t^2. Caps out at 2: no TV value can force KL above that."""
-    return _pinsker_inverse(_unit("tv", tv))
+    return inverse_value(BoundId.PINSKER, tv)
 
 
 def kl_lower_bh(tv: float) -> float:
-    """KL >= -log(1 - t^2), computed as -(log1p(-t) + log1p(t)).
-
-    The factored form keeps full accuracy as t approaches 1, where the
-    bound diverges; t = 1 gives +inf.
+    """KL >= -log(1 - t^2), as -log1p(-t^2) for t <= 1/2 and as
+    -(log(1 - t) + log1p(t)) above, where 1 - t is exact: full accuracy from
+    the smallest t up to 1, where the bound diverges; t = 1 gives +inf.
     """
-    return _bh_inverse(_unit("tv", tv))
+    return inverse_value(BoundId.BH, tv)
 
 
 def kl_lower_tsybakov(tv: float) -> float:
@@ -271,32 +269,18 @@ def kl_lower_tsybakov(tv: float) -> float:
     The raw inversion is negative for t < 1/2, where it carries no
     information; t = 1 gives +inf.
     """
-    return _tsybakov_inverse(_unit("tv", tv))
+    return inverse_value(BoundId.TSYBAKOV, tv)
 
 
 def kl_lower_vajda(tv: float) -> float:
     """KL >= log((1 + t) / (1 - t)) - 2 t / (1 + t).
 
-    Strictly increasing from 0 at t = 0 to +inf as t -> 1; everywhere at
-    least as large as the bh inverse, and matching 2 t^2 to third order at
-    the origin. Accepts t = 1 (returns +inf); rejects t outside [0, 1].
+    Strictly increasing from 0 at t = 0 to +inf as t -> 1; matches 2 t^2 to
+    third order at the origin and is at least the bh inverse, but on floats
+    2t cancels against 2t: below t of about 3.3e-16 it is mostly 0, below
+    ``kl_lower_bh``. Accepts t = 1 (returns +inf); rejects t outside [0, 1].
     """
-    return _vajda_inverse(_unit("tv", tv))
-
-
-#: Inverse bounds in report order.
-INVERSE_ORDER = (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV, BoundId.VAJDA)
-
-
-def inverse_value(bound: BoundId, tv: float) -> float:
-    """Raw inverse curve value, same code path the evaluations use."""
-    return _INVERSE[bound](_unit("tv", tv))
-
-
-def kl_lower(bound: BoundId, tv: float) -> BoundEvaluation:
-    """Evaluate one inverse bound; inverse outputs are never vacuous."""
-    tv = _unit("tv", tv)
-    return BoundEvaluation(bound, tv, _INVERSE[bound](tv), False)
+    return inverse_value(BoundId.VAJDA, tv)
 
 
 #: Forward bounds in report order.

@@ -173,9 +173,10 @@ def tensor_power(spec: ProductSpec) -> Distribution:
     copies of ``spec.base``.
 
     Atom labels are the component labels joined by the reserved separator;
-    atom weights are products of component weights. Refuses supports larger
-    than ``MAX_PRODUCT_ATOMS``; divergences of larger powers should be
-    obtained through KL additivity instead of materialisation.
+    atom weights are products of component weights, divided by their sum if
+    a base within ``SUM_TOLERANCE`` drifts outside it at this power. Refuses
+    supports larger than ``MAX_PRODUCT_ATOMS``; larger powers should use KL
+    additivity instead of materialisation.
     """
     base, n = spec.base, spec.power
     k = len(base.support)
@@ -191,9 +192,16 @@ def tensor_power(spec: ProductSpec) -> Distribution:
     suffixes = [LABEL_SEPARATOR + b for b in base.support]
     labels, weights = base.support, base.probs
     for _ in range(n - 1):
-        labels = [a + s for a in labels for s in suffixes]
+        if k > 1:  # one atom: the levels do not grow, so join once below
+            labels = [a + s for a in labels for s in suffixes]
         weights = [x * y for x in weights for y in base.probs]
-    return Distribution(tuple(labels), tuple(weights))
+    if k == 1:
+        labels = (LABEL_SEPARATOR.join(base.support * n),)
+    try:
+        return Distribution(tuple(labels), tuple(weights))
+    except SumToleranceError:  # the base sums to S and the weights to S^n
+        total = math.fsum(weights)
+        return Distribution(tuple(labels), tuple(w / total for w in weights))
 
 
 # ---------------------------------------------------------------------------

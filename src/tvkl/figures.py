@@ -13,7 +13,7 @@ import enum
 import os
 import tempfile
 
-from .bounds import _FORWARD, _INVERSE, BoundId
+from .bounds import BoundId, forward_value, inverse_value
 from .errors import _integer
 
 
@@ -27,8 +27,7 @@ class FigureId(enum.Enum):
 KL_RANGE = (0.0, 5.0)
 TV_RANGE = (0.0, 1.0)
 
-# Per figure: its abscissa and curve columns. Every abscissa lies inside its
-# axis range, so the figures evaluate the unchecked curve tables.
+# Per figure: its abscissa and curve columns.
 _FIGURES = {
     FigureId.FIG_PINSKER: ("kl", (BoundId.TRIVIAL, BoundId.PINSKER)),
     FigureId.FIG_FORWARD: (
@@ -39,7 +38,7 @@ _FIGURES = {
         "kl", (BoundId.TRIVIAL, BoundId.PINSKER, BoundId.BH, BoundId.WEAK_BH)
     ),
 }
-_AXES = {"kl": (KL_RANGE, _FORWARD), "tv": (TV_RANGE, _INVERSE)}
+_AXES = {"kl": (KL_RANGE, forward_value), "tv": (TV_RANGE, inverse_value)}
 
 
 def figure_header(figure: FigureId) -> list[str]:
@@ -52,12 +51,11 @@ def figure_rows(figure: FigureId, points: int) -> list[list[float]]:
     both range endpoints)."""
     points = _integer("points", points, 2)
     axis, columns = _FIGURES[figure]
-    (lo, hi), table = _AXES[axis]
-    curves = [table[b] for b in columns]
+    (lo, hi), value = _AXES[axis]
     rows = []
     for i in range(points):
         x = lo + (hi - lo) * i / (points - 1)
-        rows.append([x] + [curve(x) for curve in curves])
+        rows.append([x] + [value(bound, x) for bound in columns])
     return rows
 
 

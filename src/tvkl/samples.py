@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import _INVERSE_OF_COMPLEMENT, BoundId
+from .bounds import _INVERSE, BoundId
 from .errors import OutOfRangeError, _real
 
 #: Flag set on a report when the simplified bh closed form exceeds the exact
@@ -39,7 +39,7 @@ FLAG_TSYBAKOV_VACUOUS = "tsybakov_vacuous"
 
 # Looked up once: an enum-keyed lookup costs about as much as the curve.
 _PINSKER, _BH, _TSYBAKOV = (
-    _INVERSE_OF_COMPLEMENT[b] for b in (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV))
+    _INVERSE[b] for b in (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV))
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,7 +122,7 @@ def report(query: SampleComplexityQuery) -> SampleComplexityReport:
     parameters), one when the tsybakov route is vacuous.
     """
     u, klt = 2.0 * query.delta, kl_per_toss(query.epsilon)
-    n_bh = _BH(u) / klt
+    n_bh = _BH(1.0 - u, u) / klt
     n_simplified = -math.log(u) / (2.0 * query.epsilon**2)
     notes = []
     if n_simplified > n_bh:
@@ -134,9 +134,9 @@ def report(query: SampleComplexityQuery) -> SampleComplexityReport:
         delta=query.delta,
         required_tv=1.0 - u,
         kl_per_toss=klt,
-        n_pinsker=_PINSKER(u) / klt,
+        n_pinsker=_PINSKER(1.0 - u, u) / klt,
         n_bh=n_bh,
-        n_tsybakov=_TSYBAKOV(u) / klt,
+        n_tsybakov=_TSYBAKOV(1.0 - u, u) / klt,
         n_bh_simplified=n_simplified,
         notes=tuple(notes),
     )

@@ -96,7 +96,7 @@ def _inverse_margin(bound: BoundId):
     curve = _INVERSE[bound]
 
     def margin(tv: float, kl: float) -> float:
-        return kl - curve(tv)
+        return kl - curve(tv, 1.0 - tv)
 
     return margin
 

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -173,6 +175,61 @@ class TestInverseBounds:
     def test_vajda_strictly_increasing(self):
         values = [kl_lower_vajda(i / 2000.0) for i in range(2000)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def exact_inverses(t):
+    """(pinsker, bh, tsybakov) inverse at the double t, at 60 digits.
+
+    -log(1 - x) with x = t^2 is its series sum x^k / k below 1e-6, since
+    1 - x at 60 digits loses x entirely below about 1e-60, and otherwise
+    -(log(1 - t) + log(1 + t)), whose factors are exact.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        t = Decimal(t)
+        x = t * t
+        if t == 1:
+            return 2 * x, Decimal("Infinity"), Decimal("Infinity")
+        if x < Decimal("1e-6"):
+            bh, term, k = Decimal(0), x, 1
+            while term > bh * Decimal("1e-62"):
+                bh += term / k
+                term, k = term * x, k + 1
+        else:
+            bh = -((1 - t).ln() + (1 + t).ln())
+        return 2 * x, bh, max(Decimal(0), -(2 * (1 - t)).ln())
+
+
+def oracle_tvs():
+    """Log-spaced from 5e-324 to 1/2, then 1/2 +- 2^-k and 1 - 2^-k."""
+    lo, hi = math.log(5e-324), math.log(0.5)
+    tvs = {0.0, 5e-324, 0.5, 1.0}
+    tvs.update(math.exp(lo + (hi - lo) * i / 300) for i in range(1, 300))
+    tvs.update(0.5 + s * 2.0**-k for k in range(2, 55) for s in (-1.0, 1.0))
+    tvs.update(1.0 - 2.0**-k for k in range(2, 54))
+    return sorted(tvs)
+
+
+class TestInverseOracle:
+    @pytest.mark.parametrize(
+        "index, bound", enumerate([kl_lower_pinsker, kl_lower_bh, kl_lower_tsybakov])
+    )
+    def test_within_2_ulps_and_never_negative_zero(self, index, bound):
+        for t in oracle_tvs():
+            value, exact = bound(t), exact_inverses(t)[index]
+            assert math.copysign(1.0, value) == 1.0, (t, value)
+            if exact.is_infinite():
+                assert value == math.inf, t
+                continue
+            ulps = abs(Decimal(value) - exact) / Decimal(math.ulp(float(exact)))
+            assert ulps <= 2, (t, value, exact)
+
+    def test_pinned_points(self):
+        assert kl_lower_bh(1e-12) == 1e-24
+        assert repr(kl_lower_bh(0.0)) == "0.0"
+        t = 0.5 + 2.0**-28
+        exact = exact_inverses(t)[2]
+        assert abs(Decimal(kl_lower_tsybakov(t)) - exact) <= Decimal(math.ulp(float(exact)))
 
 
 class TestVajdaInversion:

@@ -424,7 +424,7 @@ class TestPinnedOutputs:
         [
             ("fig_pinsker", "30bee16fb35ace633c2187581579382fc9e064ec1c5aa7fc636eb3e75d8ca41b"),
             ("fig_forward", "53043d125d1aa4a8da9b20d913a0171b67e2b8b8f9403b0b07a26578e2336171"),
-            ("fig_inverse", "8e0bd918dcfcb036759196216830910abf28b6d1cfb983468cc1b6205e5bb234"),
+            ("fig_inverse", "782861e1acd4b7fb7be0161cd3097654138ba7ab59c9e886319914b14e83a94c"),
             ("fig_weak", "0421a88f8634843064854554d55653048dfc612ffc0d5a5adfe4affe38bff7d3"),
         ],
     )
@@ -457,11 +457,11 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "value, digest",
         [
-            ("0", "61daa9985c6793f0ff5a957b83e341749bbdbe4db441f20859c4d9b8ba9fd360"),
-            ("5e-324", "650f8d0ff89f6daae390fe4ad5b62d826955db7548474701cf61650ddc7443c4"),
-            ("1e-12", "fb72c496fbca8601e366c73ce15b8c784a57b9d6c5a70efd9c5b5a08b160dd59"),
-            ("1e-8", "4a443e68b26772df995a234dbcd1d9bed51c4b22258f83beb311e79aa1d4d146"),
-            ("0.45", "4b28bd27f2017492482ec610dc06eb85d0ebea6577c2937578cb5fe09b121815"),
+            ("0", "eb2708fe03ec903699f5664b534109893602815ee0890dd2b697dabe7a4cef0c"),
+            ("5e-324", "7ddfd85a4aabf6ff193f531744632f94e21d6515810adde240aee2faa7214a27"),
+            ("1e-12", "e59268bdbebfda4e25f275ec28a3921b143a46f9dffae72df4522e227133aa48"),
+            ("1e-8", "1d25b497751c6ee57ad8519cf9ef1cf2cf188552032b9701a032b33b65f3c791"),
+            ("0.45", "f7ec1717a2884182449416c217bbeb6658f2b72776a680e9807ce444af215c67"),
             ("0.5", "b56c1d4c054c5033074ab3781ac98a162e8df043b4e7a2bd20f80442e5f121f4"),
             ("0.9999999999999999",
              "4c9dc3146332398bb362eb055f60894991de8dc56414583942bb31a5ee40f61e"),

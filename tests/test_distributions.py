@@ -14,6 +14,7 @@ from tvkl import (
     NegativeWeightError,
     OutOfRangeError,
     ProductSpec,
+    SUM_TOLERANCE,
     SumToleranceError,
     TooLargeError,
     bernoulli,
@@ -197,12 +198,23 @@ class TestTensorPower:
         with pytest.raises(DuplicateLabelError):
             tensor_power(ProductSpec(base, 3))
 
-    def test_weight_sum_drift_rejected_at_high_power(self):
-        # 1 + 9e-10 is within tolerance; its fourth power is not
-        base = Distribution(("a", "b"), (0.5, 0.5 + 9e-10))
-        assert len(tensor_power(ProductSpec(base, 1))) == 2
-        with pytest.raises(SumToleranceError):
-            tensor_power(ProductSpec(base, 4))
+    @pytest.mark.parametrize(
+        "probs", [(0.5 + 4e-10, 0.5 + 4e-10), (0.5, 0.5 + 9e-10), (0.5 - 5e-10, 0.5 - 4e-10)]
+    )
+    def test_base_within_tolerance_is_valid_at_every_power(self, probs):
+        # the base sums to S within tolerance and its raw products to S^n,
+        # which leaves it by power 4 at most
+        base = Distribution(("a", "b"), probs)
+        for power in range(1, 13):
+            d = tensor_power(ProductSpec(base, power))
+            assert abs(math.fsum(d.probs) - 1.0) <= SUM_TOLERANCE
+
+    def test_one_atom_base_at_a_high_power(self):
+        n = 40_000
+        for weight in (1.0, 1.0 + 5e-10):
+            d = tensor_power(ProductSpec(Distribution(("a",), (weight,)), n))
+            assert d.support == (LABEL_SEPARATOR.join(["a"] * n),)
+            assert d.probs == (1.0,)
 
     def test_cap_enforced(self):
         with pytest.raises(TooLargeError):
