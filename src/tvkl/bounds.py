@@ -6,6 +6,7 @@ Forward bounds map a KL value to an upper bound on TV:
     bh         sqrt(1 - exp(-kl))                never vacuous
     tsybakov   1 - exp(-kl) / 2                  in [1/2, 1)
     weak_bh    sqrt((1 - exp(-kl)) / (1 - exp(-2)))   vacuous for kl >= 2
+    vajda      the root of the vajda inverse, by Newton's method
     trivial    1
 
 Inverse bounds map a TV value t to a lower bound on KL. Each curve in
@@ -16,7 +17,8 @@ passes (1 - u, u), and 1 - x is exact for x in [1/2, 1] (Sterbenz):
     pinsker    2 t^2
     bh         -log(1 - t^2): -log1p(-t^2) if u >= 1/2, else -(log u + log1p(t))
     tsybakov   max(0, -log(2 u))                kicks in only for t >= 1/2
-    vajda      log1p(t) - log1p(-t) - 2t/(1+t)  above bh in exact arithmetic
+    vajda      log1p(t) - log1p(-t) - 2t/(1+t); below t = 2^-9 its series
+               2t^2/(1+t) + 2t^3 (1/3 + t^2/5 + t^4/7 + t^6/9); above bh
 
 bh, tsybakov and vajda are +inf at u = 0.
 
@@ -43,7 +45,7 @@ _ONE_MINUS_EXP_M2 = -math.expm1(-2.0)
 #: Multiplier of the weak variant, 1 / sqrt(1 - e^-2), about 1.075.
 WEAK_BH_FACTOR = 1.0 / math.sqrt(_ONE_MINUS_EXP_M2)
 
-#: Bisection tolerance (in t) used to invert the vajda lower bound.
+#: The vajda root lies at most this far in t below ``tv_upper_from_vajda``.
 VAJDA_BISECTION_TOL = 1e-12
 
 
@@ -88,8 +90,16 @@ def _check_kl(kl: float) -> float:
 # -- curves: unchecked; each public entry point checks its argument once ---
 
 
+def _sqrt_ratio(x: float, d: float) -> float:
+    # sqrt(x / d), d in [1/2, 2]. Below 2^-1021 x / d would lose bits as a
+    # subnormal, so it is formed 2^1022 times larger; both scalings are exact.
+    if x >= 2.0**-1021:
+        return math.sqrt(x / d)
+    return math.sqrt(x * 2.0**1022 / d) * 2.0**-511
+
+
 def _pinsker_forward(kl: float) -> float:
-    return math.sqrt(kl / 2.0)
+    return _sqrt_ratio(kl, 2.0)
 
 
 def _bh_forward(kl: float) -> float:
@@ -108,7 +118,7 @@ def _tsybakov_forward(kl: float) -> float:
 
 def _weak_bh_forward(kl: float) -> float:
     # Ratio inside the sqrt makes the output exactly 1.0 at kl = 2.
-    return math.sqrt(-math.expm1(-kl) / _ONE_MINUS_EXP_M2)
+    return _sqrt_ratio(-math.expm1(-kl), _ONE_MINUS_EXP_M2)
 
 
 def _trivial_forward(kl: float) -> float:
@@ -136,37 +146,42 @@ def _tsybakov_inverse(t: float, u: float) -> float:
 def _vajda_inverse(t: float, u: float) -> float:
     if u == 0.0:
         return math.inf
+    if t < 2.0**-9:
+        # 2 t^2 / (1 + t) + 2 (atanh t - t) by its series: the log form
+        # cancels 2t against 2t here. The first term left out, 2 t^11 / 11,
+        # is below 2^-84 of the value.
+        t2 = t * t
+        return 2.0 * t2 / (1.0 + t) + 2.0 * t * t2 * (
+            1.0 / 3.0 + t2 * (0.2 + t2 * (1.0 / 7.0 + t2 / 9.0)))
     return math.log1p(t) - math.log1p(-t) - 2.0 * t / (1.0 + t)
 
 
-_VAJDA_BRACKET_TOP = 1.0 - 1e-15
-
-
 def tv_upper_from_vajda(kl: float) -> float:
-    """Invert the vajda lower bound: the unique t in [0, 1) whose vajda
-    value equals ``kl``, by bisection to ``VAJDA_BISECTION_TOL`` in t.
+    """Invert the vajda lower bound by Newton's method from the bh bound.
 
-    There is no closed form; monotonicity makes bisection exact enough and
-    derivative-free. +inf maps to 1. The result never exceeds the bh
-    forward bound by more than bisection slack.
+    V is increasing and convex on [0, 1), V'(t) = 4t / ((1 - t)(1 + t)^2),
+    and V >= bh's inverse, so Newton iterates from bh(kl) stay above the
+    root and fall toward it, until a step is no shorter than the one before.
+    The result t has V(t) >= ``kl``. kl = 0 maps to 0 and +inf to 1. Above
+    kl of about 36.43, V at the largest double below 1 is still below kl,
+    so no double below 1 bounds the root and the result is 1.0.
     """
     kl = _check_kl(kl)
-    if kl == 0.0:
-        return 0.0
-    if math.isinf(kl):
-        return 1.0
-    lo, hi = 0.0, _VAJDA_BRACKET_TOP
-    if _vajda_inverse(hi, 1.0 - hi) <= kl:
-        # Root lies within one ulp of 1; the bracket top already satisfies
-        # the tolerance.
-        return hi
-    while hi - lo > VAJDA_BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if _vajda_inverse(mid, 1.0 - mid) < kl:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    t = _bh_forward(kl)
+    if not 0.0 < t < 1.0:
+        return t
+    upper, last = 1.0, math.inf
+    while True:
+        excess = _vajda_inverse(t, 1.0 - t) - kl
+        step = excess * (1.0 - t) * (1.0 + t) ** 2 / (4.0 * t)
+        if excess < 0.0:
+            # Rounding left t below the root, in (t, upper]. One step up, of
+            # at least an ulp, bounds it unless V is flat there in floats.
+            t = max(t - step, math.nextafter(t, 1.0))
+            return t if t < upper and _vajda_inverse(t, 1.0 - t) >= kl else upper
+        if not step < last:
+            return t
+        upper, last, t = t, step, t - step
 
 
 _FORWARD = {
@@ -275,10 +290,10 @@ def kl_lower_tsybakov(tv: float) -> float:
 def kl_lower_vajda(tv: float) -> float:
     """KL >= log((1 + t) / (1 - t)) - 2 t / (1 + t).
 
-    Strictly increasing from 0 at t = 0 to +inf as t -> 1; matches 2 t^2 to
-    third order at the origin and is at least the bh inverse, but on floats
-    2t cancels against 2t: below t of about 3.3e-16 it is mostly 0, below
-    ``kl_lower_bh``. Accepts t = 1 (returns +inf); rejects t outside [0, 1].
+    Increasing and convex from 0 at t = 0 to +inf as t -> 1; matches 2 t^2
+    to third order at the origin and is at least the bh inverse. Below
+    2^-9, where 2t cancels against 2t, it is summed by its series. Accepts
+    t = 1 (returns +inf); rejects t outside [0, 1].
     """
     return inverse_value(BoundId.VAJDA, tv)
 

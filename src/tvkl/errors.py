@@ -73,10 +73,11 @@ class UnsupportedInequalityError(ValidationError):
 
 
 def _real(name: str, x) -> float:
-    """``float(x)``; a value that ``float()`` refuses, or one too large for a
-    double, raises OutOfRangeError naming the argument."""
+    """``float(x)``, with -0.0 read as 0.0; a value that ``float()`` refuses,
+    or one too large for a double, raises OutOfRangeError naming the
+    argument."""
     try:
-        return float(x)
+        return float(x) or 0.0
     except OverflowError:
         raise OutOfRangeError(f"{name}: too large for a float") from None
     except (TypeError, ValueError):

@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from .bounds import _pinsker_forward
 from .distributions import Distribution
 from .divergence import _aligned, _log_ratio, total_variation
 from .errors import (
@@ -166,7 +167,7 @@ def pinsker_via_tfl_optimal(kl: float) -> tuple[float, float]:
     optimum degenerates to lambda* = 0 with bound 0.
     """
     kl = _check_finite_kl(kl)
-    return math.sqrt(2.0 * kl), math.sqrt(kl / 2.0)
+    return math.sqrt(2.0 * kl), _pinsker_forward(kl)
 
 
 def _check_finite_kl(kl: float) -> float:

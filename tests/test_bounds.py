@@ -8,6 +8,7 @@ from tvkl import (
     BoundId,
     OutOfRangeError,
     WEAK_BH_FACTOR,
+    bernoulli,
     compare_bounds,
     forward_value,
     inverse_value,
@@ -24,6 +25,7 @@ from tvkl import (
     tv_upper_tsybakov,
     tv_upper_weak_bh,
 )
+from tvkl import bounds
 from conftest import seeded_pairs
 
 SQRT2 = math.sqrt(2.0)
@@ -62,6 +64,20 @@ class TestForwardBounds:
             0.8550196364002437, abs=1e-15
         )
         assert WEAK_BH_FACTOR == pytest.approx(1.075, abs=1e-3)
+
+    @pytest.mark.parametrize("kl", [5e-324, 5 * 2.0**-1074, 2.0**-1030, 1.3 * 2.0**-1022])
+    def test_subnormal_kl_loses_no_bits(self, kl):
+        # kl / 2 and kl / (1 - e^-2) are subnormal here; the bounds are still
+        # the correctly rounded roots, and the best bound is positive
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            pinsker = (Decimal(kl) / 2).sqrt()
+            weak_bh = (Decimal(kl) / (1 - Decimal(-2).exp())).sqrt()
+        assert tv_upper_pinsker(kl).output == float(pinsker)
+        weak = tv_upper_weak_bh(kl).output
+        assert abs(Decimal(weak) - weak_bh) <= Decimal(math.ulp(weak))
+        best = tv_upper_best(kl)
+        assert best.bound is BoundId.PINSKER and best.output == float(pinsker)
 
     def test_negative_kl_rejected(self):
         for fn in (tv_upper_pinsker, tv_upper_bh, tv_upper_tsybakov,
@@ -245,8 +261,7 @@ class TestVajdaInversion:
         )
 
     def test_round_trips_both_ways(self):
-        # the bisection guarantee is 1e-12 in t; errors in k scale by
-        # dk/dt ~ 1/(1 - t), which grows like e^k
+        # errors in k scale by dk/dt ~ 1/(1 - t), which grows like e^k
         for i in range(1, 100):
             t = i / 100.0
             assert tv_upper_from_vajda(kl_lower_vajda(t)) == pytest.approx(
@@ -260,16 +275,90 @@ class TestVajdaInversion:
             20.0, abs=1e-3
         )
 
-    def test_bracket_saturation_for_huge_kl(self):
-        t = tv_upper_from_vajda(100.0)
-        assert t < 1.0
-        assert 1.0 - t <= 1e-12
+    @pytest.mark.parametrize("kl", [36.5, 37.0, 100.0, 700.0])
+    def test_one_and_vacuous_above_the_last_double(self, kl):
+        # vajda at the largest double below 1 is about 36.43
+        assert kl_lower_vajda(math.nextafter(1.0, 0.0)) < kl
+        assert tv_upper_from_vajda(kl) == 1.0
+        (row,) = [row for row in compare_bounds(kl) if row.bound is BoundId.VAJDA]
+        assert row.output == 1.0 and row.vacuous
 
     def test_never_exceeds_bh_forward(self):
-        assert tv_upper_from_vajda(2.0) <= forward_value(BoundId.BH, 2.0) + 1e-10
         for i in range(0, 300):
             kl = i / 10.0
-            assert tv_upper_from_vajda(kl) <= forward_value(BoundId.BH, kl) + 1e-10
+            assert tv_upper_from_vajda(kl) <= forward_value(BoundId.BH, kl)
+
+
+def exact_vajda(t):
+    """The vajda inverse at the double t, at 60 digits: below 1e-6 the series
+    2t^2 / (1 + t) + 2 sum t^(2k+1) / (2k + 1), k >= 1, and otherwise
+    log((1 + t) / (1 - t)) - 2t / (1 + t), whose factors are exact."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        t = Decimal(t)
+        if t == 1:
+            return Decimal("Infinity")
+        if t < Decimal("1e-6"):
+            value, term, k = 2 * t * t / (1 + t), 2 * t**3, 3
+            while term > value * Decimal("1e-62"):
+                value += term / k
+                term, k = term * t * t, k + 2
+            return value
+        return ((1 + t) / (1 - t)).ln() - 2 * t / (1 + t)
+
+
+class TestVajdaOracle:
+    def test_inverse_close_and_never_below_bh(self):
+        # Below 2^-9 the series is within 2 ulps. Above it the log form
+        # subtracts terms of size t, so its error is a few ulps of the value
+        # plus a few of t.
+        tvs = oracle_tvs() + [2.0**-9 + s * 2.0**-k for k in range(10, 62) for s in (-1, 1)]
+        for t in tvs:
+            value, exact = kl_lower_vajda(t), exact_vajda(t)
+            assert math.copysign(1.0, value) == 1.0, (t, value)
+            assert value >= kl_lower_bh(t), t
+            if exact.is_infinite():
+                assert value == math.inf, t
+                continue
+            ulp = Decimal(math.ulp(float(exact)))
+            slack = 2 * ulp if t < 2.0**-9 else 4 * (ulp + Decimal(math.ulp(t)))
+            assert abs(Decimal(value) - exact) <= slack, (t, value, exact)
+
+    def test_pinned_points(self):
+        assert kl_lower_vajda(1e-12) == 1.9999999999986664e-24
+        assert kl_lower_vajda(1e-8) == 1.9999999866666673e-16
+
+    def test_inversion_bounds_the_root_in_a_few_steps(self, monkeypatch):
+        evaluations = []
+        curve = bounds._vajda_inverse
+
+        def counted(t, u):
+            evaluations[-1] += 1
+            return curve(t, u)
+
+        monkeypatch.setattr(bounds, "_vajda_inverse", counted)
+        lo, hi = math.log(5e-324), math.log(700.0)
+        kls = [math.exp(lo + (hi - lo) * i / 400) for i in range(401)]
+        kls += [36.3 + 0.3 * i / 60 for i in range(61)] + [math.inf]
+        tol = bounds.VAJDA_BISECTION_TOL
+        for kl in kls:
+            evaluations.append(0)
+            t, bh = tv_upper_from_vajda(kl), forward_value(BoundId.BH, kl)
+            assert kl_lower_vajda(t) >= kl, kl
+            assert t <= bh or (t == 1.0 and kl_lower_vajda(bh) < kl), kl
+            lo_t, hi_t = max(t - tol, 0.0), min(t + tol, 1.0)
+            assert kl_lower_vajda(lo_t) <= kl <= kl_lower_vajda(hi_t), kl
+        assert sum(evaluations) / len(kls) <= 10
+        assert max(evaluations) <= 12
+
+    def test_below_the_kl_of_a_near_equal_pair(self):
+        # the log form gave 1.99614e-23 here, above the pair's KL
+        p, q = bernoulli(0.5002786495666032), bernoulli(0.5002786495697623)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            kl = sum(Decimal(a) * (Decimal(a) / Decimal(b)).ln()
+                     for a, b in zip(p.probs, q.probs))
+        assert Decimal(kl_lower_vajda(total_variation(p, q))) <= kl
 
 
 class TestCompareBounds:

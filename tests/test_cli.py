@@ -131,6 +131,12 @@ class TestBound:
         assert rows["bh"]["output"] == pytest.approx(0.9966253323094464)
         assert rows["weak_bh"]["vacuous"] is True
 
+    def test_negative_zero_prints_as_zero(self, capsys):
+        for direction in ("forward", "inverse"):
+            negative = run_cli(capsys, "--json", "bound", direction, "-0.0")
+            assert negative == run_cli(capsys, "--json", "bound", direction, "0")
+            assert "-0.0" not in negative[1]
+
     def test_forward_accepts_inf(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "bound", "forward", "inf")
         rows = {r["bound"]: r for r in json.loads(out)}
@@ -415,18 +421,25 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _by_input(cases):
+    # Each case ends with its digest; the test id is the input alone, so a
+    # re-pinned output keeps its test's name.
+    ids = ("-".join(filter(None, case[:-1])).replace(" ", "") for case in cases)
+    return [pytest.param(*case, id=name) for case, name in zip(cases, ids)]
+
+
 class TestPinnedOutputs:
     """The stdout contract for figures, bounds and samples: any change to
     these bytes is a visible change."""
 
     @pytest.mark.parametrize(
         "figure, digest",
-        [
+        _by_input([
             ("fig_pinsker", "30bee16fb35ace633c2187581579382fc9e064ec1c5aa7fc636eb3e75d8ca41b"),
             ("fig_forward", "53043d125d1aa4a8da9b20d913a0171b67e2b8b8f9403b0b07a26578e2336171"),
             ("fig_inverse", "782861e1acd4b7fb7be0161cd3097654138ba7ab59c9e886319914b14e83a94c"),
             ("fig_weak", "0421a88f8634843064854554d55653048dfc612ffc0d5a5adfe4affe38bff7d3"),
-        ],
+        ]),
     )
     def test_figure_csv(self, capsys, tmp_path, figure, digest):
         out = tmp_path / "f.csv"
@@ -436,18 +449,18 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize(
         "value, digest",
-        [
+        _by_input([
             ("0", "d25898d4d1768f8cfff2370982057807d88801457dc7baf0f03d7e23f4f4af90"),
-            ("5e-324", "44911c067ad27ff29515da102d6639fb7db6b8d840a84b6b904c575fc33ee98e"),
-            ("1e-300", "5faa21f926189f2c141b471b99106492a0fe8b78381deca9edefaf3abdecf70c"),
-            ("1e-12", "84afe3caf9063f6391d8c4124bd2ab3e487473c6a278333fca020db83ab03b78"),
-            ("0.02", "05a608f698b60be77a9a55d08395da1bcaa385a3706b635c38ffc191a42ae883"),
-            ("2", "5c20d8c0246f58592da7c134739de7c03ffb41e92063ce4391e8d798648dd144"),
-            ("37", "e667c01e588717d464cb74c07070bfb9d0bc3c4abe216f641fdf64e84901c550"),
-            ("50", "0230843bd1f79ecc68729121780eae8b52ab659a3065dd01b8195d5520fbf4dc"),
-            ("700", "b83724053b8f3faa2a635e8c1f0fc2fabb6ee6da1b4b5bb1c42b0ff84bfcae5b"),
+            ("5e-324", "cce3d8956aa6c1229f07e9314080c41481e8c220785fffbf10c1906953e5511d"),
+            ("1e-300", "4e9d4b75890156776063452ae8712fd45df45b30bd4b8e8af43a33e552f577ba"),
+            ("1e-12", "8099fe3a5f82e63dffd0fc26ac16cd8165c5a05fe8357d5f130a0ae5fd1c2da6"),
+            ("0.02", "f4cc23613555004052f9b33e9935a3a56a7dcdae20cdf948accd242d4cf20ac1"),
+            ("2", "037c2935eabf5c625d0057b2640d871722673a546e3073f318abb51892b52d50"),
+            ("37", "116d2ba43895088727f899017203504690741e613d17d5eda6e26b0340fcf7ff"),
+            ("50", "776597453062684e1439cf58a421d1040420391de0b962b76568f2fec6486098"),
+            ("700", "0c602727bd8963a1b431e8ad4bdbe1e2a243340298f7023f4a255a14eda0ab55"),
             ("inf", "9fd4d8ebf79b5f4dc4ab1b0ab779f01f011321e55f6392b7041684555bcb3d58"),
-        ],
+        ]),
     )
     def test_bound_forward(self, capsys, value, digest):
         code, out, _ = run_cli(capsys, "--json", "bound", "forward", value)
@@ -456,17 +469,17 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize(
         "value, digest",
-        [
+        _by_input([
             ("0", "eb2708fe03ec903699f5664b534109893602815ee0890dd2b697dabe7a4cef0c"),
             ("5e-324", "7ddfd85a4aabf6ff193f531744632f94e21d6515810adde240aee2faa7214a27"),
-            ("1e-12", "e59268bdbebfda4e25f275ec28a3921b143a46f9dffae72df4522e227133aa48"),
-            ("1e-8", "1d25b497751c6ee57ad8519cf9ef1cf2cf188552032b9701a032b33b65f3c791"),
+            ("1e-12", "c0921bb314bb299237865ac5fb2cd9ede2518a59f07712d8f7c5c3a86581ed7a"),
+            ("1e-8", "6304cb86aa60d6efdcecca7e111c8e7aa30380ee43fb7ff62710f84429a6b00f"),
             ("0.45", "f7ec1717a2884182449416c217bbeb6658f2b72776a680e9807ce444af215c67"),
             ("0.5", "b56c1d4c054c5033074ab3781ac98a162e8df043b4e7a2bd20f80442e5f121f4"),
             ("0.9999999999999999",
              "4c9dc3146332398bb362eb055f60894991de8dc56414583942bb31a5ee40f61e"),
             ("1", "4d12a3fad8415bff7e3d2b6b45381613e0cf871019c72f405fe0264cc0cf9205"),
-        ],
+        ]),
     )
     def test_bound_inverse(self, capsys, value, digest):
         code, out, _ = run_cli(capsys, "--json", "bound", "inverse", value)
@@ -475,11 +488,11 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize(
         "epsilon, delta, digest",
-        [
+        _by_input([
             ("0.1", "0.01", "e9250312ab070f091df85ca4c8c638f47a75f2cb69b9ec8ac994012f3fbb4459"),
             ("0.3", "0.4", "5b7efe11427cf2a4465191f8452c14697b059a8e2725daadd35f0848055f6576"),
             ("1e-6", "1e-9", "72fce77411e121286c7613102d05c6695a709dc2daa131d3fe682b123ab6be9c"),
-        ],
+        ]),
     )
     def test_samples(self, capsys, epsilon, delta, digest):
         code, out, _ = run_cli(capsys, "--json", "samples", epsilon, delta)
@@ -488,29 +501,29 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize(
         "flags, epsilon, delta, digest",
-        [
-            ((), "0.1", "0.01",
+        _by_input([
+            ("", "0.1", "0.01",
              "d34ccf423f8f9cb88c653bac6a5050e81bb752f40445ea2c2c2f00717a36e8eb"),
-            ((), "0.3", "0.4",
+            ("", "0.3", "0.4",
              "600e757bc04c54940c0ee70e5d1c9f1e097bb255c62c943a8e525924687f1ac6"),
-            ((), "1e-6", "1e-9",
+            ("", "1e-6", "1e-9",
              "72bebc55ac99060c8871a261d82918889deded5a1ef8358a0dc2521f31d82973"),
-            (("--ceil",), "0.1", "0.01",
+            ("--ceil", "0.1", "0.01",
              "79c45a8b1217a4189c367ab469a71fee55854d36dea5c413e5d115f3676a5e8a"),
-            (("--ceil",), "0.3", "0.4",
+            ("--ceil", "0.3", "0.4",
              "5f020d6b084333b0a375a0e85350d683bf0a39f4f1ee70b0a410c9d9cd9c8a99"),
-            (("--ceil",), "1e-6", "1e-9",
+            ("--ceil", "1e-6", "1e-9",
              "1e72a17c17d147c02847adb2989057e37f00c4c6204dbcb735ac45d3a9c49ff6"),
-            (("--json", "--ceil"), "0.1", "0.01",
+            ("--json --ceil", "0.1", "0.01",
              "0f2a1ade04d0ebf04a4147e38c4147383a94b1a160b71b3d0027b14beda731a5"),
-            (("--json", "--ceil"), "0.3", "0.4",
+            ("--json --ceil", "0.3", "0.4",
              "edb1e79e6434a8b407b8aa20738c531ff31948ba0243d7e23bf0f04bfb70f3d8"),
-            (("--json", "--ceil"), "1e-6", "1e-9",
+            ("--json --ceil", "1e-6", "1e-9",
              "a0bb33672132695b532bf7737d8e63f709470db14c46bcd8b78e49976f62e242"),
-        ],
+        ]),
     )
     def test_samples_text_and_ceil(self, capsys, flags, epsilon, delta, digest):
-        code, out, _ = run_cli(capsys, "samples", epsilon, delta, *flags)
+        code, out, _ = run_cli(capsys, "samples", epsilon, delta, *flags.split())
         assert code == 0
         assert _sha256(out) == digest
 

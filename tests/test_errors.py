@@ -2,6 +2,8 @@
 with a one-line message naming the argument, and every integer entry point
 does the same for a value that is not an integer."""
 
+import math
+
 import pytest
 
 from tvkl import (
@@ -94,6 +96,13 @@ def test_non_number_is_out_of_range(entry, value):
     message = str(info.value)
     assert message.startswith(f"{name}: ")
     assert "\n" not in message
+
+
+def test_negative_zero_is_read_as_zero():
+    # -0.0 is a valid 0, and no output or stored weight keeps its sign
+    values = [row.output for row in compare_bounds(-0.0)]
+    values += [*pinsker_via_tfl_optimal(-0.0), *bernoulli(-0.0).probs, kl_lower_bh(-0.0)]
+    assert all(math.copysign(1.0, v) == 1.0 for v in values), values
 
 
 P, Q = bernoulli(0.3), bernoulli(0.6)

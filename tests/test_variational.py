@@ -183,10 +183,10 @@ class TestPinskerViaTfl:
         assert pinsker_via_tfl_optimal(0.0) == (0.0, 0.0)
 
     def test_matches_pinsker_forward_exactly(self):
-        for i in range(200):
-            kl = i / 20.0
+        for kl in [i / 20.0 for i in range(200)] + [5e-324, 2.0**-1030]:
             _, bound = pinsker_via_tfl_optimal(kl)
-            assert abs(bound - tv_upper_pinsker(kl).output) <= 1e-15
+            assert bound == tv_upper_pinsker(kl).output
+        assert pinsker_via_tfl_optimal(5e-324)[1] > 0.0
 
     def test_every_other_budget_is_worse(self):
         for kl in (0.01, 0.5, 2.0, 7.0):
