@@ -226,19 +226,25 @@ def scan_bernoulli(
 # -- seeded random generation -----------------------------------------------
 
 
-def _draw_distribution(rng: random.Random, atoms: int, concentration: float) -> Distribution:
-    if atoms == 1:
-        return Distribution(("0",), (1.0,))
-    exponent = 1.0 / concentration
-    raw = [(1.0 - rng.random()) ** exponent for _ in range(atoms)]
+def _draw_weights(rng: random.Random, atoms: int, concentration: float) -> tuple:
+    # Seeded weights floored at WEIGHT_FLOOR before the renormalisation; the
+    # conditional picks what max(x, WEIGHT_FLOOR) would, without a call.
+    exponent, draw, floor = 1.0 / concentration, rng.random, WEIGHT_FLOOR
+    raw = [(1.0 - draw()) ** exponent for _ in range(atoms)]
     total = math.fsum(raw)
     if total == 0.0:
         raise OutOfRangeError(
             f"concentration: {concentration!r} too small, every weight underflows"
         )
-    floored = [max(w / total, WEIGHT_FLOOR) for w in raw]
+    floored = [floor if floor > x else x for x in [w / total for w in raw]]
     total = math.fsum(floored)
-    return Distribution(_default_labels(atoms), tuple(w / total for w in floored))
+    return tuple([w / total for w in floored])
+
+
+def _draw_distribution(rng: random.Random, atoms: int, concentration: float) -> Distribution:
+    if atoms == 1:
+        return Distribution(("0",), (1.0,))
+    return Distribution(_default_labels(atoms), _draw_weights(rng, atoms, concentration))
 
 
 def random_distribution(seed: int, atoms: int, concentration: float) -> Distribution:
@@ -256,11 +262,19 @@ def random_distribution(seed: int, atoms: int, concentration: float) -> Distribu
     return _draw_distribution(random.Random(seed), atoms, concentration)
 
 
+# Label tuples by size, up to the 64-atom cap of the randomized checks. Both
+# distributions of a seeded pair share one, so aligning them compares each
+# label with itself.
+_PAIR_LABELS = tuple(map(_default_labels, range(65)))
+
+
 def _seeded_pairs(rng: random.Random, trials: int, atoms: int, concentrations):
     # Lazy: the consumer may draw from rng between two pairs.
     for t in range(trials):
         n, c = rng.randint(2, atoms), concentrations[t % len(concentrations)]
-        yield _draw_distribution(rng, n, c), _draw_distribution(rng, n, c)
+        labels = _PAIR_LABELS[n]
+        p = Distribution(labels, _draw_weights(rng, n, c))
+        yield p, Distribution(labels, _draw_weights(rng, n, c))
 
 
 def _trial_report(inequality: InequalityId, grid: str, margins, floor: float) -> ScanReport:

@@ -429,8 +429,8 @@ def _by_input(cases):
 
 
 class TestPinnedOutputs:
-    """The stdout contract for figures, bounds and samples: any change to
-    these bytes is a visible change."""
+    """The stdout contract for figures, bounds, samples, div, verify and
+    dv: any change to these bytes is a visible change."""
 
     @pytest.mark.parametrize(
         "figure, digest",
@@ -534,6 +534,39 @@ class TestPinnedOutputs:
         assert _sha256(out) == (
             "9e64e1b7c82d47a2865ee9167820f92d03caa80e6055ab35569fd84dc09a5e95"
         )
+
+    # (p, q) as JSON objects: a relabelled q, a q-only label, and subnormal
+    # weights on both sides.
+    DIV_PAIRS = {
+        "relabelled": (
+            {"support": ["a", "b", "c", "d"], "probs": [0.1, 0.2, 0.3, 0.4]},
+            {"support": ["d", "c", "b", "a"], "probs": [0.1, 0.3, 0.35, 0.25]},
+        ),
+        "q_only": (
+            {"support": ["x", "y"], "probs": [0.7, 0.3]},
+            {"support": ["y", "z", "x"], "probs": [0.2, 0.1, 0.7]},
+        ),
+        "subnormal": (
+            {"support": ["a", "b", "c"], "probs": [1e-310, 0.5, 0.5]},
+            {"support": ["a", "b", "c"], "probs": [5e-324, 0.4, 0.6]},
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "pair, digest",
+        _by_input([
+            ("relabelled", "56a17dcfebf5fabe5edd147b0943da5440f136a9346c3ae3fe003ed06caa1808"),
+            ("q_only", "7a81a581d34e8da5241f8a2b43443a9923a52b0220154d8f13db02344a87b77b"),
+            ("subnormal", "d2352b789b9e00c9962514af90fce6e2f0472121b2a675532dd65cd676a06284"),
+        ]),
+    )
+    def test_div(self, capsys, tmp_path, pair, digest):
+        paths = [tmp_path / "p.json", tmp_path / "q.json"]
+        for path, payload in zip(paths, self.DIV_PAIRS[pair]):
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "--json", "div", *map(str, paths))
+        assert code == 0
+        assert _sha256(out) == digest
 
     def test_dv_text_at_the_default_seed(self, capsys, dist_files):
         code, out, _ = run_cli(capsys, "dv", dist_files["fair"], dist_files["biased"],

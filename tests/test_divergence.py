@@ -1,6 +1,8 @@
 import decimal
 import itertools
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,13 +11,16 @@ from tvkl import (
     EventSubset,
     MismatchedSupportsError,
     OutOfRangeError,
+    SupportMismatchError,
     TooLargeError,
+    WitnessFunction,
     bernoulli,
     bh_decomposition,
     binary_kl,
     binary_tv,
     event_mass,
     hellinger_affinity,
+    hoeffding_step_check,
     kl_divergence,
     kl_lower_vajda,
     new_distribution,
@@ -27,7 +32,14 @@ from tvkl import (
 from tvkl.distributions import Distribution
 from tvkl.divergence import _aligned
 from tvkl.samples import kl_per_toss
-from tvkl.variational import dv_optimal_witness, dv_value
+from tvkl.variational import _mean_difference, dv_optimal_witness, dv_value
+from tvkl.verify import (
+    WEIGHT_FLOOR,
+    _draw_distribution,
+    _hellinger_chain,
+    _seeded_pairs,
+    random_distribution,
+)
 from conftest import dist, seeded_pairs
 
 P3 = dist(0.2, 0.3, 0.5)
@@ -185,6 +197,241 @@ class TestAlignment:
         assert _aligned(p, Distribution(q_support, q_probs)) == (labels, pw, qw)
 
 
+# -- reference kernels --------------------------------------------------------
+#
+# The pair ops written one Python-level step per atom, kept as the reference
+# for the single-pass kernels: each kernel must match its copy bit for bit.
+
+
+def ref_log_ratio(a, b):
+    if a == b:
+        return 0.0
+    if a >= sys.float_info.min and b >= sys.float_info.min:
+        if 0.5 * b <= a <= 2.0 * b:
+            return math.log1p((a - b) / b)
+        return math.log(a) - math.log(b)
+    ratio = a / b
+    if ratio == 0.0 or math.isinf(ratio):
+        return math.log(a) - math.log(b)
+    return math.log(ratio)
+
+
+def ref_total_variation(pw, qw):
+    return min(0.5 * math.fsum(abs(a - b) for a, b in zip(pw, qw)), 1.0)
+
+
+def ref_kl_divergence(pw, qw):
+    terms = []
+    for a, b in zip(pw, qw):
+        if a <= 0.0:
+            continue
+        if b <= 0.0:
+            return math.inf
+        terms.append(a * ref_log_ratio(a, b))
+    return max(0.0, math.fsum(terms))
+
+
+def ref_hellinger_affinity(pw, qw):
+    # The sum of the per-atom terms, then 1 on identical weights and the
+    # clamp to 1 that keep it in range.
+    total = math.fsum(
+        a if a == b else math.sqrt(a) * math.sqrt(b) for a, b in zip(pw, qw)
+    )
+    return 1.0 if pw == qw else min(total, 1.0)
+
+
+def ref_overlap_identities(pw, qw):
+    return (math.fsum(min(a, b) for a, b in zip(pw, qw)),
+            math.fsum(max(a, b) for a, b in zip(pw, qw)))
+
+
+def ref_optimal_witness(pw, qw):
+    values = []
+    for a, b in zip(pw, qw):
+        if (a > 0.0) != (b > 0.0):
+            return None
+        values.append(0.0 if a == 0.0 else ref_log_ratio(a, b))
+    return tuple(values)
+
+
+def ref_log_mean_exp(weights, values):
+    shift = max(v for w, v in zip(weights, values) if w > 0.0)
+    total = math.fsum(
+        w * math.exp(v - shift) for w, v in zip(weights, values) if w > 0.0
+    )
+    return shift + math.log(total)
+
+
+def ref_dv_value(pw, qw, values):
+    return math.fsum(w * v for w, v in zip(pw, values)) - ref_log_mean_exp(qw, values)
+
+
+def ref_hoeffding_step_check(qw, values):
+    mean_q = math.fsum(w * v for w, v in zip(qw, values))
+    sup_norm = max(map(abs, values))
+    return mean_q + 0.5 * sup_norm**2 - ref_log_mean_exp(qw, values)
+
+
+def ref_mean_difference(pw, qw, values):
+    return math.fsum(v * (a - b) for a, b, v in zip(pw, qw, values))
+
+
+def ref_event_mass(weights, flags):
+    if all(flags):
+        return 1.0
+    mass = math.fsum(w for w, keep in zip(weights, flags) if keep)
+    return min(max(mass, 0.0), 1.0)
+
+
+def ref_witness_error(values):
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            return f"values[{i}]: {v!r} is not finite"
+    return None
+
+
+def ref_draw_weights(rng, atoms, concentration):
+    exponent = 1.0 / concentration
+    raw = [(1.0 - rng.random()) ** exponent for _ in range(atoms)]
+    total = math.fsum(raw)
+    floored = [max(w / total, WEIGHT_FLOOR) for w in raw]
+    total = math.fsum(floored)
+    return tuple(w / total for w in floored)
+
+
+def hexes(x):
+    """float.hex of a float, or of each float in a (nested) tuple."""
+    if isinstance(x, float):
+        return x.hex()
+    return tuple(map(hexes, x))
+
+
+def _labelled(support, probs):
+    return Distribution(tuple(support), tuple(probs))
+
+
+_W = 0.5 + 4e-10  # valid within SUM_TOLERANCE; two of them sum above 1
+
+#: Pairs covering each branch of the kernels, by name.
+KERNEL_PAIRS = {
+    "same_order": (dist(0.1, 0.2, 0.3, 0.4), dist(0.25, 0.35, 0.3, 0.1)),
+    "relabelled": (
+        _labelled("abcd", (0.1, 0.2, 0.3, 0.4)),
+        _labelled("dcba", (0.1, 0.3, 0.35, 0.25)),
+    ),
+    "p_only_label": (
+        _labelled("abc", (0.2, 0.3, 0.5)),
+        _labelled("ba", (0.4, 0.6)),
+    ),
+    "q_only_label": (
+        _labelled("xy", (0.7, 0.3)),
+        _labelled("yzx", (0.2, 0.1, 0.7)),
+    ),
+    "zero_weights": (dist(0.0, 0.5, 0.5), dist(0.0, 0.4, 0.6)),
+    "zero_in_q_only": (dist(0.2, 0.3, 0.5), dist(0.5, 0.5, 0.0)),
+    "subnormal": (dist(1e-310, 0.5, 0.5), dist(5e-324, 0.4, 0.6)),
+    "subnormal_ratio_overflows": (dist(1.0, 0.0), dist(5e-324, 1.0)),
+    "subnormal_against_normal": (dist(5e-324, 1.0), dist(1e-300, 1.0)),
+    "equal_atoms": (dist(0.2, 0.3, 0.5), dist(0.2, 0.4, 0.4)),
+    "identical": (dist(_W, _W), dist(_W, _W)),
+    # p = q/2, p = 2q and p = q atomwise, then just outside q/2 and 2q
+    "at_half_and_twice": (dist(0.25, 0.5, 0.25), dist(0.5, 0.25, 0.25)),
+    "just_outside_half_and_twice": (
+        dist(math.nextafter(0.25, 0.0), math.nextafter(0.5, 1.0), 0.25),
+        dist(0.5, 0.25, 0.25),
+    ),
+    "weight_floor": (dist(1e-12, 1e-12, 1.0 - 2e-12), dist(1e-12, 0.5, 0.5 - 1e-12)),
+    "signed_zero": (dist(-0.0, 1.0), dist(0.0, 1.0)),
+    "summing_above_one": (dist(_W, _W), dist(_W, math.nextafter(_W, 1.0))),
+}
+
+
+def _random_witness(n, seed):
+    rng = random.Random(seed)
+    return tuple(rng.uniform(-3.0, 3.0) for _ in range(n))
+
+
+class TestKernelReference:
+    """Every rewritten kernel against its reference copy, by float.hex."""
+
+    @staticmethod
+    def check(p, q, seed=0):
+        _, pw, qw = _aligned(p, q)
+        assert hexes(total_variation(p, q)) == hexes(ref_total_variation(pw, qw))
+        assert hexes(kl_divergence(p, q)) == hexes(ref_kl_divergence(pw, qw))
+        assert hexes(hellinger_affinity(p, q)) == hexes(ref_hellinger_affinity(pw, qw))
+        assert hexes(overlap_identities(p, q)) == hexes(ref_overlap_identities(pw, qw))
+        expected = ref_optimal_witness(pw, qw)
+        if expected is None:
+            with pytest.raises(SupportMismatchError):
+                dv_optimal_witness(p, q)
+        else:
+            assert hexes(dv_optimal_witness(p, q).values) == hexes(expected)
+        witnesses = [_random_witness(len(pw), seed)]
+        if expected is not None:
+            witnesses.append(expected)
+        for values in witnesses:
+            f = WitnessFunction(values)
+            assert hexes(dv_value(p, q, f)) == hexes(ref_dv_value(pw, qw, values))
+            assert hexes(hoeffding_step_check(p, q, f)) == hexes(
+                ref_hoeffding_step_check(qw, values)
+            )
+            assert hexes(_mean_difference(pw, qw, values)) == hexes(
+                ref_mean_difference(pw, qw, values)
+            )
+        rng = random.Random(seed)
+        for _ in range(4):
+            flags = tuple(rng.random() < 0.5 for _ in pw)
+            event = EventSubset(flags)
+            for weights in (pw, qw):
+                assert hexes(event_mass(weights, event)) == hexes(
+                    ref_event_mass(weights, flags)
+                )
+
+    @pytest.mark.parametrize("name", KERNEL_PAIRS)
+    def test_branch_pairs(self, name):
+        p, q = KERNEL_PAIRS[name]
+        self.check(p, q)
+        self.check(q, p)
+
+    def test_seeded_pairs_same_order_and_relabelled(self):
+        for i, (p, q) in enumerate(seeded_pairs(60, 40, seed=23)):
+            order = random.Random(i).sample(range(len(q)), len(q))
+            relabelled = _labelled(
+                (q.support[j] for j in order), (q.probs[j] for j in order)
+            )
+            self.check(p, q, seed=i)
+            self.check(p, relabelled, seed=i)
+
+    @given(overlapping_pair())
+    def test_overlapping_pairs(self, pair):
+        self.check(*pair)
+
+    @pytest.mark.parametrize(
+        "values",
+        [(math.inf,), (1.0, math.nan), (0.0, -math.inf, math.nan), (2.0, 1.0, -math.inf)],
+    )
+    def test_witness_error_names_the_first_non_finite_value(self, values):
+        with pytest.raises(OutOfRangeError) as exc:
+            WitnessFunction(values)
+        assert str(exc.value) == ref_witness_error(values)
+
+    def test_seeded_draws(self):
+        cases = itertools.product(range(20), (2, 17, 64), (1.0, 0.3, 0.01))
+        for seed, atoms, concentration in cases:
+            drawn = _draw_distribution(random.Random(seed), atoms, concentration)
+            expected = ref_draw_weights(random.Random(seed), atoms, concentration)
+            assert hexes(drawn.probs) == hexes(expected)
+            assert drawn.support == tuple(map(str, range(atoms)))
+        concentrations = (1.0, 0.1, 0.01)
+        rng, reference = random.Random(5), random.Random(5)
+        for t, (p, q) in enumerate(_seeded_pairs(rng, 50, 64, concentrations)):
+            n, c = reference.randint(2, 64), concentrations[t % 3]
+            expected = ref_draw_weights(reference, n, c), ref_draw_weights(reference, n, c)
+            assert hexes((p.probs, q.probs)) == hexes(expected)
+            assert p.support is q.support == tuple(map(str, range(n)))
+
+
 class TestSubsetOracle:
     def test_three_atom_supremum(self):
         assert tv_subset_oracle(P3, Q3) == pytest.approx(0.3, abs=1e-15)
@@ -333,12 +580,29 @@ class TestHellingerAffinity:
     def test_disjoint_is_zero(self):
         assert hellinger_affinity(bernoulli(1.0), bernoulli(0.0)) == 0.0
 
+    def test_identity_is_one_however_the_weights_round(self):
+        # Identical weights sum to 1 only within SUM_TOLERANCE; the affinity
+        # of p with itself, relabelled or not, is still exactly 1.
+        for seed in range(2000):
+            p = random_distribution(seed, 17, 1.0)
+            relabelled = Distribution(p.support[::-1], p.probs[::-1])
+            assert hellinger_affinity(p, p) == hellinger_affinity(p, relabelled) == 1.0
+
+    def test_clamped_to_one_on_pairs_summing_above_one(self):
+        w = 0.5 + 4e-10
+        p = Distribution(("a", "b"), (w, w))
+        q = Distribution(("a", "b"), (w, math.nextafter(w, 1.0)))
+        assert hellinger_affinity(p, p) == hellinger_affinity(p, q) == 1.0
+        # so the hellinger chain holds at the pair, with margin 0
+        aff2 = hellinger_affinity(p, p) ** 2
+        assert _hellinger_chain(total_variation(p, p), kl_divergence(p, p), aff2) == 0.0
+
     @given(integer_weight_pair())
     def test_symmetric_unit_range_one_iff_equal(self, pair):
         p, q = pair
         aff = hellinger_affinity(p, q)
         assert aff == hellinger_affinity(q, p)
-        assert 0.0 <= aff <= 1.0 + 1e-12
+        assert 0.0 <= aff <= 1.0
         if p.probs != q.probs:
             assert aff < 1.0
 
