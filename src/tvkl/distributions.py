@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 from .errors import (
@@ -42,11 +42,15 @@ class Distribution:
 
     ``support`` holds pairwise-distinct atom labels; ``probs`` holds the
     aligned weights, each >= 0, summing to 1 within ``SUM_TOLERANCE``.
-    Instances are safe to share across threads.
+    Instances are safe to share across threads: the one private slot,
+    ``_align``, memoises this instance's alignment as the q of a pair (see
+    ``divergence._aligned``), and it is written in one attribute store of a
+    finished tuple. It takes no part in ``==``, ``hash``, ``repr`` or pickling.
     """
 
     support: tuple[str, ...]
     probs: tuple[float, ...]
+    _align: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.support:
@@ -72,6 +76,20 @@ class Distribution:
 
     def __len__(self) -> int:
         return len(self.support)
+
+    def __reduce__(self):
+        # Pickle and copy the two public fields only, rebuilt with every check.
+        return type(self), (self.support, self.probs)
+
+    @classmethod
+    def _trusted(cls, support: tuple, probs: tuple) -> Distribution:
+        # An instance built without a check, for builders whose output is
+        # valid by construction; each caller states why its output is.
+        self = object.__new__(cls)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_align", None)
+        return self
 
 
 def _check_weights(probs) -> None:
@@ -154,7 +172,9 @@ def bernoulli(p: float) -> Distribution:
     """Two-atom distribution with weight ``p`` on label "1" and ``1 - p`` on
     label "0". Boundary values keep their zero atom."""
     p = _unit("p", p)
-    return Distribution(("1", "0"), (p, 1.0 - p))
+    # Valid by construction: p and 1 - p are floats in [0, 1] whose sum
+    # rounds to within an ulp of 1.
+    return Distribution._trusted(("1", "0"), (p, 1.0 - p))
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,11 +217,16 @@ def tensor_power(spec: ProductSpec) -> Distribution:
         weights = [x * y for x in weights for y in base.probs]
     if k == 1:
         labels = (LABEL_SEPARATOR.join(base.support * n),)
-    try:
+    total = math.fsum(weights)
+    if abs(total - 1.0) > SUM_TOLERANCE:  # the base sums to S, the weights to S^n
+        weights = [w / total for w in weights]
+    # Valid by construction when no base label holds the reserved separator:
+    # the joined labels are then distinct strings, and products of the
+    # base's finite nonnegative weights are finite and nonnegative. A base
+    # built directly may hold it, so its labels go through every check.
+    if any(LABEL_SEPARATOR in label for label in base.support):
         return Distribution(tuple(labels), tuple(weights))
-    except SumToleranceError:  # the base sums to S and the weights to S^n
-        total = math.fsum(weights)
-        return Distribution(tuple(labels), tuple(w / total for w in weights))
+    return Distribution._trusted(tuple(labels), tuple(weights))
 
 
 # ---------------------------------------------------------------------------

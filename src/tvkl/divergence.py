@@ -7,6 +7,8 @@ Conventions. KL uses 0 log 0 = 0 and returns +inf exactly when p puts mass
 on an atom where q has none; it is therefore a total function with values in
 [0, +inf]. Two distributions are aligned by label union, missing labels
 getting weight 0, so support mismatch is explicit rather than an error.
+A pair in different label orders is aligned once: :func:`_aligned` memoises
+the alignment on q, so the ops that follow on the same pair reuse it.
 All sums run over atoms in support order through ``math.fsum``, which is an
 exactly-rounded compensated sum: results are reproducible across platforms.
 
@@ -43,17 +45,33 @@ def _aligned(p: Distribution, q: Distribution):
 
     Returns ``(labels, p_weights, q_weights)``. The union keeps p's label
     order and appends q-only labels in q's order; absent labels get weight 0.
+
+    The alignment of a pair in different label orders is memoised on q, in
+    its private ``_align`` slot, keyed by the identity of ``p.support``: the
+    union labels, q's aligned weights and the q-only count depend on p's
+    labels alone, so every p holding that tuple, whatever its weights,
+    aligns against q the same way. The slot holds the tuple itself, not its
+    ``id``, so the key cannot be reused by a later tuple, and one slot keeps
+    one entry: the memo dies with q.
     """
     if p.support == q.support:
         return p.support, p.probs, q.probs
-    # An update keeps the place of a key already present and appends a new
-    # one, so the union map holds p's labels, then q-only labels in q's order.
-    union = dict.fromkeys(p.support, 0.0)
-    union.update(zip(q.support, q.probs))
-    q_only = len(union) - len(p.support)
+    memo = q._align
+    if memo is not None and memo[0] is p.support:
+        _, labels, qw, q_only = memo
+    else:
+        # An update keeps the place of a key already present and appends a
+        # new one, so the union map holds p's labels, then q-only labels in
+        # q's order.
+        union = dict.fromkeys(p.support, 0.0)
+        union.update(zip(q.support, q.probs))
+        q_only = len(union) - len(p.support)
+        labels = tuple(union) if q_only else p.support
+        qw = tuple(union.values())
+        object.__setattr__(q, "_align", (p.support, labels, qw, q_only))
     if not q_only:
-        return p.support, p.probs, tuple(union.values())
-    return tuple(union), p.probs + (0.0,) * q_only, tuple(union.values())
+        return labels, p.probs, qw
+    return labels, p.probs + (0.0,) * q_only, qw
 
 
 def _log_ratio(a: float, b: float) -> float:

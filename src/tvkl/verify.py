@@ -242,9 +242,13 @@ def _draw_weights(rng: random.Random, atoms: int, concentration: float) -> tuple
 
 
 def _draw_distribution(rng: random.Random, atoms: int, concentration: float) -> Distribution:
+    # Valid by construction: distinct labels "0", "1", ..., and positive
+    # finite weights divided by their sum, which is then 1 within rounding.
     if atoms == 1:
-        return Distribution(("0",), (1.0,))
-    return Distribution(_default_labels(atoms), _draw_weights(rng, atoms, concentration))
+        return Distribution._trusted(("0",), (1.0,))
+    return Distribution._trusted(
+        _default_labels(atoms), _draw_weights(rng, atoms, concentration)
+    )
 
 
 def random_distribution(seed: int, atoms: int, concentration: float) -> Distribution:
@@ -273,8 +277,9 @@ def _seeded_pairs(rng: random.Random, trials: int, atoms: int, concentrations):
     for t in range(trials):
         n, c = rng.randint(2, atoms), concentrations[t % len(concentrations)]
         labels = _PAIR_LABELS[n]
-        p = Distribution(labels, _draw_weights(rng, n, c))
-        yield p, Distribution(labels, _draw_weights(rng, n, c))
+        # Valid by construction, as in _draw_distribution.
+        p = Distribution._trusted(labels, _draw_weights(rng, n, c))
+        yield p, Distribution._trusted(labels, _draw_weights(rng, n, c))
 
 
 def _trial_report(inequality: InequalityId, grid: str, margins, floor: float) -> ScanReport:

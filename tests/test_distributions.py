@@ -1,6 +1,9 @@
+import copy
 import itertools
 import json
 import math
+import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,7 +29,10 @@ from tvkl import (
     new_distribution,
     tensor_power,
 )
+from tvkl.distributions import _default_labels, to_json_dict
+from tvkl.divergence import _aligned
 from tvkl.errors import ValidationError
+from tvkl.verify import _draw_distribution, _seeded_pairs
 
 
 class TestNewDistribution:
@@ -193,10 +199,12 @@ class TestTensorPower:
             assert [w.hex() for w in d.probs] == [w.hex() for w in weights]
 
     def test_colliding_product_labels_rejected(self):
-        # a base built directly may carry the separator in a label
+        # a base built directly may carry the separator in a label: ("a",
+        # "a·a") squared gives the label "a·a·a" twice
         base = Distribution(("a", f"a{LABEL_SEPARATOR}a"), (0.5, 0.5))
-        with pytest.raises(DuplicateLabelError):
-            tensor_power(ProductSpec(base, 3))
+        for power in (2, 3):
+            with pytest.raises(DuplicateLabelError):
+                tensor_power(ProductSpec(base, power))
 
     @pytest.mark.parametrize(
         "probs", [(0.5 + 4e-10, 0.5 + 4e-10), (0.5, 0.5 + 9e-10), (0.5 - 5e-10, 0.5 - 4e-10)]
@@ -208,6 +216,7 @@ class TestTensorPower:
         for power in range(1, 13):
             d = tensor_power(ProductSpec(base, power))
             assert abs(math.fsum(d.probs) - 1.0) <= SUM_TOLERANCE
+            assert_bit_identical(d, checked_tensor_power(base, power))
 
     def test_one_atom_base_at_a_high_power(self):
         n = 40_000
@@ -359,3 +368,81 @@ def test_direct_construction_names_the_first_bad_atom(support, probs, error, mes
         Distribution(support, probs)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+# -- builders that skip the constructor's checks -----------------------------
+
+
+def checked_tensor_power(base, power):
+    """The product built atom by atom through the checked constructor, its
+    weights divided by their sum if the constructor refuses that sum."""
+    combos = list(itertools.product(range(len(base)), repeat=power))
+    labels = tuple(LABEL_SEPARATOR.join(base.support[i] for i in c) for c in combos)
+    weights = tuple(math.prod(base.probs[i] for i in c) for c in combos)
+    try:
+        return Distribution(labels, weights)
+    except SumToleranceError:
+        total = math.fsum(weights)
+        return Distribution(labels, tuple(w / total for w in weights))
+
+
+def assert_bit_identical(d, expected):
+    assert d.support == expected.support
+    assert [w.hex() for w in d.probs] == [w.hex() for w in expected.probs]
+
+
+@st.composite
+def product_bases(draw):
+    raw = draw(weight_lists())
+    labels = draw(st.lists(st.text("abxyz", min_size=1, max_size=3),
+                           min_size=len(raw), max_size=len(raw), unique=True))
+    power = draw(st.integers(min_value=1, max_value=4 if len(raw) <= 4 else 2))
+    return new_distribution(raw, labels, renormalize=True), power
+
+
+class TestTrustedBuilders:
+    """Builders whose output is valid by construction skip the checks; each
+    must give what the checked constructor gives, and accept no input the
+    checked path refuses."""
+
+    @given(product_bases())
+    def test_tensor_power_matches_the_checked_path(self, base_power):
+        base, power = base_power
+        d = tensor_power(ProductSpec(base, power))
+        assert_bit_identical(d, checked_tensor_power(base, power))
+        assert Distribution(d.support, d.probs) == d
+
+    def test_seeded_draws_match_the_checked_path(self):
+        cases = itertools.product(range(10), (1, 2, 17, 64), (1.0, 0.3, 0.01))
+        for seed, atoms, concentration in cases:
+            d = _draw_distribution(random.Random(seed), atoms, concentration)
+            assert d.support == _default_labels(atoms)
+            assert_bit_identical(d, Distribution(d.support, d.probs))
+        for p, q in _seeded_pairs(random.Random(7), 200, 64, (1.0, 0.1, 0.01)):
+            assert_bit_identical(p, Distribution(p.support, p.probs))
+            assert_bit_identical(q, Distribution(q.support, q.probs))
+
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    def test_bernoulli_matches_the_checked_path(self, p):
+        assert_bit_identical(bernoulli(p), Distribution(("1", "0"), (p, 1.0 - p)))
+
+    def test_a_filled_memo_changes_no_public_behaviour(self):
+        p = Distribution(("a", "b"), (0.25, 0.75))
+        q = Distribution(("b", "c", "a"), (0.5, 0.25, 0.25))
+        twin = Distribution(q.support, q.probs)
+        _aligned(p, q)
+        assert q._align is not None and twin._align is None
+        assert q == twin and hash(q) == hash(twin)
+        assert repr(q) == repr(twin)
+        assert to_json_dict(q) == to_json_dict(twin)
+        assert dumps_distribution(q) == dumps_distribution(twin)
+
+    def test_copy_and_pickle_give_an_equal_distribution(self):
+        p = Distribution(("a", "b"), (0.25, 0.75))
+        q = Distribution(("b", "c", "a"), (0.5, 0.25, 0.25))
+        _aligned(p, q)
+        for other in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert other == q and hash(other) == hash(q)
+            assert other._align is None
+        trusted = bernoulli(0.25)
+        assert pickle.loads(pickle.dumps(trusted)) == trusted == copy.copy(trusted)

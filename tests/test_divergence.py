@@ -432,6 +432,130 @@ class TestKernelReference:
             assert p.support is q.support == tuple(map(str, range(n)))
 
 
+def _optimal_witness_or_none(p, q, f):
+    try:
+        return dv_optimal_witness(p, q).values
+    except SupportMismatchError:
+        return None
+
+
+#: Every pair op, by name, given the pair and a witness of the aligned size.
+MEMO_OPS = {
+    "tv": lambda p, q, f: total_variation(p, q),
+    "kl": lambda p, q, f: kl_divergence(p, q),
+    "affinity": lambda p, q, f: hellinger_affinity(p, q),
+    "overlap": lambda p, q, f: overlap_identities(p, q),
+    "witness": _optimal_witness_or_none,
+    "dv": dv_value,
+    "hoeffding": hoeffding_step_check,
+}
+
+
+def memo_ops(p, q, names=MEMO_OPS):
+    """The named pair ops of (p, q) by float.hex, in order, the witness ones
+    at a seeded witness of the aligned size; the optimal witness is None
+    where it does not exist."""
+    f = WitnessFunction(_random_witness(len(three_path_aligned(p, q)[0]), 0))
+    out = {}
+    for name in names:
+        value = MEMO_OPS[name](p, q, f)
+        out[name] = None if value is None else hexes(value)
+    return out
+
+
+def reference_ops(p, q):
+    """``memo_ops`` from the three-path alignment and the reference kernels."""
+    _, pw, qw = three_path_aligned(p, q)
+    values = _random_witness(len(pw), 0)
+    witness = ref_optimal_witness(pw, qw)
+    return {
+        "tv": hexes(ref_total_variation(pw, qw)),
+        "kl": hexes(ref_kl_divergence(pw, qw)),
+        "affinity": hexes(ref_hellinger_affinity(pw, qw)),
+        "overlap": hexes(ref_overlap_identities(pw, qw)),
+        "witness": None if witness is None else hexes(witness),
+        "dv": hexes(ref_dv_value(pw, qw, values)),
+        "hoeffding": hexes(ref_hoeffding_step_check(qw, values)),
+    }
+
+
+def fresh(d):
+    """An equal distribution with an empty alignment memo."""
+    return Distribution(d.support, d.probs)
+
+
+class TestAlignmentMemo:
+    """``_aligned`` memoises a relabelled pair's alignment on q; every op
+    must give the bits of the three-path alignment and the reference kernels
+    whether the memo misses, hits, or holds another p's entry."""
+
+    @given(overlapping_pair())
+    def test_every_op_on_a_miss(self, pair):
+        p, q = pair
+        expected = reference_ops(p, q)
+        for name in MEMO_OPS:
+            q = fresh(q)
+            assert q._align is None
+            assert memo_ops(p, q, [name])[name] == expected[name]
+
+    @given(overlapping_pair())
+    def test_every_op_on_a_hit(self, pair):
+        p, q = pair
+        _aligned(p, q)
+        if p.support != q.support:
+            assert q._align[0] is p.support
+        assert memo_ops(p, q) == reference_ops(p, q)
+        assert _aligned(p, q) == three_path_aligned(p, q)
+
+    @given(overlapping_pair(), overlapping_pair())
+    def test_against_p1_then_p2_then_p1(self, pair1, pair2):
+        p1, q = pair1
+        p2 = pair2[0]
+        for p in (p1, p2, p1):
+            assert memo_ops(p, q) == reference_ops(p, q)
+            assert _aligned(p, q) == three_path_aligned(p, q)
+
+    def test_two_ps_sharing_one_label_tuple(self):
+        # The memo holds q's side only: a second p on the same label tuple
+        # hits it with its own weights.
+        labels = tuple("abcde")
+        p1 = Distribution(labels, (0.1, 0.2, 0.3, 0.25, 0.15))
+        p2 = Distribution(labels, (0.4, 0.05, 0.05, 0.3, 0.2))
+        q = _labelled("ecabd", (0.3, 0.1, 0.2, 0.15, 0.25))
+        for p in (p1, p2, p1, p2):
+            assert memo_ops(p, q) == reference_ops(p, q)
+            assert q._align[0] is labels
+            assert _aligned(p, q)[1] is p.probs
+
+    def test_seeded_pairs_sharing_one_label_tuple(self):
+        # _seeded_pairs gives both distributions of a pair one label tuple;
+        # each is aligned in turn against a relabelled copy of the second.
+        for i, (p, q) in enumerate(_seeded_pairs(random.Random(3), 40, 12, (1.0, 0.3))):
+            order = random.Random(i).sample(range(len(q)), len(q))
+            r = _labelled((q.support[j] for j in order), (q.probs[j] for j in order))
+            for a in (p, q, p):
+                assert memo_ops(a, r) == reference_ops(a, r)
+            if r.support != p.support:  # not drawn in the same order
+                assert r._align[0] is p.support is q.support
+
+    def test_q_only_labels(self):
+        p = _labelled("xy", (0.7, 0.3))
+        q = _labelled("yzxw", (0.2, 0.1, 0.6, 0.1))
+        for _ in range(2):
+            assert memo_ops(p, q) == reference_ops(p, q)
+            assert _aligned(p, q) == three_path_aligned(p, q)
+            assert q._align[3] == 2
+        assert memo_ops(q, p) == reference_ops(q, p)
+        assert kl_divergence(q, p) == math.inf
+
+    @given(overlapping_pair())
+    def test_reversed_pair(self, pair):
+        # kl(q, p) memoises on p while kl(p, q) keeps its entry on q
+        p, q = pair
+        for a, b in ((p, q), (q, p), (p, q), (q, p)):
+            assert memo_ops(a, b) == reference_ops(a, b)
+
+
 class TestSubsetOracle:
     def test_three_atom_supremum(self):
         assert tv_subset_oracle(P3, Q3) == pytest.approx(0.3, abs=1e-15)
