@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import OutOfRangeError, _real, _unit
 
@@ -68,7 +68,19 @@ BEST_TIE_ORDER = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot descriptor, in field order.
+
+    A frozen dataclass's generated ``__init__`` stores each field through
+    ``object.__setattr__``; storing through the slot itself does the same in
+    about half the time. A class that does so declares ``init=False`` and
+    keeps every other generated method, so assignment and deletion still
+    raise ``FrozenInstanceError``.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class BoundEvaluation:
     """One bound applied to one input. ``vacuous`` is True iff a forward
     output is >= 1 (the bh bound is never flagged: its limit value 1 is only
@@ -78,6 +90,16 @@ class BoundEvaluation:
     input: float
     output: float
     vacuous: bool
+
+    def __init__(self, bound: BoundId, input: float, output: float, vacuous: bool) -> None:
+        set_bound, set_input, set_output, set_vacuous = _EVALUATION_SLOTS
+        set_bound(self, bound)
+        set_input(self, input)
+        set_output(self, output)
+        set_vacuous(self, vacuous)
+
+
+_EVALUATION_SLOTS = _slot_setters(BoundEvaluation)
 
 
 def _check_kl(kl: float) -> float:
@@ -201,15 +223,43 @@ _INVERSE = {
 }
 
 
+#: Forward bounds in report order.
+FORWARD_ORDER = (
+    BoundId.PINSKER,
+    BoundId.BH,
+    BoundId.TSYBAKOV,
+    BoundId.WEAK_BH,
+    BoundId.VAJDA,
+    BoundId.TRIVIAL,
+)
+
+#: (bound, curve, flagged) per forward bound, in report order. Only a
+#: flagged row can be vacuous: every bound but bh, whose limit 1 is only
+#: reached at kl = +inf. Built once, so an evaluation hashes no enum.
+_FORWARD_ROWS = tuple(
+    (bound, _FORWARD[bound], bound is not BoundId.BH) for bound in FORWARD_ORDER
+)
+_FORWARD_ROW = {row[0]: row for row in _FORWARD_ROWS}
+_BEST_ROWS = tuple(_FORWARD_ROW[bound] for bound in BEST_TIE_ORDER)
+
+
+def _evaluate(rows: tuple, kl: float) -> list[BoundEvaluation]:
+    """Each row at one checked kl; the one place the vacuity rule is
+    written."""
+    return [
+        BoundEvaluation(bound, kl, output, flagged and output >= 1.0)
+        for bound, curve, flagged in rows
+        for output in (curve(kl),)
+    ]
+
+
 def forward_value(bound: BoundId, kl: float) -> float:
     """Raw forward curve value, same code path the evaluations use."""
     return _FORWARD[bound](_check_kl(kl))
 
 
 def _evaluate_forward(bound: BoundId, kl: float) -> BoundEvaluation:
-    output = _FORWARD[bound](kl)
-    vacuous = False if bound is BoundId.BH else output >= 1.0
-    return BoundEvaluation(bound, kl, output, vacuous)
+    return _evaluate((_FORWARD_ROW[bound],), kl)[0]
 
 
 def tv_upper_pinsker(kl: float) -> BoundEvaluation:
@@ -240,11 +290,18 @@ def tv_upper_best(kl: float) -> BoundEvaluation:
     """Smallest of the closed-form forward bounds (and the trivial 1), as
     ``compare_bounds`` reports it.
 
-    Ties break toward bh, then tsybakov, pinsker, weak_bh, trivial.
+    Ties break toward bh, then tsybakov, pinsker, weak_bh, trivial. Only
+    the winner is built; its curve is evaluated again, to the same bits.
     """
     kl = _check_kl(kl)
-    rows = (_evaluate_forward(bound, kl) for bound in BEST_TIE_ORDER)
-    return min(rows, key=lambda row: row.output)
+    best = min(_BEST_ROWS, key=lambda row: row[1](kl))
+    return _evaluate((best,), kl)[0]
+
+
+def compare_bounds(kl: float) -> list[BoundEvaluation]:
+    """Evaluate every forward bound (vajda by numeric inversion, plus the
+    trivial 1) at one KL value, each tagged with its vacuity."""
+    return _evaluate(_FORWARD_ROWS, _check_kl(kl))
 
 
 # -- inverse bounds ---------------------------------------------------------
@@ -254,15 +311,18 @@ def tv_upper_best(kl: float) -> BoundEvaluation:
 INVERSE_ORDER = (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV, BoundId.VAJDA)
 
 
+def inverse_value(bound: BoundId, tv: float) -> float:
+    """Raw inverse curve value: the one path that checks tv and evaluates
+    an inverse curve, for ``kl_lower``, the ``kl_lower_*`` entries and the
+    figures."""
+    tv = _unit("tv", tv)
+    return _INVERSE[bound](tv, 1.0 - tv)
+
+
 def kl_lower(bound: BoundId, tv: float) -> BoundEvaluation:
     """Evaluate one inverse bound; inverse outputs are never vacuous."""
     tv = _unit("tv", tv)
-    return BoundEvaluation(bound, tv, _INVERSE[bound](tv, 1.0 - tv), False)
-
-
-def inverse_value(bound: BoundId, tv: float) -> float:
-    """Raw inverse curve value, same code path the evaluations use."""
-    return kl_lower(bound, tv).output
+    return BoundEvaluation(bound, tv, inverse_value(bound, tv), False)
 
 
 def kl_lower_pinsker(tv: float) -> float:
@@ -296,21 +356,3 @@ def kl_lower_vajda(tv: float) -> float:
     t = 1 (returns +inf); rejects t outside [0, 1].
     """
     return inverse_value(BoundId.VAJDA, tv)
-
-
-#: Forward bounds in report order.
-FORWARD_ORDER = (
-    BoundId.PINSKER,
-    BoundId.BH,
-    BoundId.TSYBAKOV,
-    BoundId.WEAK_BH,
-    BoundId.VAJDA,
-    BoundId.TRIVIAL,
-)
-
-
-def compare_bounds(kl: float) -> list[BoundEvaluation]:
-    """Evaluate every forward bound (vajda by numeric inversion, plus the
-    trivial 1) at one KL value, each tagged with its vacuity."""
-    kl = _check_kl(kl)
-    return [_evaluate_forward(bound, kl) for bound in FORWARD_ORDER]

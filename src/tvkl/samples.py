@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import _INVERSE, BoundId
+from .bounds import _INVERSE, BoundId, _slot_setters
 from .errors import OutOfRangeError, _real
 
 #: Flag set on a report when the simplified bh closed form exceeds the exact
@@ -42,7 +42,7 @@ _PINSKER, _BH, _TSYBAKOV = (
     _INVERSE[b] for b in (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SampleComplexityQuery:
     """Bias epsilon in (0, 1/3) and error budget delta in (0, 1/2), both
     strict: the routes are only valid inside the open box. Nor may eps^2 or
@@ -52,17 +52,18 @@ class SampleComplexityQuery:
     epsilon: float
     delta: float
 
-    def __post_init__(self):
-        e, d = _check_epsilon(self.epsilon), _real("delta", self.delta)
-        if e**2 == 0.0 or kl_per_toss(e) == 0.0:  # every route divides by one
+    def __init__(self, epsilon: float, delta: float) -> None:
+        e, d = _check_epsilon(epsilon), _real("delta", delta)
+        if e**2 == 0.0 or _kl_per_toss(e) == 0.0:  # every route divides by one
             raise OutOfRangeError(f"epsilon: {e!r} too small, eps^2 or its KL is 0.0")
         if not (0.0 < d < 0.5):
             raise OutOfRangeError(f"delta: {d!r} not in (0, 1/2)")
-        object.__setattr__(self, "epsilon", e)
-        object.__setattr__(self, "delta", d)
+        set_epsilon, set_delta = _QUERY_SLOTS
+        set_epsilon(self, e)
+        set_delta(self, d)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SampleComplexityReport:
     """Every route at one query, flat: its fields, in order, are what
     ``tvkl samples`` prints."""
@@ -77,6 +78,34 @@ class SampleComplexityReport:
     n_bh_simplified: float
     notes: tuple[str, ...]
 
+    def __init__(
+        self,
+        epsilon: float,
+        delta: float,
+        required_tv: float,
+        kl_per_toss: float,
+        n_pinsker: float,
+        n_bh: float,
+        n_tsybakov: float,
+        n_bh_simplified: float,
+        notes: tuple[str, ...],
+    ) -> None:
+        (set_epsilon, set_delta, set_required_tv, set_kl_per_toss, set_n_pinsker,
+         set_n_bh, set_n_tsybakov, set_n_bh_simplified, set_notes) = _REPORT_SLOTS
+        set_epsilon(self, epsilon)
+        set_delta(self, delta)
+        set_required_tv(self, required_tv)
+        set_kl_per_toss(self, kl_per_toss)
+        set_n_pinsker(self, n_pinsker)
+        set_n_bh(self, n_bh)
+        set_n_tsybakov(self, n_tsybakov)
+        set_n_bh_simplified(self, n_bh_simplified)
+        set_notes(self, notes)
+
+
+_QUERY_SLOTS = _slot_setters(SampleComplexityQuery)
+_REPORT_SLOTS = _slot_setters(SampleComplexityReport)
+
 
 def required_tv(query: SampleComplexityQuery) -> float:
     """Total variation the n-fold pair must reach: 1 - 2 delta."""
@@ -88,7 +117,10 @@ def kl_per_toss(epsilon: float) -> float:
 
     Matches the generic two-point divergence on the same pair to 1e-15.
     """
-    e = _check_epsilon(epsilon)
+    return _kl_per_toss(_check_epsilon(epsilon))
+
+
+def _kl_per_toss(e: float) -> float:
     return -0.5 * math.log1p(-4.0 * e * e)
 
 

@@ -1,10 +1,14 @@
+import copy
+import dataclasses
 import decimal
 import math
+import pickle
 from decimal import Decimal
 
 import pytest
 
 from tvkl import (
+    BoundEvaluation,
     BoundId,
     OutOfRangeError,
     WEAK_BH_FACTOR,
@@ -13,6 +17,7 @@ from tvkl import (
     forward_value,
     inverse_value,
     kl_divergence,
+    kl_lower,
     kl_lower_bh,
     kl_lower_pinsker,
     kl_lower_tsybakov,
@@ -499,3 +504,133 @@ class TestSoundnessOnRealPairs:
                 assert forward_value(bound, kl) - tv >= -1e-12
             for bound in inverse:
                 assert kl - inverse_value(bound, tv) >= -1e-12
+
+
+class TestEvaluationValue:
+    # A BoundEvaluation is a frozen value: built by keyword or position,
+    # compared, hashed, printed, copied and pickled by its four fields.
+    EV = BoundEvaluation(BoundId.BH, 0.5, 0.6, False)
+
+    def test_positional_and_keyword_construction(self):
+        keyword = BoundEvaluation(bound=BoundId.BH, input=0.5, output=0.6, vacuous=False)
+        mixed = BoundEvaluation(BoundId.BH, 0.5, vacuous=False, output=0.6)
+        assert keyword == mixed == self.EV
+        assert (keyword.bound, keyword.input, keyword.output, keyword.vacuous) == (
+            BoundId.BH, 0.5, 0.6, False)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((BoundId.BH, 0.5, 0.6), {}),
+        ((BoundId.BH, 0.5, 0.6, False, 1), {}),
+        ((BoundId.BH, 0.5, 0.6), {"vacuos": False}),
+        ((BoundId.BH, 0.5, 0.6, False), {"bound": BoundId.BH}),
+    ])
+    def test_wrong_arguments_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            BoundEvaluation(*args, **kwargs)
+
+    def test_equal_and_hash_against_an_equal_instance(self):
+        row = compare_bounds(0.37)[1]
+        twin = BoundEvaluation(BoundId.BH, 0.37, row.output, False)
+        assert row == twin and hash(row) == hash(twin)
+        assert row != BoundEvaluation(BoundId.BH, 0.37, row.output, True)
+        assert row != (BoundId.BH, 0.37, row.output, False)
+        assert len({row, twin}) == 1
+
+    def test_repr(self):
+        assert repr(self.EV) == (
+            "BoundEvaluation(bound=<BoundId.BH: 'bh'>, input=0.5, output=0.6, vacuous=False)")
+
+    @pytest.mark.parametrize("name", ["bound", "input", "output", "vacuous"])
+    def test_frozen_against_assignment_and_deletion(self, name):
+        ev = BoundEvaluation(BoundId.BH, 0.5, 0.6, False)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ev, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(ev, name)
+        assert ev == self.EV
+        assert not hasattr(ev, "__dict__")
+
+    def test_copy_deepcopy_and_pickle_round_trips(self):
+        copies = [copy.copy(self.EV), copy.deepcopy(self.EV)]
+        copies += [pickle.loads(pickle.dumps(self.EV, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert twin == self.EV and hash(twin) == hash(self.EV)
+            assert type(twin) is BoundEvaluation and twin.bound is BoundId.BH
+
+    def test_field_order(self):
+        assert [f.name for f in dataclasses.fields(BoundEvaluation)] == [
+            "bound", "input", "output", "vacuous"]
+        assert BoundEvaluation.__match_args__ == ("bound", "input", "output", "vacuous")
+
+    def test_replace(self):
+        flagged = dataclasses.replace(self.EV, vacuous=True)
+        assert flagged == BoundEvaluation(BoundId.BH, 0.5, 0.6, True)
+        assert self.EV.vacuous is False
+
+
+def _log_spaced_kl(points: int = 400) -> list[float]:
+    lo, hi = math.log(5e-324), math.log(700.0)
+    grid = {5e-324, 700.0, 0.0, 2.0, 36.43, 40.0, math.inf}
+    grid.update(math.exp(lo + (hi - lo) * i / points) for i in range(1, points))
+    return sorted(grid)
+
+
+# Each forward bound's own entry point, and its vacuity as the module
+# docstring states it.
+_FORWARD_ENTRIES = {
+    BoundId.PINSKER: (tv_upper_pinsker, lambda kl, out: kl >= 2.0),
+    BoundId.BH: (tv_upper_bh, lambda kl, out: False),
+    BoundId.TSYBAKOV: (tv_upper_tsybakov, lambda kl, out: math.isinf(kl)),
+    BoundId.WEAK_BH: (tv_upper_weak_bh, lambda kl, out: kl >= 2.0),
+    BoundId.VAJDA: (None, lambda kl, out: out >= 1.0),
+    BoundId.TRIVIAL: (None, lambda kl, out: True),
+}
+
+
+class TestRowsMatchTheirEntries:
+    # compare_bounds, tv_upper_best and kl_lower share their curves with the
+    # single-bound entries; every row must be the entry's value to the bit.
+    def test_compare_bounds_rows_are_their_entries(self):
+        for kl in _log_spaced_kl():
+            rows = compare_bounds(kl)
+            assert [row.bound for row in rows] == list(bounds.FORWARD_ORDER)
+            for row in rows:
+                entry, vacuous = _FORWARD_ENTRIES[row.bound]
+                assert row.input.hex() == kl.hex(), row
+                assert row.output.hex() == forward_value(row.bound, kl).hex(), row
+                assert row.vacuous is vacuous(kl, row.output), row
+                assert row.vacuous is (row.bound is not BoundId.BH and row.output >= 1.0)
+                if entry is not None:
+                    assert entry(kl) == row, row
+                    assert entry(kl).output.hex() == row.output.hex(), row
+            by_bound = {row.bound: row for row in rows}
+            assert by_bound[BoundId.VAJDA].output.hex() == tv_upper_from_vajda(kl).hex()
+            assert by_bound[BoundId.TRIVIAL].output == 1.0
+
+    def test_best_is_the_least_row_in_tie_order(self):
+        for kl in _log_spaced_kl():
+            by_bound = {row.bound: row for row in compare_bounds(kl)}
+            least = min(by_bound[bound].output for bound in bounds.BEST_TIE_ORDER)
+            first = next(b for b in bounds.BEST_TIE_ORDER if by_bound[b].output == least)
+            best = tv_upper_best(kl)
+            assert best == by_bound[first], kl
+            assert best.output.hex() == least.hex(), kl
+
+    def test_inverse_rows_are_their_entries(self):
+        entries = {
+            BoundId.PINSKER: kl_lower_pinsker,
+            BoundId.BH: kl_lower_bh,
+            BoundId.TSYBAKOV: kl_lower_tsybakov,
+            BoundId.VAJDA: kl_lower_vajda,
+        }
+        grid = [0.0, -0.0, 5e-324, 2.0**-9, 0.5, math.nextafter(1.0, 0.0), 1.0]
+        grid += [i / 997 for i in range(998)]
+        for tv in grid:
+            for bound in bounds.INVERSE_ORDER:
+                row = kl_lower(bound, tv)
+                value = inverse_value(bound, tv)
+                assert row == BoundEvaluation(bound, tv or 0.0, value, False)
+                assert math.copysign(1.0, row.input) == 1.0
+                assert row.output.hex() == value.hex() == entries[bound](tv).hex()
+

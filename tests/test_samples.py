@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import decimal
 import math
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from tvkl import (
     OutOfRangeError,
     ProductSpec,
     SampleComplexityQuery,
+    SampleComplexityReport,
     bernoulli,
     inverse_value,
     kl_divergence,
@@ -23,29 +26,30 @@ from tvkl import (
     total_variation,
 )
 from tvkl.bounds import BoundId
+from tvkl.errors import _real
 from tvkl.samples import FLAG_SIMPLIFIED_EXCEEDS_EXACT, FLAG_TSYBAKOV_VACUOUS
 
 Q_MAIN = SampleComplexityQuery(0.1, 0.01)
 
+OUTSIDE_THE_BOX = [
+    (0.0, 0.1),
+    (1.0 / 3.0, 0.1),
+    (0.4, 0.1),
+    (0.1, 0.0),
+    (0.1, 0.5),
+    (0.1, 0.7),
+    (-0.1, 0.1),
+]
+KL_UNDERFLOWS = [1e-200, 1.5e-162, 5e-324]
+
 
 class TestQueryValidation:
-    @pytest.mark.parametrize(
-        "eps, delta",
-        [
-            (0.0, 0.1),
-            (1.0 / 3.0, 0.1),
-            (0.4, 0.1),
-            (0.1, 0.0),
-            (0.1, 0.5),
-            (0.1, 0.7),
-            (-0.1, 0.1),
-        ],
-    )
+    @pytest.mark.parametrize("eps, delta", OUTSIDE_THE_BOX)
     def test_open_intervals_enforced(self, eps, delta):
         with pytest.raises(OutOfRangeError):
             SampleComplexityQuery(eps, delta)
 
-    @pytest.mark.parametrize("eps", [1e-200, 1.5e-162, 5e-324])
+    @pytest.mark.parametrize("eps", KL_UNDERFLOWS)
     def test_epsilon_whose_kl_underflows(self, eps):
         # every route divides by eps^2 or the per-toss KL, 0.0 here
         with pytest.raises(OutOfRangeError):
@@ -58,6 +62,148 @@ class TestQueryValidation:
 
     def test_required_tv(self):
         assert required_tv(Q_MAIN) == pytest.approx(0.98, abs=1e-15)
+
+
+class TestQueryValue:
+    # A query is a frozen value of two checked floats; every way of building
+    # one, replace included, runs the same checks.
+    def test_positional_and_keyword_construction(self):
+        assert SampleComplexityQuery(epsilon=0.1, delta=0.01) == Q_MAIN
+        assert SampleComplexityQuery(delta=0.01, epsilon=0.1) == Q_MAIN
+        assert SampleComplexityQuery(0.1, delta=0.01) == Q_MAIN
+        with pytest.raises(TypeError):
+            SampleComplexityQuery(0.1)
+        with pytest.raises(TypeError):
+            SampleComplexityQuery(0.1, 0.01, 0.5)
+        with pytest.raises(TypeError):
+            SampleComplexityQuery(0.1, delt=0.01)
+
+    def test_equal_and_hash_against_an_equal_instance(self):
+        twin = SampleComplexityQuery(Fraction(1, 10), "0.01")
+        assert twin == Q_MAIN and hash(twin) == hash(Q_MAIN)
+        assert twin != SampleComplexityQuery(0.1, 0.02)
+        assert twin != (0.1, 0.01)
+
+    def test_repr(self):
+        assert repr(Q_MAIN) == "SampleComplexityQuery(epsilon=0.1, delta=0.01)"
+
+    @pytest.mark.parametrize("name", ["epsilon", "delta"])
+    def test_frozen_against_assignment_and_deletion(self, name):
+        q = SampleComplexityQuery(0.1, 0.01)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(q, name, 0.2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(q, name)
+        assert q == Q_MAIN
+        assert not hasattr(q, "__dict__")
+
+    def test_copy_deepcopy_and_pickle_round_trips(self):
+        copies = [copy.copy(Q_MAIN), copy.deepcopy(Q_MAIN)]
+        copies += [pickle.loads(pickle.dumps(Q_MAIN, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert twin == Q_MAIN and hash(twin) == hash(Q_MAIN)
+            assert type(twin) is SampleComplexityQuery
+
+    def test_field_order(self):
+        assert [f.name for f in dataclasses.fields(SampleComplexityQuery)] == [
+            "epsilon", "delta"]
+
+    def test_replace_checks_again(self):
+        assert dataclasses.replace(Q_MAIN, delta=0.25) == SampleComplexityQuery(0.1, 0.25)
+        with pytest.raises(OutOfRangeError):
+            dataclasses.replace(Q_MAIN, delta=0.5)
+        with pytest.raises(OutOfRangeError):
+            dataclasses.replace(Q_MAIN, epsilon=5e-324)
+
+    def test_stores_floats(self):
+        q = SampleComplexityQuery(Fraction(1, 8), Decimal("0.25"))
+        assert type(q.epsilon) is float and type(q.delta) is float
+        assert (q.epsilon, q.delta) == (0.125, 0.25)
+        q = SampleComplexityQuery("0.1", 1 / 100)
+        assert type(q.epsilon) is float and q == Q_MAIN
+
+    @pytest.mark.parametrize("eps, delta", [(-0.0, 0.1), (0.1, -0.0)])
+    def test_negative_zero_is_read_as_real_reads_it(self, eps, delta):
+        # -0.0 is 0.0 to _real, so the message names 0.0, outside the box
+        name, value = ("epsilon", eps) if eps == 0.0 else ("delta", delta)
+        assert repr(_real(name, value)) == "0.0"
+        with pytest.raises(OutOfRangeError, match=f"^{name}: 0.0 not in"):
+            SampleComplexityQuery(eps, delta)
+
+    @pytest.mark.parametrize(
+        "eps, delta", OUTSIDE_THE_BOX + [(eps, 0.01) for eps in KL_UNDERFLOWS])
+    def test_every_rejection_raises_by_any_construction(self, eps, delta):
+        with pytest.raises(OutOfRangeError):
+            SampleComplexityQuery(eps, delta)
+        with pytest.raises(OutOfRangeError):
+            SampleComplexityQuery(epsilon=eps, delta=delta)
+        with pytest.raises(OutOfRangeError):
+            dataclasses.replace(Q_MAIN, epsilon=eps, delta=delta)
+
+
+REPORT_FIELDS = [
+    "epsilon", "delta", "required_tv", "kl_per_toss", "n_pinsker", "n_bh",
+    "n_tsybakov", "n_bh_simplified", "notes",
+]
+
+
+class TestReportValue:
+    # A report is a frozen value of its nine fields, in the order that
+    # ``tvkl samples`` prints them.
+    REP = report(SampleComplexityQuery(0.125, 0.4))
+
+    def test_positional_and_keyword_construction(self):
+        values = [getattr(self.REP, name) for name in REPORT_FIELDS]
+        assert SampleComplexityReport(*values) == self.REP
+        assert SampleComplexityReport(**dict(zip(REPORT_FIELDS, values))) == self.REP
+        assert SampleComplexityReport(*values[:4], **dict(
+            zip(REPORT_FIELDS[4:], values[4:]))) == self.REP
+        with pytest.raises(TypeError):
+            SampleComplexityReport(*values[:-1])
+        with pytest.raises(TypeError):
+            SampleComplexityReport(*values, ())
+
+    def test_equal_and_hash_against_an_equal_instance(self):
+        twin = report(SampleComplexityQuery(0.125, 0.4))
+        assert twin is not self.REP
+        assert twin == self.REP and hash(twin) == hash(self.REP)
+        assert report(Q_MAIN) != self.REP
+
+    def test_repr(self):
+        assert repr(self.REP) == (
+            "SampleComplexityReport(epsilon=0.125, delta=0.4, "
+            "required_tv=0.19999999999999996, kl_per_toss=0.03226926056878559, "
+            "n_pinsker=2.4791395461160595, n_bh=1.2650427620812197, "
+            "n_tsybakov=0.0, n_bh_simplified=7.140593642054711, "
+            "notes=('simplified_exceeds_exact', 'tsybakov_vacuous'))")
+
+    @pytest.mark.parametrize("name", REPORT_FIELDS)
+    def test_frozen_against_assignment_and_deletion(self, name):
+        rep = report(SampleComplexityQuery(0.125, 0.4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(rep, name)
+        assert rep == self.REP
+        assert not hasattr(rep, "__dict__")
+
+    def test_copy_deepcopy_and_pickle_round_trips(self):
+        copies = [copy.copy(self.REP), copy.deepcopy(self.REP)]
+        copies += [pickle.loads(pickle.dumps(self.REP, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert twin == self.REP and hash(twin) == hash(self.REP)
+            assert type(twin) is SampleComplexityReport
+
+    def test_field_order(self):
+        assert [f.name for f in dataclasses.fields(SampleComplexityReport)] == REPORT_FIELDS
+        assert SampleComplexityReport.__match_args__ == tuple(REPORT_FIELDS)
+
+    def test_replace(self):
+        cleared = dataclasses.replace(self.REP, notes=())
+        assert cleared.notes == () and cleared.n_bh == self.REP.n_bh
+        assert cleared != self.REP
 
 
 class TestKlPerToss:
