@@ -57,6 +57,10 @@ class BoundId(enum.Enum):
     VAJDA = "vajda"
     TRIVIAL = "trivial"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with ==; unlike Enum.__hash__, it runs in C.
+    __hash__ = object.__hash__
+
 
 #: Tie-break preference when several forward bounds coincide.
 BEST_TIE_ORDER = (
@@ -206,6 +210,7 @@ def tv_upper_from_vajda(kl: float) -> float:
         upper, last, t = t, step, t - step
 
 
+#: Forward curves in report order.
 _FORWARD = {
     BoundId.PINSKER: _pinsker_forward,
     BoundId.BH: _bh_forward,
@@ -215,6 +220,7 @@ _FORWARD = {
     BoundId.TRIVIAL: _trivial_forward,
 }
 
+#: Inverse curves in report order.
 _INVERSE = {
     BoundId.PINSKER: _pinsker_inverse,
     BoundId.BH: _bh_inverse,
@@ -224,31 +230,17 @@ _INVERSE = {
 
 
 #: Forward bounds in report order.
-FORWARD_ORDER = (
-    BoundId.PINSKER,
-    BoundId.BH,
-    BoundId.TSYBAKOV,
-    BoundId.WEAK_BH,
-    BoundId.VAJDA,
-    BoundId.TRIVIAL,
-)
-
-#: (bound, curve, flagged) per forward bound, in report order. Only a
-#: flagged row can be vacuous: every bound but bh, whose limit 1 is only
-#: reached at kl = +inf. Built once, so an evaluation hashes no enum.
-_FORWARD_ROWS = tuple(
-    (bound, _FORWARD[bound], bound is not BoundId.BH) for bound in FORWARD_ORDER
-)
-_FORWARD_ROW = {row[0]: row for row in _FORWARD_ROWS}
-_BEST_ROWS = tuple(_FORWARD_ROW[bound] for bound in BEST_TIE_ORDER)
+FORWARD_ORDER = tuple(_FORWARD)
 
 
-def _evaluate(rows: tuple, kl: float) -> list[BoundEvaluation]:
-    """Each row at one checked kl; the one place the vacuity rule is
-    written."""
+def _evaluate(items, kl: float) -> list[BoundEvaluation]:
+    """Each (bound, curve) at one checked kl; the one place the vacuity rule
+    is written. Every bound but bh can be vacuous (bh reaches 1 only at
+    kl = +inf). The output is tested first: on Python 3.11, whose EnumType
+    defines ``__getattr__``, reading ``BoundId.BH`` costs more than that."""
     return [
-        BoundEvaluation(bound, kl, output, flagged and output >= 1.0)
-        for bound, curve, flagged in rows
+        BoundEvaluation(bound, kl, output, output >= 1.0 and bound is not BoundId.BH)
+        for bound, curve in items
         for output in (curve(kl),)
     ]
 
@@ -259,7 +251,7 @@ def forward_value(bound: BoundId, kl: float) -> float:
 
 
 def _evaluate_forward(bound: BoundId, kl: float) -> BoundEvaluation:
-    return _evaluate((_FORWARD_ROW[bound],), kl)[0]
+    return _evaluate(((bound, _FORWARD[bound]),), kl)[0]
 
 
 def tv_upper_pinsker(kl: float) -> BoundEvaluation:
@@ -294,27 +286,25 @@ def tv_upper_best(kl: float) -> BoundEvaluation:
     the winner is built; its curve is evaluated again, to the same bits.
     """
     kl = _check_kl(kl)
-    best = min(_BEST_ROWS, key=lambda row: row[1](kl))
-    return _evaluate((best,), kl)[0]
+    return _evaluate_forward(min(BEST_TIE_ORDER, key=lambda b: _FORWARD[b](kl)), kl)
 
 
 def compare_bounds(kl: float) -> list[BoundEvaluation]:
     """Evaluate every forward bound (vajda by numeric inversion, plus the
     trivial 1) at one KL value, each tagged with its vacuity."""
-    return _evaluate(_FORWARD_ROWS, _check_kl(kl))
+    return _evaluate(_FORWARD.items(), _check_kl(kl))
 
 
 # -- inverse bounds ---------------------------------------------------------
 
 
 #: Inverse bounds in report order.
-INVERSE_ORDER = (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV, BoundId.VAJDA)
+INVERSE_ORDER = tuple(_INVERSE)
 
 
 def inverse_value(bound: BoundId, tv: float) -> float:
-    """Raw inverse curve value: the one path that checks tv and evaluates
-    an inverse curve, for ``kl_lower``, the ``kl_lower_*`` entries and the
-    figures."""
+    """Raw inverse curve value, as ``kl_lower`` reports it, for the
+    ``kl_lower_*`` entries and the figures."""
     tv = _unit("tv", tv)
     return _INVERSE[bound](tv, 1.0 - tv)
 
@@ -322,7 +312,7 @@ def inverse_value(bound: BoundId, tv: float) -> float:
 def kl_lower(bound: BoundId, tv: float) -> BoundEvaluation:
     """Evaluate one inverse bound; inverse outputs are never vacuous."""
     tv = _unit("tv", tv)
-    return BoundEvaluation(bound, tv, inverse_value(bound, tv), False)
+    return BoundEvaluation(bound, tv, _INVERSE[bound](tv, 1.0 - tv), False)
 
 
 def kl_lower_pinsker(tv: float) -> float:

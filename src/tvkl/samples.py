@@ -37,10 +37,6 @@ FLAG_SIMPLIFIED_EXCEEDS_EXACT = "simplified_exceeds_exact"
 #: Flag set on a report when delta >= 1/4 makes the tsybakov route vacuous.
 FLAG_TSYBAKOV_VACUOUS = "tsybakov_vacuous"
 
-# Looked up once: an enum-keyed lookup costs about as much as the curve.
-_PINSKER, _BH, _TSYBAKOV = (
-    _INVERSE[b] for b in (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV))
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class SampleComplexityQuery:
@@ -154,7 +150,7 @@ def report(query: SampleComplexityQuery) -> SampleComplexityReport:
     parameters), one when the tsybakov route is vacuous.
     """
     u, klt = 2.0 * query.delta, kl_per_toss(query.epsilon)
-    n_bh = _BH(1.0 - u, u) / klt
+    n_bh = _INVERSE[BoundId.BH](1.0 - u, u) / klt
     n_simplified = -math.log(u) / (2.0 * query.epsilon**2)
     notes = []
     if n_simplified > n_bh:
@@ -166,9 +162,9 @@ def report(query: SampleComplexityQuery) -> SampleComplexityReport:
         delta=query.delta,
         required_tv=1.0 - u,
         kl_per_toss=klt,
-        n_pinsker=_PINSKER(1.0 - u, u) / klt,
+        n_pinsker=_INVERSE[BoundId.PINSKER](1.0 - u, u) / klt,
         n_bh=n_bh,
-        n_tsybakov=_TSYBAKOV(1.0 - u, u) / klt,
+        n_tsybakov=_INVERSE[BoundId.TSYBAKOV](1.0 - u, u) / klt,
         n_bh_simplified=n_simplified,
         notes=tuple(notes),
     )

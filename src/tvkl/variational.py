@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from operator import mul, sub
 
 from .bounds import _pinsker_forward
@@ -89,15 +89,11 @@ def _aligned_with_witness(p: Distribution, q: Distribution, f: WitnessFunction):
 
 def _log_mean_exp(weights, values) -> float:
     # log sum_x w(x) exp(v(x)) with max-shift stabilisation over the atoms
-    # that carry weight.
-    if min(weights) > 0.0:
-        shift = max(values)
-        scaled = map(math.exp, map(sub, values, repeat(shift)))
-        total = math.fsum(map(mul, weights, scaled))
-        return shift + math.log(total)
-    shift = max(v for w, v in zip(weights, values) if w > 0.0)
-    total = math.fsum(w * math.exp(v - shift) for w, v in zip(weights, values) if w > 0.0)
-    return shift + math.log(total)
+    # that carry weight: weights are >= 0, so a weight is true iff it is > 0.
+    values = list(compress(values, weights))
+    shift = max(values)
+    scaled = map(math.exp, map(sub, values, repeat(shift)))
+    return shift + math.log(math.fsum(map(mul, compress(weights, weights), scaled)))
 
 
 def dv_value(p: Distribution, q: Distribution, f: WitnessFunction) -> float:

@@ -8,9 +8,12 @@ on all Bernoulli pairs holds in general, so a clean scan is strong evidence
 function or an event where needed) and evaluate the inequality through the
 full divergence machinery.
 
-Each inequality between TV and KL alone has one margin function of
-(tv, kl), shared by the grid, ``bernoulli_margin`` and the random engine.
-One tally loop counts violations and finds the worst margin for every
+Every inequality has one margin definition. The six between TV and KL
+alone (``GRID_INEQUALITIES``) have a margin function of (tv, kl), shared by
+the grid, ``bernoulli_margin`` and the random engine; the Bernoulli scan
+takes these six and no other. The hellinger chain and the quantized
+data-processing check need the pair itself, so only the random engine runs
+them. One tally loop counts violations and finds the worst margin for every
 engine; one generator draws the seeded pairs of both random checks.
 
 The grid validates at its boundary (resolution, tolerance, inequality) and
@@ -116,30 +119,8 @@ def _hellinger_chain(tv: float, kl: float, aff2: float) -> float:
     return min((1.0 - tv * tv) - aff2, aff2 - math.exp(-kl))
 
 
-def _margin_hellinger_binary(p: float, q: float, kl: float) -> float:
-    aff = math.sqrt(p * q) + math.sqrt((1.0 - p) * (1.0 - q))
-    return _hellinger_chain(abs(p - q), kl, aff * aff)
-
-
-def _margin_dpi_binary(p: float, q: float, kl: float) -> float:
-    # The only nontrivial events on two atoms keep the pair or swap the
-    # roles of the atoms; both quantizations must shrink kl and tv. Keeping
-    # the pair gives margins kl - kl and tv - tv: 0, or NaN where kl is +inf.
-    tv = abs(p - q)
-    ps, qs = 1.0 - p, 1.0 - q
-    return min(kl - kl, tv - tv, kl - _binary_kl(ps, qs), tv - abs(ps - qs))
-
-
-# The checks that need the pair itself, on Bernoulli pairs; _random_margin
-# has their multi-atom forms.
-_PAIR_MARGINS = {
-    InequalityId.HELLINGER_CHAIN: _margin_hellinger_binary,
-    InequalityId.DPI_QUANTIZED: _margin_dpi_binary,
-}
-
-
 def _check_binary(inequality: InequalityId) -> None:
-    if inequality not in _TV_KL_MARGINS and inequality not in _PAIR_MARGINS:
+    if inequality not in _TV_KL_MARGINS:
         raise UnsupportedInequalityError(
             f"{inequality.value}: no binary closed form to scan"
         )
@@ -167,13 +148,11 @@ def _tally(margins, floor: float) -> tuple[int, float, int]:
 
 
 def bernoulli_margin(inequality: InequalityId, p: float, q: float) -> float:
-    """Margin (RHS - LHS) of one inequality at one Bernoulli pair."""
+    """Margin (RHS - LHS) of one of the six ``GRID_INEQUALITIES`` at one
+    Bernoulli pair; others raise ``UnsupportedInequalityError``."""
     _check_binary(inequality)
     p, q = _unit("p", p), _unit("q", q)
-    kl = _binary_kl(p, q)
-    if inequality in _TV_KL_MARGINS:
-        return _TV_KL_MARGINS[inequality](abs(p - q), kl)
-    return _PAIR_MARGINS[inequality](p, q, kl)
+    return _TV_KL_MARGINS[inequality](abs(p - q), _binary_kl(p, q))
 
 
 def _row_cached_margins(margin, axis: list[float]):
@@ -198,6 +177,8 @@ def scan_bernoulli(
 ) -> ScanReport:
     """Evaluate an inequality on the open grid {(i/r, j/r) : 0 < i, j < r}.
 
+    Takes the six ``GRID_INEQUALITIES`` through their one (tv, kl) margin;
+    others raise ``UnsupportedInequalityError`` (``falsify`` checks them).
     Boundary pairs are excluded (degenerate weights are covered by the
     explicit boundary cases of the closed forms). On the open grid
     |p - q| >= 1/r and every log is finite, so no cell has infinite KL:
@@ -208,11 +189,7 @@ def scan_bernoulli(
     tolerance = _check_tolerance(tolerance)
     _check_binary(inequality)
     axis = [i / r for i in range(1, r)]
-    if inequality in _TV_KL_MARGINS:
-        margins = _row_cached_margins(_TV_KL_MARGINS[inequality], axis)
-    else:
-        pair = _PAIR_MARGINS[inequality]
-        margins = (pair(p, q, _binary_kl(p, q)) for p in axis for q in axis)
+    margins = _row_cached_margins(_TV_KL_MARGINS[inequality], axis)
     violations, worst, index = _tally(margins, -tolerance)
     i, j = divmod(index, r - 1)
     worst_point = (axis[i], axis[j]) if index >= 0 else (math.nan, math.nan)

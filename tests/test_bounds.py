@@ -569,6 +569,24 @@ class TestEvaluationValue:
         assert self.EV.vacuous is False
 
 
+class TestBoundIdHash:
+    # BoundId hashes by identity; members are singletons, so a member looked
+    # up by value, copied or unpickled is the same object with the same hash.
+    @pytest.mark.parametrize("b", list(BoundId))
+    def test_identity_survives_lookup_copy_and_pickle(self, b):
+        twins = [BoundId(b.value), BoundId[b.name], copy.copy(b), copy.deepcopy(b)]
+        twins += [pickle.loads(pickle.dumps(b, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert twin is b and twin == b and hash(twin) == hash(b)
+
+    def test_dict_lookup_by_value(self):
+        table = {b: b.value for b in BoundId}
+        assert table[BoundId("bh")] == "bh"
+        assert bounds._FORWARD[BoundId("vajda")] is tv_upper_from_vajda
+        assert BoundId("bh") in {BoundId.BH} and "bh" not in table
+
+
 def _log_spaced_kl(points: int = 400) -> list[float]:
     lo, hi = math.log(5e-324), math.log(700.0)
     grid = {5e-324, 700.0, 0.0, 2.0, 36.43, 40.0, math.inf}
