@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import (
@@ -36,8 +36,12 @@ LABEL_SEPARATOR = "·"  # "·"
 MAX_PRODUCT_ATOMS = 2**20
 
 
+class _AlignSlot:
+    __slots__ = ("_align",)
+
+
 @dataclass(frozen=True, slots=True)
-class Distribution:
+class Distribution(_AlignSlot):
     """Immutable finite discrete distribution.
 
     ``support`` holds pairwise-distinct atom labels; ``probs`` holds the
@@ -45,14 +49,16 @@ class Distribution:
     Instances are safe to share across threads: the one private slot,
     ``_align``, memoises this instance's alignment as the q of a pair (see
     ``divergence._aligned``), and it is written in one attribute store of a
-    finished tuple. It takes no part in ``==``, ``hash``, ``repr`` or pickling.
+    finished tuple. It is a slot of a base class, not a field, so it is
+    outside ``dataclasses.fields``, ``asdict``, ``astuple`` and ``replace``,
+    and takes no part in ``==``, ``hash``, ``repr`` or pickling.
     """
 
     support: tuple[str, ...]
     probs: tuple[float, ...]
-    _align: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_align", None)
         if not self.support:
             raise EmptySupportError("support: must contain at least one atom")
         if len(self.support) != len(self.probs):
@@ -274,7 +280,11 @@ def dumps_distribution(dist: Distribution) -> str:
 
 def load_distribution(path, renormalize: bool = False) -> Distribution:
     with open(path, encoding="utf-8") as fh:
-        return loads_distribution(fh.read(), renormalize=renormalize)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"distribution file: not UTF-8 text ({exc})") from exc
+    return loads_distribution(text, renormalize=renormalize)
 
 
 def dump_distribution(dist: Distribution, path) -> None:

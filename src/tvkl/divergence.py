@@ -15,11 +15,11 @@ exactly-rounded compensated sum: results are reproducible across platforms.
 The pair ops (TV, KL, the affinity, the overlap identities, event masses,
 and the variational sums) each walk the atoms once with no Python-level
 call per atom: a C-level ``map`` chain, or a list comprehension with the
-arithmetic inline. When every aligned weight is a normal float, KL and the
-optimal witness share one comprehension of log-ratios with
-:func:`_log_ratio`'s two normal branches written inline; a zero or
-subnormal weight sends the pair through the per-atom :func:`_log_ratio`
-loop. Both paths give the same bits.
+arithmetic inline. KL and the optimal witness read one vector of
+log-ratios, :func:`_log_ratios`: an atom that one side leaves empty has
+log-ratio +inf (mass on p only) or -inf (on q only), and one empty on both
+sides has 0. KL keeps the terms of p's nonempty atoms, which writes
+0 log 0 = 0, and the witness refuses an infinite value.
 """
 
 from __future__ import annotations
@@ -75,16 +75,18 @@ def _aligned(p: Distribution, q: Distribution):
 
 
 def _log_ratio(a: float, b: float) -> float:
-    # log(a/b) for a, b > 0. Near-equal normal operands (b/2 <= a <= 2b)
+    # log(a/b) for a, b >= 0: 0.0 if a == b, else +inf if only a is nonzero
+    # and -inf if only b is. Near-equal normal operands (b/2 <= a <= 2b)
     # take log1p((a - b)/b): a - b is exact there (Sterbenz's lemma), so the
     # result keeps full relative accuracy as a/b -> 1, where log(a) - log(b)
-    # cancels and loses digits. Other normal operands take the difference
-    # of logs, whose magnitude is then at least log 2. If one operand is
-    # subnormal the direct ratio keeps more of the value; the ratio itself
-    # can overflow or underflow when the operands straddle the normal
-    # range, so fall back to the log difference there.
+    # cancels. Other normal operands take the difference of logs, at least
+    # log 2 in magnitude. If one operand is subnormal the direct ratio keeps
+    # more of the value, unless it overflows or underflows (the operands
+    # straddle the normal range): then take the log difference.
     if a == b:
         return 0.0
+    if a == 0.0 or b == 0.0:
+        return math.inf if a > 0.0 else -math.inf
     if a >= _MIN_NORMAL and b >= _MIN_NORMAL:
         if 0.5 * b <= a <= 2.0 * b:
             return math.log1p((a - b) / b)
@@ -95,11 +97,11 @@ def _log_ratio(a: float, b: float) -> float:
     return math.log(ratio)
 
 
-def _log_ratios(pw, qw) -> list[float] | None:
-    # [_log_ratio(a, b) for each aligned atom] when every weight is normal,
-    # else None. Inlined: a == b takes the log1p branch and gives 0.0.
+def _log_ratios(pw, qw) -> list[float]:
+    # [_log_ratio(a, b) for each aligned atom]. When every weight is normal
+    # its two normal branches are inlined: a == b takes log1p, giving 0.0.
     if min(pw) < _MIN_NORMAL or min(qw) < _MIN_NORMAL:
-        return None
+        return list(map(_log_ratio, pw, qw))
     log, log1p = math.log, math.log1p
     return [
         log1p((a - b) / b) if 0.5 * b <= a <= 2.0 * b else log(a) - log(b)
@@ -129,17 +131,8 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     tolerance, sum to about -2.7e-322.
     """
     _, pw, qw = _aligned(p, q)
-    ratios = _log_ratios(pw, qw)
-    if ratios is not None:
-        return max(0.0, math.fsum(map(mul, pw, ratios)))
-    terms = []
-    for a, b in zip(pw, qw):
-        if a <= 0.0:
-            continue
-        if b <= 0.0:
-            return math.inf
-        terms.append(a * _log_ratio(a, b))
-    return max(0.0, math.fsum(terms))
+    # Only p's nonempty atoms keep a term (0 log 0 = 0); an inf term sums to inf.
+    return max(0.0, math.fsum(compress(map(mul, pw, _log_ratios(pw, qw)), pw)))
 
 
 def binary_tv(a: float, b: float) -> float:

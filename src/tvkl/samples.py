@@ -50,7 +50,7 @@ class SampleComplexityQuery:
 
     def __init__(self, epsilon: float, delta: float) -> None:
         e, d = _check_epsilon(epsilon), _real("delta", delta)
-        if e**2 == 0.0 or _kl_per_toss(e) == 0.0:  # every route divides by one
+        if e**2 == 0.0:  # every route divides by eps^2 or its KL, > 0 if eps^2 is
             raise OutOfRangeError(f"epsilon: {e!r} too small, eps^2 or its KL is 0.0")
         if not (0.0 < d < 0.5):
             raise OutOfRangeError(f"delta: {d!r} not in (0, 1/2)")
@@ -149,7 +149,7 @@ def report(query: SampleComplexityQuery) -> SampleComplexityReport:
     bh route (so the two cannot be chained in that direction at these
     parameters), one when the tsybakov route is vacuous.
     """
-    u, klt = 2.0 * query.delta, kl_per_toss(query.epsilon)
+    u, klt = 2.0 * query.delta, _kl_per_toss(query.epsilon)
     n_bh = _INVERSE[BoundId.BH](1.0 - u, u) / klt
     n_simplified = -math.log(u) / (2.0 * query.epsilon**2)
     notes = []

@@ -26,7 +26,7 @@ from operator import mul, sub
 
 from .bounds import _pinsker_forward
 from .distributions import Distribution
-from .divergence import _aligned, _log_ratio, _log_ratios, total_variation
+from .divergence import _aligned, _log_ratios, total_variation
 from .errors import (
     MisalignedWitnessError,
     OutOfRangeError,
@@ -114,17 +114,14 @@ def dv_optimal_witness(p: Distribution, q: Distribution) -> WitnessFunction:
     carrying no mass under either get witness value 0.
     """
     _, pw, qw = _aligned(p, q)
-    values = _log_ratios(pw, qw)
-    if values is None:
-        values = []
-        for a, b in zip(pw, qw):
-            if (a > 0.0) != (b > 0.0):
-                raise SupportMismatchError(
-                    "supports differ: the divergence is infinite and the optimal "
-                    "witness unbounded"
-                )
-            values.append(0.0 if a == 0.0 else _log_ratio(a, b))
-    return WitnessFunction(tuple(values))
+    # A log-ratio is infinite, which the witness refuses, iff one side has no mass.
+    try:
+        return WitnessFunction(tuple(_log_ratios(pw, qw)))
+    except OutOfRangeError:
+        raise SupportMismatchError(
+            "supports differ: the divergence is infinite and the optimal "
+            "witness unbounded"
+        ) from None
 
 
 #: Perturbation half-widths probed by dv_supremum, cycled across trials:

@@ -108,6 +108,16 @@ class TestDiv:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["div", "dv"])
+    def test_a_file_that_is_not_utf8_exits_one(self, capsys, tmp_path, dist_files,
+                                                command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, command, str(path), dist_files["fair"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: distribution file: not UTF-8 text")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_file(self, capsys, dist_files):
         code, _, err = run_cli(capsys, "div", "/nonexistent.json", dist_files["fair"])
         assert code == 1
@@ -565,6 +575,31 @@ class TestPinnedOutputs:
         for path, payload in zip(paths, self.DIV_PAIRS[pair]):
             path.write_text(json.dumps(payload), encoding="utf-8")
         code, out, _ = run_cli(capsys, "--json", "div", *map(str, paths))
+        assert code == 0
+        assert _sha256(out) == digest
+
+    # Pairs whose log-ratios leave the all-normal comprehension: an atom empty
+    # on both sides (after relabelling), and subnormal weights.
+    DV_PAIRS = {
+        "shared_zero": (
+            {"support": ["a", "b", "c"], "probs": [0.5, 0.5, 0.0]},
+            {"support": ["c", "b", "a"], "probs": [0.0, 0.6, 0.4]},
+        ),
+        "subnormal": DIV_PAIRS["subnormal"],
+    }
+
+    @pytest.mark.parametrize(
+        "pair, digest",
+        _by_input([
+            ("shared_zero", "cacedf8ed55777d9387d7d59f4bd6cbaeefb4324c1e6809e3c3aa041e883a7c5"),
+            ("subnormal", "a5bbfccee4d4ab63a058fef2b14f00247c1e3117ec74fe628178694b7dc028dd"),
+        ]),
+    )
+    def test_dv(self, capsys, tmp_path, pair, digest):
+        paths = [tmp_path / "p.json", tmp_path / "q.json"]
+        for path, payload in zip(paths, self.DV_PAIRS[pair]):
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "--json", "dv", *map(str, paths), "--trials", "20")
         assert code == 0
         assert _sha256(out) == digest
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -269,6 +270,13 @@ class TestSerialization:
         assert [w.hex() for w in back.probs] == [w.hex() for w in d.probs]
         assert path.read_text(encoding="utf-8").endswith("}\n")
 
+    @pytest.mark.parametrize("raw", [b"\xff\xfe", b"\xff\xfe{}", b'{"probs": [1\xe9]}'])
+    def test_a_file_that_is_not_utf8_is_invalid(self, tmp_path, raw):
+        path = tmp_path / "d.json"
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError, match="not UTF-8 text"):
+            load_distribution(path)
+
     def test_support_defaults_to_indices(self):
         d = loads_distribution('{"probs": [0.5, 0.5]}')
         assert d.support == ("0", "1")
@@ -446,3 +454,17 @@ class TestTrustedBuilders:
             assert other._align is None
         trusted = bernoulli(0.25)
         assert pickle.loads(pickle.dumps(trusted)) == trusted == copy.copy(trusted)
+
+    def test_the_memo_is_no_dataclass_field(self):
+        p = Distribution(("a", "b"), (0.25, 0.75))
+        q = Distribution(("b", "c", "a"), (0.5, 0.25, 0.25))
+        assert tuple(f.name for f in dataclasses.fields(Distribution)) == (
+            "support", "probs",
+        )
+        before = dataclasses.asdict(q), dataclasses.astuple(q)
+        _aligned(p, q)
+        assert q._align is not None
+        assert (dataclasses.asdict(q), dataclasses.astuple(q)) == before
+        for other in (dataclasses.replace(q), copy.copy(q), copy.deepcopy(q),
+                      pickle.loads(pickle.dumps(q))):
+            assert other == q and other._align is None

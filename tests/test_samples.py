@@ -51,9 +51,25 @@ class TestQueryValidation:
 
     @pytest.mark.parametrize("eps", KL_UNDERFLOWS)
     def test_epsilon_whose_kl_underflows(self, eps):
-        # every route divides by eps^2 or the per-toss KL, 0.0 here
+        # every route divides by eps^2 or the per-toss KL; eps^2 is 0.0 here
         with pytest.raises(OutOfRangeError):
             report(SampleComplexityQuery(eps, 0.01))
+
+    def test_eps_squared_is_the_test_that_refuses(self):
+        # Below the least eps whose square is not 0.0, 4 eps eps can still
+        # round up, so the KL alone would let in a query whose simplified
+        # route divides by 0.0; from it on, the KL is never 0.0.
+        lo, hi = 1.5e-162, 1.6e-162  # eps^2 is 0.0 at lo and not at hi
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if mid**2 > 0.0 else (mid, hi)
+        assert kl_per_toss(lo) > 0.0
+        with pytest.raises(OutOfRangeError, match="too small"):
+            SampleComplexityQuery(lo, 0.01)
+        eps = hi
+        for _ in range(1000):
+            assert report(SampleComplexityQuery(eps, 0.01)).kl_per_toss > 0.0
+            eps = math.nextafter(eps, 1.0)
 
     def test_smallest_epsilon_with_a_nonzero_kl(self):
         rep = report(SampleComplexityQuery(1.6e-162, 0.01))
