@@ -67,15 +67,21 @@ def render_figure_csv(figure: FigureId, points: int) -> str:
 
 
 def write_figure_csv(figure: FigureId, points: int, path) -> None:
-    """Emit the figure to ``path`` atomically (temp file, then rename)."""
+    """Emit the figure to ``path`` atomically (temp file, then rename).
+
+    An operating-system error names ``path``, not the temp file, so its
+    message is the same on every run."""
     text = render_figure_csv(figure, points)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise

@@ -11,6 +11,8 @@ import tvkl
 from tvkl import Distribution, new_distribution
 from tvkl.verify import _draw_distribution
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture(autouse=True, scope="session")
 def child_pythonpath():

@@ -1,9 +1,6 @@
 import copy
-import dataclasses
-import decimal
 import math
 import pickle
-from decimal import Decimal
 
 import pytest
 
@@ -31,7 +28,9 @@ from tvkl import (
     tv_upper_weak_bh,
 )
 from tvkl import bounds
+import oracle
 from conftest import seeded_pairs
+from test_values import ValueContract
 
 SQRT2 = math.sqrt(2.0)
 
@@ -74,15 +73,11 @@ class TestForwardBounds:
     def test_subnormal_kl_loses_no_bits(self, kl):
         # kl / 2 and kl / (1 - e^-2) are subnormal here; the bounds are still
         # the correctly rounded roots, and the best bound is positive
-        with decimal.localcontext() as ctx:
-            ctx.prec = 60
-            pinsker = (Decimal(kl) / 2).sqrt()
-            weak_bh = (Decimal(kl) / (1 - Decimal(-2).exp())).sqrt()
-        assert tv_upper_pinsker(kl).output == float(pinsker)
-        weak = tv_upper_weak_bh(kl).output
-        assert abs(Decimal(weak) - weak_bh) <= Decimal(math.ulp(weak))
+        pinsker = float(oracle.pinsker_forward(kl))
+        assert tv_upper_pinsker(kl).output == pinsker
+        assert oracle.ulps(tv_upper_weak_bh(kl).output, oracle.weak_bh_forward(kl)) <= 1
         best = tv_upper_best(kl)
-        assert best.bound is BoundId.PINSKER and best.output == float(pinsker)
+        assert best.bound is BoundId.PINSKER and best.output == pinsker
 
     def test_negative_kl_rejected(self):
         for fn in (tv_upper_pinsker, tv_upper_bh, tv_upper_tsybakov,
@@ -198,29 +193,6 @@ class TestInverseBounds:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def exact_inverses(t):
-    """(pinsker, bh, tsybakov) inverse at the double t, at 60 digits.
-
-    -log(1 - x) with x = t^2 is its series sum x^k / k below 1e-6, since
-    1 - x at 60 digits loses x entirely below about 1e-60, and otherwise
-    -(log(1 - t) + log(1 + t)), whose factors are exact.
-    """
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        t = Decimal(t)
-        x = t * t
-        if t == 1:
-            return 2 * x, Decimal("Infinity"), Decimal("Infinity")
-        if x < Decimal("1e-6"):
-            bh, term, k = Decimal(0), x, 1
-            while term > bh * Decimal("1e-62"):
-                bh += term / k
-                term, k = term * x, k + 1
-        else:
-            bh = -((1 - t).ln() + (1 + t).ln())
-        return 2 * x, bh, max(Decimal(0), -(2 * (1 - t)).ln())
-
-
 def oracle_tvs():
     """Log-spaced from 5e-324 to 1/2, then 1/2 +- 2^-k and 1 - 2^-k."""
     lo, hi = math.log(5e-324), math.log(0.5)
@@ -236,21 +208,17 @@ class TestInverseOracle:
         "index, bound", enumerate([kl_lower_pinsker, kl_lower_bh, kl_lower_tsybakov])
     )
     def test_within_2_ulps_and_never_negative_zero(self, index, bound):
+        exact = (oracle.pinsker_inverse, oracle.bh_inverse, oracle.tsybakov_inverse)[index]
         for t in oracle_tvs():
-            value, exact = bound(t), exact_inverses(t)[index]
+            value = bound(t)
             assert math.copysign(1.0, value) == 1.0, (t, value)
-            if exact.is_infinite():
-                assert value == math.inf, t
-                continue
-            ulps = abs(Decimal(value) - exact) / Decimal(math.ulp(float(exact)))
-            assert ulps <= 2, (t, value, exact)
+            assert oracle.ulps(value, exact(t, 1.0 - t)) <= 2, (t, value)
 
     def test_pinned_points(self):
         assert kl_lower_bh(1e-12) == 1e-24
         assert repr(kl_lower_bh(0.0)) == "0.0"
         t = 0.5 + 2.0**-28
-        exact = exact_inverses(t)[2]
-        assert abs(Decimal(kl_lower_tsybakov(t)) - exact) <= Decimal(math.ulp(float(exact)))
+        assert oracle.ulps(kl_lower_tsybakov(t), oracle.tsybakov_inverse(t, 1.0 - t)) <= 1
 
 
 class TestVajdaInversion:
@@ -294,24 +262,6 @@ class TestVajdaInversion:
             assert tv_upper_from_vajda(kl) <= forward_value(BoundId.BH, kl)
 
 
-def exact_vajda(t):
-    """The vajda inverse at the double t, at 60 digits: below 1e-6 the series
-    2t^2 / (1 + t) + 2 sum t^(2k+1) / (2k + 1), k >= 1, and otherwise
-    log((1 + t) / (1 - t)) - 2t / (1 + t), whose factors are exact."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        t = Decimal(t)
-        if t == 1:
-            return Decimal("Infinity")
-        if t < Decimal("1e-6"):
-            value, term, k = 2 * t * t / (1 + t), 2 * t**3, 3
-            while term > value * Decimal("1e-62"):
-                value += term / k
-                term, k = term * t * t, k + 2
-            return value
-        return ((1 + t) / (1 - t)).ln() - 2 * t / (1 + t)
-
-
 class TestVajdaOracle:
     def test_inverse_close_and_never_below_bh(self):
         # Below 2^-9 the series is within 2 ulps. Above it the log form
@@ -319,15 +269,11 @@ class TestVajdaOracle:
         # plus a few of t.
         tvs = oracle_tvs() + [2.0**-9 + s * 2.0**-k for k in range(10, 62) for s in (-1, 1)]
         for t in tvs:
-            value, exact = kl_lower_vajda(t), exact_vajda(t)
+            value, exact = kl_lower_vajda(t), oracle.vajda_inverse(t, 1.0 - t)
             assert math.copysign(1.0, value) == 1.0, (t, value)
             assert value >= kl_lower_bh(t), t
-            if exact.is_infinite():
-                assert value == math.inf, t
-                continue
-            ulp = Decimal(math.ulp(float(exact)))
-            slack = 2 * ulp if t < 2.0**-9 else 4 * (ulp + Decimal(math.ulp(t)))
-            assert abs(Decimal(value) - exact) <= slack, (t, value, exact)
+            slack = 2 if t < 2.0**-9 else 4 * (1 + math.ulp(t) / math.ulp(float(exact)))
+            assert oracle.ulps(value, exact) <= slack, (t, value, exact)
 
     def test_pinned_points(self):
         assert kl_lower_vajda(1e-12) == 1.9999999999986664e-24
@@ -359,11 +305,7 @@ class TestVajdaOracle:
     def test_below_the_kl_of_a_near_equal_pair(self):
         # the log form gave 1.99614e-23 here, above the pair's KL
         p, q = bernoulli(0.5002786495666032), bernoulli(0.5002786495697623)
-        with decimal.localcontext() as ctx:
-            ctx.prec = 60
-            kl = sum(Decimal(a) * (Decimal(a) / Decimal(b)).ln()
-                     for a, b in zip(p.probs, q.probs))
-        assert Decimal(kl_lower_vajda(total_variation(p, q))) <= kl
+        assert kl_lower_vajda(total_variation(p, q)) <= oracle.kl_divergence(p.probs, q.probs)
 
 
 class TestCompareBounds:
@@ -506,67 +448,15 @@ class TestSoundnessOnRealPairs:
                 assert kl - inverse_value(bound, tv) >= -1e-12
 
 
-class TestEvaluationValue:
-    # A BoundEvaluation is a frozen value: built by keyword or position,
-    # compared, hashed, printed, copied and pickled by its four fields.
-    EV = BoundEvaluation(BoundId.BH, 0.5, 0.6, False)
-
-    def test_positional_and_keyword_construction(self):
-        keyword = BoundEvaluation(bound=BoundId.BH, input=0.5, output=0.6, vacuous=False)
-        mixed = BoundEvaluation(BoundId.BH, 0.5, vacuous=False, output=0.6)
-        assert keyword == mixed == self.EV
-        assert (keyword.bound, keyword.input, keyword.output, keyword.vacuous) == (
-            BoundId.BH, 0.5, 0.6, False)
-
-    @pytest.mark.parametrize("args, kwargs", [
-        ((BoundId.BH, 0.5, 0.6), {}),
-        ((BoundId.BH, 0.5, 0.6, False, 1), {}),
-        ((BoundId.BH, 0.5, 0.6), {"vacuos": False}),
-        ((BoundId.BH, 0.5, 0.6, False), {"bound": BoundId.BH}),
-    ])
-    def test_wrong_arguments_raise_type_error(self, args, kwargs):
-        with pytest.raises(TypeError):
-            BoundEvaluation(*args, **kwargs)
-
-    def test_equal_and_hash_against_an_equal_instance(self):
-        row = compare_bounds(0.37)[1]
-        twin = BoundEvaluation(BoundId.BH, 0.37, row.output, False)
-        assert row == twin and hash(row) == hash(twin)
-        assert row != BoundEvaluation(BoundId.BH, 0.37, row.output, True)
-        assert row != (BoundId.BH, 0.37, row.output, False)
-        assert len({row, twin}) == 1
+class TestEvaluationValue(ValueContract):
+    # A BoundEvaluation is a frozen value of its four fields.
+    build = staticmethod(lambda: compare_bounds(0.37)[1])
+    FIELDS = ["bound", "input", "output", "vacuous"]
+    CHANGE = {"vacuous": True}
 
     def test_repr(self):
-        assert repr(self.EV) == (
+        assert repr(BoundEvaluation(BoundId.BH, 0.5, 0.6, False)) == (
             "BoundEvaluation(bound=<BoundId.BH: 'bh'>, input=0.5, output=0.6, vacuous=False)")
-
-    @pytest.mark.parametrize("name", ["bound", "input", "output", "vacuous"])
-    def test_frozen_against_assignment_and_deletion(self, name):
-        ev = BoundEvaluation(BoundId.BH, 0.5, 0.6, False)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(ev, name, 1.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(ev, name)
-        assert ev == self.EV
-        assert not hasattr(ev, "__dict__")
-
-    def test_copy_deepcopy_and_pickle_round_trips(self):
-        copies = [copy.copy(self.EV), copy.deepcopy(self.EV)]
-        copies += [pickle.loads(pickle.dumps(self.EV, protocol))
-                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-        for twin in copies:
-            assert twin == self.EV and hash(twin) == hash(self.EV)
-            assert type(twin) is BoundEvaluation and twin.bound is BoundId.BH
-
-    def test_field_order(self):
-        assert [f.name for f in dataclasses.fields(BoundEvaluation)] == [
-            "bound", "input", "output", "vacuous"]
-        assert BoundEvaluation.__match_args__ == ("bound", "input", "output", "vacuous")
-
-    def test_replace(self):
-        flagged = dataclasses.replace(self.EV, vacuous=True)
-        assert flagged == BoundEvaluation(BoundId.BH, 0.5, 0.6, True)
-        assert self.EV.vacuous is False
 
 
 class TestBoundIdHash:

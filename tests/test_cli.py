@@ -240,6 +240,15 @@ class TestFigure:
         assert not list(tmp_path.glob("*.tmp"))
         assert not target.exists()
 
+    def test_unwritable_out_names_the_path(self, capsys, tmp_path):
+        # the temp file beside it has a new random name on every run
+        out = str(tmp_path / "missing" / "f.csv")
+        runs = [run_cli(capsys, "figure", "fig_pinsker", "--out", out) for _ in range(2)]
+        assert runs[0] == runs[1]
+        code, stdout, err = runs[0]
+        assert (code, stdout) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+
     def test_render_unclamped(self):
         text = render_figure_csv(FigureId.FIG_WEAK, 51)
         rows = [line.split(",") for line in text.strip().splitlines()[1:]]
