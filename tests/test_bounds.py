@@ -194,12 +194,14 @@ class TestInverseBounds:
 
 
 def oracle_tvs():
-    """Log-spaced from 5e-324 to 1/2, then 1/2 +- 2^-k and 1 - 2^-k."""
+    """Log-spaced from 5e-324 to 1/2, then 1/2 +- 2^-k, 1 - 2^-k, and 1 - u
+    with u log-spaced from 2^-53 to 1/2."""
     lo, hi = math.log(5e-324), math.log(0.5)
     tvs = {0.0, 5e-324, 0.5, 1.0}
     tvs.update(math.exp(lo + (hi - lo) * i / 300) for i in range(1, 300))
     tvs.update(0.5 + s * 2.0**-k for k in range(2, 55) for s in (-1.0, 1.0))
     tvs.update(1.0 - 2.0**-k for k in range(2, 54))
+    tvs.update(1.0 - 2.0 ** (-53 + 52 * i / 300) for i in range(301))
     return sorted(tvs)
 
 

@@ -1,6 +1,5 @@
 import contextlib
 import dataclasses
-import hashlib
 import io
 import json
 import math
@@ -17,6 +16,7 @@ from tvkl.bounds import BoundId
 from tvkl.cli import _jsonable, main
 from tvkl.figures import FigureId, figure_header, render_figure_csv
 from tvkl.samples import SampleComplexityReport
+import pins
 
 
 @pytest.fixture
@@ -385,13 +385,8 @@ class TestVerify:
         assert code == 1
         assert "suite" in err
 
-    def test_all_seed_42_stdout_is_pinned(self, capsys):
-        # the stdout contract: any change to these bytes is a visible change
-        code, out, _ = run_cli(capsys, "--json", "verify", "all", "--seed", "42")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "2282bf19fdb597b9e73a8412b67a04fcc86b1d4fca13cc1bd8c11fd3f9884bfc"
-        )
+    def test_all_seed_42_stdout_is_pinned(self, capsys, tmp_path):
+        assert_pinned(capsys, tmp_path, "--json verify all --seed 42")
 
     @pytest.mark.parametrize(
         "k, inequality", enumerate(["hellinger_chain", "dpi_quantized", "tfl_lower"])
@@ -436,189 +431,79 @@ class TestDv:
         assert "support" in err
 
 
-def _sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
+def in_process(capsys):
+    # tests/pins.py's runner for main: argv -> (exit code, stdout bytes)
+    return lambda argv: (main(argv), capsys.readouterr().out.encode())
 
 
-def _by_input(cases):
-    # Each case ends with its digest; the test id is the input alone, so a
-    # re-pinned output keeps its test's name.
-    ids = ("-".join(filter(None, case[:-1])).replace(" ", "") for case in cases)
-    return [pytest.param(*case, id=name) for case, name in zip(cases, ids)]
+def assert_pinned(capsys, tmp_path, command):
+    problem = pins.check(command, in_process(capsys), str(tmp_path))
+    assert problem is None, problem
 
 
 class TestPinnedOutputs:
-    """The stdout contract for figures, bounds, samples, div, verify and
-    dv: any change to these bytes is a visible change."""
+    """Every pin of tests/pins.py, run in-process (a new pin needs its test
+    here). The ids are the inputs alone: a re-pinned output keeps its id."""
+
+    @pytest.mark.parametrize("figure", ["fig_pinsker", "fig_forward", "fig_inverse", "fig_weak"])
+    def test_figure_csv(self, capsys, tmp_path, figure):
+        assert_pinned(capsys, tmp_path, f"figure {figure} --points 501 --out fig.csv")
+
+    def test_eleven_point_forward_figure(self, capsys, tmp_path):
+        assert_pinned(capsys, tmp_path, "figure fig_forward --points 11 --out fig.csv")
+
+    @pytest.mark.parametrize("value", "0 5e-324 1e-300 1e-12 0.02 1 2 37 40 50 700 inf".split())
+    def test_bound_forward(self, capsys, tmp_path, value):
+        assert_pinned(capsys, tmp_path, f"--json bound forward {value}")
 
     @pytest.mark.parametrize(
-        "figure, digest",
-        _by_input([
-            ("fig_pinsker", "30bee16fb35ace633c2187581579382fc9e064ec1c5aa7fc636eb3e75d8ca41b"),
-            ("fig_forward", "53043d125d1aa4a8da9b20d913a0171b67e2b8b8f9403b0b07a26578e2336171"),
-            ("fig_inverse", "782861e1acd4b7fb7be0161cd3097654138ba7ab59c9e886319914b14e83a94c"),
-            ("fig_weak", "0421a88f8634843064854554d55653048dfc612ffc0d5a5adfe4affe38bff7d3"),
-        ]),
-    )
-    def test_figure_csv(self, capsys, tmp_path, figure, digest):
-        out = tmp_path / "f.csv"
-        code, _, _ = run_cli(capsys, "figure", figure, "--points", "501", "--out", str(out))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        "value", "0 5e-324 1e-12 1e-8 0.45 0.5 0.75 0.9999999999999999 1".split())
+    def test_bound_inverse(self, capsys, tmp_path, value):
+        assert_pinned(capsys, tmp_path, f"--json bound inverse {value}")
 
-    @pytest.mark.parametrize(
-        "value, digest",
-        _by_input([
-            ("0", "d25898d4d1768f8cfff2370982057807d88801457dc7baf0f03d7e23f4f4af90"),
-            ("5e-324", "cce3d8956aa6c1229f07e9314080c41481e8c220785fffbf10c1906953e5511d"),
-            ("1e-300", "4e9d4b75890156776063452ae8712fd45df45b30bd4b8e8af43a33e552f577ba"),
-            ("1e-12", "8099fe3a5f82e63dffd0fc26ac16cd8165c5a05fe8357d5f130a0ae5fd1c2da6"),
-            ("0.02", "f4cc23613555004052f9b33e9935a3a56a7dcdae20cdf948accd242d4cf20ac1"),
-            ("2", "037c2935eabf5c625d0057b2640d871722673a546e3073f318abb51892b52d50"),
-            ("37", "116d2ba43895088727f899017203504690741e613d17d5eda6e26b0340fcf7ff"),
-            ("50", "776597453062684e1439cf58a421d1040420391de0b962b76568f2fec6486098"),
-            ("700", "0c602727bd8963a1b431e8ad4bdbe1e2a243340298f7023f4a255a14eda0ab55"),
-            ("inf", "9fd4d8ebf79b5f4dc4ab1b0ab779f01f011321e55f6392b7041684555bcb3d58"),
-        ]),
-    )
-    def test_bound_forward(self, capsys, value, digest):
-        code, out, _ = run_cli(capsys, "--json", "bound", "forward", value)
-        assert code == 0
-        assert _sha256(out) == digest
+    QUERIES = [("0.1", "0.01"), ("0.3", "0.4"), ("1e-6", "1e-9")]
 
-    @pytest.mark.parametrize(
-        "value, digest",
-        _by_input([
-            ("0", "eb2708fe03ec903699f5664b534109893602815ee0890dd2b697dabe7a4cef0c"),
-            ("5e-324", "7ddfd85a4aabf6ff193f531744632f94e21d6515810adde240aee2faa7214a27"),
-            ("1e-12", "c0921bb314bb299237865ac5fb2cd9ede2518a59f07712d8f7c5c3a86581ed7a"),
-            ("1e-8", "6304cb86aa60d6efdcecca7e111c8e7aa30380ee43fb7ff62710f84429a6b00f"),
-            ("0.45", "f7ec1717a2884182449416c217bbeb6658f2b72776a680e9807ce444af215c67"),
-            ("0.5", "b56c1d4c054c5033074ab3781ac98a162e8df043b4e7a2bd20f80442e5f121f4"),
-            ("0.9999999999999999",
-             "4c9dc3146332398bb362eb055f60894991de8dc56414583942bb31a5ee40f61e"),
-            ("1", "4d12a3fad8415bff7e3d2b6b45381613e0cf871019c72f405fe0264cc0cf9205"),
-        ]),
-    )
-    def test_bound_inverse(self, capsys, value, digest):
-        code, out, _ = run_cli(capsys, "--json", "bound", "inverse", value)
-        assert code == 0
-        assert _sha256(out) == digest
+    @pytest.mark.parametrize("epsilon, delta", QUERIES)
+    def test_samples(self, capsys, tmp_path, epsilon, delta):
+        assert_pinned(capsys, tmp_path, f"--json samples {epsilon} {delta}")
 
-    @pytest.mark.parametrize(
-        "epsilon, delta, digest",
-        _by_input([
-            ("0.1", "0.01", "e9250312ab070f091df85ca4c8c638f47a75f2cb69b9ec8ac994012f3fbb4459"),
-            ("0.3", "0.4", "5b7efe11427cf2a4465191f8452c14697b059a8e2725daadd35f0848055f6576"),
-            ("1e-6", "1e-9", "72fce77411e121286c7613102d05c6695a709dc2daa131d3fe682b123ab6be9c"),
-        ]),
-    )
-    def test_samples(self, capsys, epsilon, delta, digest):
-        code, out, _ = run_cli(capsys, "--json", "samples", epsilon, delta)
-        assert code == 0
-        assert _sha256(out) == digest
+    @pytest.mark.parametrize("flags, epsilon, delta", [
+        pytest.param(flags, *query, id="-".join(filter(None, (flags.replace(" ", ""), *query))))
+        for query in QUERIES for flags in ("", "--ceil", "--json --ceil")])
+    def test_samples_text_and_ceil(self, capsys, tmp_path, flags, epsilon, delta):
+        assert_pinned(capsys, tmp_path, f"samples {epsilon} {delta} {flags}".strip())
 
-    @pytest.mark.parametrize(
-        "flags, epsilon, delta, digest",
-        _by_input([
-            ("", "0.1", "0.01",
-             "d34ccf423f8f9cb88c653bac6a5050e81bb752f40445ea2c2c2f00717a36e8eb"),
-            ("", "0.3", "0.4",
-             "600e757bc04c54940c0ee70e5d1c9f1e097bb255c62c943a8e525924687f1ac6"),
-            ("", "1e-6", "1e-9",
-             "72bebc55ac99060c8871a261d82918889deded5a1ef8358a0dc2521f31d82973"),
-            ("--ceil", "0.1", "0.01",
-             "79c45a8b1217a4189c367ab469a71fee55854d36dea5c413e5d115f3676a5e8a"),
-            ("--ceil", "0.3", "0.4",
-             "5f020d6b084333b0a375a0e85350d683bf0a39f4f1ee70b0a410c9d9cd9c8a99"),
-            ("--ceil", "1e-6", "1e-9",
-             "1e72a17c17d147c02847adb2989057e37f00c4c6204dbcb735ac45d3a9c49ff6"),
-            ("--json --ceil", "0.1", "0.01",
-             "0f2a1ade04d0ebf04a4147e38c4147383a94b1a160b71b3d0027b14beda731a5"),
-            ("--json --ceil", "0.3", "0.4",
-             "edb1e79e6434a8b407b8aa20738c531ff31948ba0243d7e23bf0f04bfb70f3d8"),
-            ("--json --ceil", "1e-6", "1e-9",
-             "a0bb33672132695b532bf7737d8e63f709470db14c46bcd8b78e49976f62e242"),
-        ]),
-    )
-    def test_samples_text_and_ceil(self, capsys, flags, epsilon, delta, digest):
-        code, out, _ = run_cli(capsys, "samples", epsilon, delta, *flags.split())
-        assert code == 0
-        assert _sha256(out) == digest
+    def test_verify_all_text(self, capsys, tmp_path):
+        assert_pinned(capsys, tmp_path,
+                      "verify all --seed 42 --resolution 40 --trials 50 --atoms 8")
 
-    def test_verify_all_text(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "all", "--seed", "42", "--resolution",
-                               "40", "--trials", "50", "--atoms", "8")
-        assert code == 0
-        assert _sha256(out) == (
-            "9e64e1b7c82d47a2865ee9167820f92d03caa80e6055ab35569fd84dc09a5e95"
-        )
+    @pytest.mark.parametrize("pair", ["relabelled", "q_only", "subnormal", "rotated", "padded"])
+    def test_div(self, capsys, tmp_path, pair):
+        assert_pinned(capsys, tmp_path, f"--json div {pair}_p.json {pair}_q.json")
 
-    # (p, q) as JSON objects: a relabelled q, a q-only label, and subnormal
-    # weights on both sides.
-    DIV_PAIRS = {
-        "relabelled": (
-            {"support": ["a", "b", "c", "d"], "probs": [0.1, 0.2, 0.3, 0.4]},
-            {"support": ["d", "c", "b", "a"], "probs": [0.1, 0.3, 0.35, 0.25]},
-        ),
-        "q_only": (
-            {"support": ["x", "y"], "probs": [0.7, 0.3]},
-            {"support": ["y", "z", "x"], "probs": [0.2, 0.1, 0.7]},
-        ),
-        "subnormal": (
-            {"support": ["a", "b", "c"], "probs": [1e-310, 0.5, 0.5]},
-            {"support": ["a", "b", "c"], "probs": [5e-324, 0.4, 0.6]},
-        ),
-    }
+    def test_div_with_the_padded_label_on_p(self, capsys, tmp_path):
+        assert_pinned(capsys, tmp_path, "--json div padded_q.json padded_p.json")
 
-    @pytest.mark.parametrize(
-        "pair, digest",
-        _by_input([
-            ("relabelled", "56a17dcfebf5fabe5edd147b0943da5440f136a9346c3ae3fe003ed06caa1808"),
-            ("q_only", "7a81a581d34e8da5241f8a2b43443a9923a52b0220154d8f13db02344a87b77b"),
-            ("subnormal", "d2352b789b9e00c9962514af90fce6e2f0472121b2a675532dd65cd676a06284"),
-        ]),
-    )
-    def test_div(self, capsys, tmp_path, pair, digest):
-        paths = [tmp_path / "p.json", tmp_path / "q.json"]
-        for path, payload in zip(paths, self.DIV_PAIRS[pair]):
-            path.write_text(json.dumps(payload), encoding="utf-8")
-        code, out, _ = run_cli(capsys, "--json", "div", *map(str, paths))
-        assert code == 0
-        assert _sha256(out) == digest
+    @pytest.mark.parametrize("pair", ["shared_zero", "subnormal"])
+    def test_dv(self, capsys, tmp_path, pair):
+        assert_pinned(capsys, tmp_path, f"--json dv {pair}_p.json {pair}_q.json --trials 20")
 
-    # Pairs whose log-ratios leave the all-normal comprehension: an atom empty
-    # on both sides (after relabelling), and subnormal weights.
-    DV_PAIRS = {
-        "shared_zero": (
-            {"support": ["a", "b", "c"], "probs": [0.5, 0.5, 0.0]},
-            {"support": ["c", "b", "a"], "probs": [0.0, 0.6, 0.4]},
-        ),
-        "subnormal": DIV_PAIRS["subnormal"],
-    }
+    def test_dv_text_at_the_default_seed(self, capsys, tmp_path):
+        assert_pinned(capsys, tmp_path, "dv fair.json biased.json --trials 50")
 
-    @pytest.mark.parametrize(
-        "pair, digest",
-        _by_input([
-            ("shared_zero", "cacedf8ed55777d9387d7d59f4bd6cbaeefb4324c1e6809e3c3aa041e883a7c5"),
-            ("subnormal", "a5bbfccee4d4ab63a058fef2b14f00247c1e3117ec74fe628178694b7dc028dd"),
-        ]),
-    )
-    def test_dv(self, capsys, tmp_path, pair, digest):
-        paths = [tmp_path / "p.json", tmp_path / "q.json"]
-        for path, payload in zip(paths, self.DV_PAIRS[pair]):
-            path.write_text(json.dumps(payload), encoding="utf-8")
-        code, out, _ = run_cli(capsys, "--json", "dv", *map(str, paths), "--trials", "20")
-        assert code == 0
-        assert _sha256(out) == digest
 
-    def test_dv_text_at_the_default_seed(self, capsys, dist_files):
-        code, out, _ = run_cli(capsys, "dv", dist_files["fair"], dist_files["biased"],
-                               "--trials", "50")
-        assert code == 0
-        assert _sha256(out) == (
-            "a069263f8a6fd9a0772a2c2a99613069ab073913c6e11cc145c28509aeda6323"
-        )
+def test_pin_runner_reports_each_failure_under_its_command(capsys):
+    # a stub stands in for the command, so no process starts
+    wrong, failing, no_file = ("--json bound forward 0", "samples 0.1 0.01",
+                               "figure fig_pinsker --points 501 --out fig.csv")
+    outcomes = {"--json": (0, b"[]\n"), "samples": (2, b""), "figure": (0, b"")}
+    assert pins.check_all(lambda argv: outcomes[argv[0]], [wrong, failing, no_file]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"FAIL  {wrong}: sha256 ") and pins.PINS[wrong] in lines[0]
+    assert lines[1:] == [f"FAIL  {failing}: exit 2", lines[2], "0 of 3 pins match"]
+    assert lines[2].startswith(f"FAIL  {no_file}: --out: [Errno 2]")
+    assert pins.check_all(in_process(capsys), [wrong]) == 0
+    assert capsys.readouterr().out == f"ok    {wrong}\n1 of 1 pins match\n"
 
 
 class TestJsonForm:
