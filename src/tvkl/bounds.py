@@ -236,10 +236,10 @@ FORWARD_ORDER = tuple(_FORWARD)
 def _evaluate(items, kl: float) -> list[BoundEvaluation]:
     """Each (bound, curve) at one checked kl; the one place the vacuity rule
     is written. Every bound but bh can be vacuous (bh reaches 1 only at
-    kl = +inf). The output is tested first: on Python 3.11, whose EnumType
-    defines ``__getattr__``, reading ``BoundId.BH`` costs more than that."""
+    kl = +inf). bh is told by its curve: on Python 3.10 and 3.11, whose
+    EnumType defines ``__getattr__``, reading ``BoundId.BH`` is slow."""
     return [
-        BoundEvaluation(bound, kl, output, output >= 1.0 and bound is not BoundId.BH)
+        BoundEvaluation(bound, kl, output, output >= 1.0 and curve is not _bh_forward)
         for bound, curve in items
         for output in (curve(kl),)
     ]

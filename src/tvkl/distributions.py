@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from operator import truediv
 
 from .errors import (
     DuplicateLabelError,
@@ -22,6 +23,7 @@ from .errors import (
     TooLargeError,
     ValidationError,
     _integer,
+    _tuple,
     _unit,
 )
 
@@ -45,38 +47,41 @@ class Distribution(_AlignSlot):
     """Immutable finite discrete distribution.
 
     ``support`` holds pairwise-distinct atom labels; ``probs`` holds the
-    aligned weights, each >= 0, summing to 1 within ``SUM_TOLERANCE``.
-    Instances are safe to share across threads: the one private slot,
-    ``_align``, memoises this instance's alignment as the q of a pair (see
-    ``divergence._aligned``), and it is written in one attribute store of a
-    finished tuple. It is a slot of a base class, not a field, so it is
-    outside ``dataclasses.fields``, ``asdict``, ``astuple`` and ``replace``,
-    and takes no part in ``==``, ``hash``, ``repr`` or pickling.
+    aligned weights, each >= 0, summing to 1 within ``SUM_TOLERANCE``. Both
+    are read as tuples; a tuple is kept as it is, not copied. Instances are
+    safe to share across threads: the one private slot, ``_align``, memoises
+    this instance's alignment as the q of a pair (see ``divergence._aligned``),
+    and it is written in one attribute store of a finished tuple. It is a
+    slot of a base class, not a field, so it is outside ``dataclasses.fields``,
+    ``asdict``, ``astuple`` and ``replace``, and takes no part in ``==``,
+    ``hash``, ``repr`` or pickling.
     """
 
     support: tuple[str, ...]
     probs: tuple[float, ...]
 
     def __post_init__(self):
+        support, probs = _tuple("support", self.support), _tuple("probs", self.probs)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_align", None)
-        if not self.support:
+        if not support:
             raise EmptySupportError("support: must contain at least one atom")
-        if len(self.support) != len(self.probs):
-            raise ValidationError(
-                f"probs: {len(self.probs)} weights for {len(self.support)} labels"
-            )
-        if not all(map(isinstance, self.support, repeat(str))):
-            for i, label in enumerate(self.support):
+        if len(support) != len(probs):
+            raise ValidationError(f"probs: {len(probs)} weights for {len(support)} labels")
+        try:
+            "".join(support)  # refuses a label that is not a str, at C speed
+        except TypeError:
+            for i, label in enumerate(support):
                 if not isinstance(label, str):
                     raise InvalidLabelError(f"support[{i}]: labels must be strings")
-        if len(set(self.support)) != len(self.support):
+        if len(set(support)) != len(support):
             seen = set()
-            for label in self.support:
+            for label in support:
                 if label in seen:
                     raise DuplicateLabelError(f"support: duplicate label {label!r}")
                 seen.add(label)
-        _check_weights(self.probs)
-        total = _weight_sum(self.probs)
+        total = _weight_total(probs)
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise SumToleranceError(total, SUM_TOLERANCE)
 
@@ -98,33 +103,30 @@ class Distribution(_AlignSlot):
         return self
 
 
-def _check_weights(probs) -> None:
-    # Scan at C speed; only a failing scan walks the weights in Python to
-    # name the first offending index.
-    if (
-        all(map(isinstance, probs, repeat(float)))
-        and all(map(math.isfinite, probs))
-        and min(probs) >= 0.0
-    ):
-        return
+def _weight_total(probs) -> float:
+    # One C-level scan a property: a finite fsum of floats rules out inf and
+    # NaN, so min settles the sign. A failure walks them to name its index.
+    if all(map(isinstance, probs, repeat(float))):
+        try:  # fsum raises on inf - inf and on an exact sum past the largest double
+            total = math.fsum(probs)
+        except (OverflowError, ValueError):
+            total = math.nan
+        if math.isfinite(total) and min(probs) >= 0.0:
+            return total
     for i, w in enumerate(probs):
         if not isinstance(w, float) or not math.isfinite(w):
             raise NegativeWeightError(f"probs[{i}]: weight {w!r} is not a finite number")
         if w < 0.0:
             raise NegativeWeightError(f"probs[{i}]: negative weight {w!r}")
-
-
-def _weight_sum(probs) -> float:
-    # fsum raises on an exact sum beyond the largest double.
     try:
         return math.fsum(probs)
     except OverflowError:
         raise SumToleranceError(math.inf, SUM_TOLERANCE) from None
 
 
-def _float_weights(weights: tuple) -> list[float]:
+def _float_weights(weights: tuple) -> tuple[float, ...]:
     try:
-        return [float(w) for w in weights]
+        return tuple(map(float, weights))
     except OverflowError:
         raise NegativeWeightError("weights: a weight is too large for a float") from None
     except (TypeError, ValueError):
@@ -157,21 +159,23 @@ def new_distribution(
     not contain the reserved product separator. Zero weights are retained.
     Every other check is the ``Distribution`` constructor's.
     """
-    ws = _float_weights(tuple(weights))
-    labs = _default_labels(len(ws)) if labels is None else tuple(labels)
-    for i, label in enumerate(labs):
-        if isinstance(label, str) and LABEL_SEPARATOR in label:
-            raise InvalidLabelError(
-                f"labels[{i}]: {label!r} contains the reserved separator "
-                f"{LABEL_SEPARATOR!r}"
-            )
+    ws = _float_weights(_tuple("weights", weights))
+    labs = _default_labels(len(ws)) if labels is None else _tuple("labels", labels)
+    try:  # the separator is one character, so it cannot straddle two labels
+        clean = LABEL_SEPARATOR not in "".join(labs)
+    except TypeError:  # a label that is not a str, refused by the constructor
+        clean = False
+    if not clean:
+        for i, label in enumerate(labs):
+            if isinstance(label, str) and LABEL_SEPARATOR in label:
+                raise InvalidLabelError(f"labels[{i}]: {label!r} contains the reserved "
+                                        f"separator {LABEL_SEPARATOR!r}")
     if renormalize and ws:
-        _check_weights(ws)
-        total = _weight_sum(ws)
+        total = _weight_total(ws)
         if total <= 0.0:
             raise SumToleranceError(total, SUM_TOLERANCE)
-        ws = [w / total for w in ws]
-    return Distribution(labs, tuple(ws))
+        ws = tuple(map(truediv, ws, repeat(total)))
+    return Distribution(labs, ws)
 
 
 def bernoulli(p: float) -> Distribution:
@@ -230,7 +234,7 @@ def tensor_power(spec: ProductSpec) -> Distribution:
     # the joined labels are then distinct strings, and products of the
     # base's finite nonnegative weights are finite and nonnegative. A base
     # built directly may hold it, so its labels go through every check.
-    if any(LABEL_SEPARATOR in label for label in base.support):
+    if LABEL_SEPARATOR in "".join(base.support):
         return Distribution(tuple(labels), tuple(weights))
     return Distribution._trusted(tuple(labels), tuple(weights))
 
@@ -250,9 +254,10 @@ def from_json_dict(obj, renormalize: bool = False) -> Distribution:
     probs = obj["probs"]
     if not isinstance(probs, list):
         raise ValidationError("probs: must be an array of numbers")
-    for i, w in enumerate(probs):
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise ValidationError(f"probs[{i}]: {w!r} is not a number")
+    if not {int, float}.issuperset(map(type, probs)):  # a C-speed scan first
+        for i, w in enumerate(probs):
+            if isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise ValidationError(f"probs[{i}]: {w!r} is not a number")
     support = obj.get("support")
     if support is not None and not isinstance(support, list):
         raise ValidationError("support: must be an array of strings")

@@ -107,12 +107,12 @@ def _integer(name: str, x, lo: int | None = None, hi: int | None = None) -> int:
 
 
 def _tuple(name: str, x) -> tuple:
-    """``tuple(x)``; a non-iterable x, or a str, bytes or mapping, whose
-    items are characters, ints or keys, raises OutOfRangeError naming it."""
+    """``tuple(x)``, x itself if a tuple; a non-iterable x, or a str, bytes
+    or mapping (characters, ints or keys), raises OutOfRangeError naming it."""
     if isinstance(x, (str, bytes, bytearray, Mapping)):
         raise OutOfRangeError(f"{name}: {x!r} is a {type(x).__name__}, not a sequence")
     try:
-        items = iter(x)
+        iter(x)
     except TypeError:
         raise OutOfRangeError(f"{name}: {x!r} is not iterable") from None
-    return tuple(items)
+    return tuple(x)

@@ -30,6 +30,9 @@ from dataclasses import dataclass
 from .bounds import _INVERSE, BoundId, _slot_setters
 from .errors import OutOfRangeError, _real
 
+#: The routes' inverse curves, read once: a BoundId read is slow on 3.10, 3.11.
+_ROUTES = [_INVERSE[bound] for bound in (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV)]
+
 #: Flag set on a report when the simplified bh closed form exceeds the exact
 #: bh route at the queried parameters.
 FLAG_SIMPLIFIED_EXCEEDS_EXACT = "simplified_exceeds_exact"
@@ -149,8 +152,9 @@ def report(query: SampleComplexityQuery) -> SampleComplexityReport:
     bh route (so the two cannot be chained in that direction at these
     parameters), one when the tsybakov route is vacuous.
     """
+    pinsker, bh, tsybakov = _ROUTES
     u, klt = 2.0 * query.delta, _kl_per_toss(query.epsilon)
-    n_bh = _INVERSE[BoundId.BH](1.0 - u, u) / klt
+    n_bh = bh(1.0 - u, u) / klt
     n_simplified = -math.log(u) / (2.0 * query.epsilon**2)
     notes = []
     if n_simplified > n_bh:
@@ -162,9 +166,9 @@ def report(query: SampleComplexityQuery) -> SampleComplexityReport:
         delta=query.delta,
         required_tv=1.0 - u,
         kl_per_toss=klt,
-        n_pinsker=_INVERSE[BoundId.PINSKER](1.0 - u, u) / klt,
+        n_pinsker=pinsker(1.0 - u, u) / klt,
         n_bh=n_bh,
-        n_tsybakov=_INVERSE[BoundId.TSYBAKOV](1.0 - u, u) / klt,
+        n_tsybakov=tsybakov(1.0 - u, u) / klt,
         n_bh_simplified=n_simplified,
         notes=tuple(notes),
     )

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,39 @@ from tvkl.cli import _jsonable, main
 from tvkl.figures import FigureId, figure_header, render_figure_csv
 from tvkl.samples import SampleComplexityReport
 import pins
+
+
+def in_process(capsys):
+    # tests/pins.py's runner for main: argv -> (exit code, stdout bytes)
+    return lambda argv: (main(argv), capsys.readouterr().out.encode())
+
+
+def assert_pinned(capsys, tmp_path, command):
+    problem = pins.check(command, in_process(capsys), str(tmp_path))
+    assert problem is None, problem
+
+
+#: The command of each pinned case, noted by ``pinned`` and ``pin`` as the
+#: module loads, for test_every_pin_has_a_case_and_every_case_a_pin.
+CASES = []
+
+
+def pinned(pattern, name=lambda match: "-".join(match.groups())):
+    """Parametrize the test's ``command`` over the pins that fullmatch
+    ``pattern``, each case's id ``name`` of its match (by default the words
+    the groups catch, joined by "-")."""
+    found = [(command, m) for command in pins.PINS if (m := re.fullmatch(pattern, command))]
+    assert found, f"no pin matches {pattern!r}"
+    CASES.extend(command for command, _ in found)
+    return pytest.mark.parametrize("command", [pytest.param(c, id=name(m)) for c, m in found])
+
+
+def pin(command):
+    """One pinned command, as the default ``command`` of a test that runs
+    only it: pytest takes no fixture for a defaulted argument, so the test's
+    id stays bare."""
+    CASES.append(command)
+    return command
 
 
 @pytest.fixture
@@ -385,8 +419,9 @@ class TestVerify:
         assert code == 1
         assert "suite" in err
 
-    def test_all_seed_42_stdout_is_pinned(self, capsys, tmp_path):
-        assert_pinned(capsys, tmp_path, "--json verify all --seed 42")
+    def test_all_seed_42_stdout_is_pinned(
+            self, capsys, tmp_path, command=pin("--json verify all --seed 42")):
+        assert_pinned(capsys, tmp_path, command)
 
     @pytest.mark.parametrize(
         "k, inequality", enumerate(["hellinger_chain", "dpi_quantized", "tfl_lower"])
@@ -431,65 +466,63 @@ class TestDv:
         assert "support" in err
 
 
-def in_process(capsys):
-    # tests/pins.py's runner for main: argv -> (exit code, stdout bytes)
-    return lambda argv: (main(argv), capsys.readouterr().out.encode())
-
-
-def assert_pinned(capsys, tmp_path, command):
-    problem = pins.check(command, in_process(capsys), str(tmp_path))
-    assert problem is None, problem
-
-
 class TestPinnedOutputs:
-    """Every pin of tests/pins.py, run in-process (a new pin needs its test
-    here). The ids are the inputs alone: a re-pinned output keeps its id."""
+    """Every pin of tests/pins.py, run in-process. The cases come from the
+    table: a new pin that fits a pattern here runs with no edit. The ids are
+    the inputs alone: a re-pinned output keeps its id."""
 
-    @pytest.mark.parametrize("figure", ["fig_pinsker", "fig_forward", "fig_inverse", "fig_weak"])
-    def test_figure_csv(self, capsys, tmp_path, figure):
-        assert_pinned(capsys, tmp_path, f"figure {figure} --points 501 --out fig.csv")
+    @pinned(r"figure (\w+) --points 501 --out fig\.csv")
+    def test_figure_csv(self, capsys, tmp_path, command):
+        assert_pinned(capsys, tmp_path, command)
 
-    def test_eleven_point_forward_figure(self, capsys, tmp_path):
-        assert_pinned(capsys, tmp_path, "figure fig_forward --points 11 --out fig.csv")
+    def test_eleven_point_forward_figure(
+            self, capsys, tmp_path, command=pin("figure fig_forward --points 11 --out fig.csv")):
+        assert_pinned(capsys, tmp_path, command)
 
-    @pytest.mark.parametrize("value", "0 5e-324 1e-300 1e-12 0.02 1 2 37 40 50 700 inf".split())
-    def test_bound_forward(self, capsys, tmp_path, value):
-        assert_pinned(capsys, tmp_path, f"--json bound forward {value}")
+    @pinned(r"--json bound forward (\S+)")
+    def test_bound_forward(self, capsys, tmp_path, command):
+        assert_pinned(capsys, tmp_path, command)
 
-    @pytest.mark.parametrize(
-        "value", "0 5e-324 1e-12 1e-8 0.45 0.5 0.75 0.9999999999999999 1".split())
-    def test_bound_inverse(self, capsys, tmp_path, value):
-        assert_pinned(capsys, tmp_path, f"--json bound inverse {value}")
+    @pinned(r"--json bound inverse (\S+)")
+    def test_bound_inverse(self, capsys, tmp_path, command):
+        assert_pinned(capsys, tmp_path, command)
 
-    QUERIES = [("0.1", "0.01"), ("0.3", "0.4"), ("1e-6", "1e-9")]
+    @pinned(r"--json samples (\S+) (\S+)")
+    def test_samples(self, capsys, tmp_path, command):
+        assert_pinned(capsys, tmp_path, command)
 
-    @pytest.mark.parametrize("epsilon, delta", QUERIES)
-    def test_samples(self, capsys, tmp_path, epsilon, delta):
-        assert_pinned(capsys, tmp_path, f"--json samples {epsilon} {delta}")
+    # named flags first: "--json--ceil-0.1-0.01"
+    @pinned(r"samples (\S+) (\S+)((?: --json)?(?: --ceil)?)",
+            lambda m: "-".join(filter(None, (m[3].replace(" ", ""), m[1], m[2]))))
+    def test_samples_text_and_ceil(self, capsys, tmp_path, command):
+        assert_pinned(capsys, tmp_path, command)
 
-    @pytest.mark.parametrize("flags, epsilon, delta", [
-        pytest.param(flags, *query, id="-".join(filter(None, (flags.replace(" ", ""), *query))))
-        for query in QUERIES for flags in ("", "--ceil", "--json --ceil")])
-    def test_samples_text_and_ceil(self, capsys, tmp_path, flags, epsilon, delta):
-        assert_pinned(capsys, tmp_path, f"samples {epsilon} {delta} {flags}".strip())
+    def test_verify_all_text(
+            self, capsys, tmp_path,
+            command=pin("verify all --seed 42 --resolution 40 --trials 50 --atoms 8")):
+        assert_pinned(capsys, tmp_path, command)
 
-    def test_verify_all_text(self, capsys, tmp_path):
-        assert_pinned(capsys, tmp_path,
-                      "verify all --seed 42 --resolution 40 --trials 50 --atoms 8")
+    @pinned(r"--json div (\w+)_p\.json \1_q\.json")
+    def test_div(self, capsys, tmp_path, command):
+        assert_pinned(capsys, tmp_path, command)
 
-    @pytest.mark.parametrize("pair", ["relabelled", "q_only", "subnormal", "rotated", "padded"])
-    def test_div(self, capsys, tmp_path, pair):
-        assert_pinned(capsys, tmp_path, f"--json div {pair}_p.json {pair}_q.json")
+    def test_div_with_the_padded_label_on_p(
+            self, capsys, tmp_path, command=pin("--json div padded_q.json padded_p.json")):
+        assert_pinned(capsys, tmp_path, command)
 
-    def test_div_with_the_padded_label_on_p(self, capsys, tmp_path):
-        assert_pinned(capsys, tmp_path, "--json div padded_q.json padded_p.json")
+    @pinned(r"--json dv (\w+)_p\.json \1_q\.json --trials 20")
+    def test_dv(self, capsys, tmp_path, command):
+        assert_pinned(capsys, tmp_path, command)
 
-    @pytest.mark.parametrize("pair", ["shared_zero", "subnormal"])
-    def test_dv(self, capsys, tmp_path, pair):
-        assert_pinned(capsys, tmp_path, f"--json dv {pair}_p.json {pair}_q.json --trials 20")
+    def test_dv_text_at_the_default_seed(
+            self, capsys, tmp_path, command=pin("dv fair.json biased.json --trials 50")):
+        assert_pinned(capsys, tmp_path, command)
 
-    def test_dv_text_at_the_default_seed(self, capsys, tmp_path):
-        assert_pinned(capsys, tmp_path, "dv fair.json biased.json --trials 50")
+
+def test_every_pin_has_a_case_and_every_case_a_pin():
+    assert [c for c in pins.PINS if c not in CASES] == [], "pins that no test runs"
+    assert [c for c in CASES if c not in pins.PINS] == [], "commands not in pins.PINS"
+    assert len(CASES) == len(set(CASES)), "a pin run by two cases"
 
 
 def test_pin_runner_reports_each_failure_under_its_command(capsys):

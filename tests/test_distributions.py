@@ -29,8 +29,9 @@ from tvkl import (
     loads_distribution,
     new_distribution,
     tensor_power,
+    total_variation,
 )
-from tvkl.distributions import _default_labels, to_json_dict
+from tvkl.distributions import _default_labels, from_json_dict, to_json_dict
 from tvkl.divergence import _aligned
 from tvkl.errors import ValidationError
 from tvkl.verify import _draw_distribution, _seeded_pairs
@@ -376,6 +377,210 @@ def test_direct_construction_names_the_first_bad_atom(support, probs, error, mes
         Distribution(support, probs)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+# -- refusals -------------------------------------------------------------
+
+nan, inf, S = math.nan, math.inf, LABEL_SEPARATOR
+RENORMALIZE = {"renormalize": True}
+
+
+class F(float):
+    """A float subclass: the weight checks take it as a float."""
+
+
+# Each bad input with the exception class and message that the per-atom
+# checks raised before the one-scan checks replaced them; each scan that
+# fails walks the atoms as those checks did, so these stay as they were.
+REFUSALS = [
+    ("nan-bad-sum", Distribution, (("a", "b", "c"), (0.9, nan, 0.9)), {},
+     NegativeWeightError, "probs[1]: weight nan is not a finite number"),
+    ("inf-and-minus-inf", Distribution, (("a", "b"), (inf, -inf)), {},
+     NegativeWeightError, "probs[0]: weight inf is not a finite number"),
+    ("minus-inf-and-inf", Distribution, (("a", "b", "c"), (0.5, -inf, inf)), {},
+     NegativeWeightError, "probs[1]: weight -inf is not a finite number"),
+    ("two-1e308", Distribution, (("a", "b"), (1e308, 1e308)), {},
+     SumToleranceError, "probs: weights sum to inf, more than 1e-09 away from 1"),
+    ("minus-zero-bad-sum", Distribution, (("a", "b"), (-0.0, 0.5)), {},
+     SumToleranceError, "probs: weights sum to 0.5, more than 1e-09 away from 1"),
+    ("minus-zero-then-negative", Distribution, (("a", "b", "c"), (-0.0, -1e-300, 1.0)), {},
+     NegativeWeightError, "probs[1]: negative weight -1e-300"),
+    ("int", Distribution, (("a", "b"), (1, 0.0)), {},
+     NegativeWeightError, "probs[0]: weight 1 is not a finite number"),
+    ("bool", Distribution, (("a", "b"), (0.0, True)), {},
+     NegativeWeightError, "probs[1]: weight True is not a finite number"),
+    ("float-subclass-bad-sum", Distribution, (("a",), (F(0.5),)), {},
+     SumToleranceError, "probs: weights sum to 0.5, more than 1e-09 away from 1"),
+    ("float-subclass-negative", Distribution, (("a", "b"), (F(-0.5), 1.5)), {},
+     NegativeWeightError, "probs[0]: negative weight -0.5"),
+    ("separator-after-non-str", Distribution, ((1, "a" + S + "b"), (0.5, 0.5)), {},
+     InvalidLabelError, "support[0]: labels must be strings"),
+    ("duplicate", Distribution, (("a", "b", "a"), (0.25, 0.25, 0.5)), {},
+     DuplicateLabelError, "support: duplicate label 'a'"),
+    ("empty", Distribution, ((), ()), {},
+     EmptySupportError, "support: must contain at least one atom"),
+    ("empty-support", Distribution, ((), (1.0,)), {},
+     EmptySupportError, "support: must contain at least one atom"),
+    ("mismatch", Distribution, (("a",), (0.5, 0.5)), {},
+     ValidationError, "probs: 2 weights for 1 labels"),
+    ("nan-bad-sum", new_distribution, ([0.9, nan, 0.9],), {},
+     NegativeWeightError, "probs[1]: weight nan is not a finite number"),
+    ("nan-bad-sum-renormalize", new_distribution, ([0.9, nan, 0.9],), RENORMALIZE,
+     NegativeWeightError, "probs[1]: weight nan is not a finite number"),
+    ("inf-and-minus-inf", new_distribution, ([inf, -inf],), {},
+     NegativeWeightError, "probs[0]: weight inf is not a finite number"),
+    ("inf-and-minus-inf-renormalize", new_distribution, ([inf, -inf],), RENORMALIZE,
+     NegativeWeightError, "probs[0]: weight inf is not a finite number"),
+    ("two-1e308", new_distribution, ([1e308, 1e308],), {},
+     SumToleranceError, "probs: weights sum to inf, more than 1e-09 away from 1"),
+    ("two-1e308-renormalize", new_distribution, ([1e308, 1e308],), RENORMALIZE,
+     SumToleranceError, "probs: weights sum to inf, more than 1e-09 away from 1"),
+    ("minus-zero-bad-sum", new_distribution, ([-0.0, 0.5],), {},
+     SumToleranceError, "probs: weights sum to 0.5, more than 1e-09 away from 1"),
+    ("minus-zero-renormalize", new_distribution, ([-0.0, -0.0],), RENORMALIZE,
+     SumToleranceError, "probs: weights sum to 0.0, more than 1e-09 away from 1"),
+    ("int-bad-sum", new_distribution, ([1, 1],), {},
+     SumToleranceError, "probs: weights sum to 2.0, more than 1e-09 away from 1"),
+    ("bool-bad-sum", new_distribution, ([True, True],), {},
+     SumToleranceError, "probs: weights sum to 2.0, more than 1e-09 away from 1"),
+    ("negative-renormalize", new_distribution, ([2.0, -1.0],), RENORMALIZE,
+     NegativeWeightError, "probs[1]: negative weight -1.0"),
+    ("float-subclass-negative", new_distribution, ([F(1.5), F(-0.5)],), {},
+     NegativeWeightError, "probs[1]: negative weight -0.5"),
+    ("not-a-number", new_distribution, ([0.5, "x"],), {},
+     NegativeWeightError, "weights[1]: weight 'x' is not a finite number"),
+    ("too-large", new_distribution, ([1, 10**400],), RENORMALIZE,
+     NegativeWeightError, "weights: a weight is too large for a float"),
+    ("separator-after-non-str", new_distribution, ([0.5, 0.5], [1, "a" + S + "b"]), {},
+     InvalidLabelError, "labels[1]: 'a·b' contains the reserved separator '·'"),
+    ("non-str-label", new_distribution, ([0.5, 0.5], ["a", 1]), {},
+     InvalidLabelError, "support[1]: labels must be strings"),
+    ("duplicate", new_distribution, ([0.5, 0.5], ["a", "a"]), {},
+     DuplicateLabelError, "support: duplicate label 'a'"),
+    ("empty", new_distribution, ([],), {},
+     EmptySupportError, "support: must contain at least one atom"),
+    ("empty-renormalize", new_distribution, ([],), RENORMALIZE,
+     EmptySupportError, "support: must contain at least one atom"),
+    ("mismatch", new_distribution, ([1.0], ["a", "b"]), {},
+     ValidationError, "probs: 1 weights for 2 labels"),
+    ("mismatch-renormalize", new_distribution, ([1.0, 1.0], ["a"]), RENORMALIZE,
+     ValidationError, "probs: 2 weights for 1 labels"),
+    ("nan-bad-sum", from_json_dict, ({"probs": [0.9, nan, 0.9]},), {},
+     NegativeWeightError, "probs[1]: weight nan is not a finite number"),
+    ("inf-and-minus-inf", from_json_dict, ({"probs": [inf, -inf]},), RENORMALIZE,
+     NegativeWeightError, "probs[0]: weight inf is not a finite number"),
+    ("two-1e308", from_json_dict, ({"probs": [1e308, 1e308]},), {},
+     SumToleranceError, "probs: weights sum to inf, more than 1e-09 away from 1"),
+    ("minus-zero-bad-sum", from_json_dict, ({"probs": [-0.0, 0.5]},), {},
+     SumToleranceError, "probs: weights sum to 0.5, more than 1e-09 away from 1"),
+    ("bool", from_json_dict, ({"probs": [0.5, False, 0.5]},), {},
+     ValidationError, "probs[1]: False is not a number"),
+    ("int-bad-sum", from_json_dict, ({"probs": [1, 2]},), {},
+     SumToleranceError, "probs: weights sum to 3.0, more than 1e-09 away from 1"),
+    ("float-subclass-bad-sum", from_json_dict, ({"probs": [F(0.5)]},), {},
+     SumToleranceError, "probs: weights sum to 0.5, more than 1e-09 away from 1"),
+    ("string", from_json_dict, ({"probs": [0.5, "0.5"]},), {},
+     ValidationError, "probs[1]: '0.5' is not a number"),
+    ("separator-after-non-str", from_json_dict,
+     ({"support": [1, "a" + S + "b"], "probs": [0.5, 0.5]},), {},
+     InvalidLabelError, "labels[1]: 'a·b' contains the reserved separator '·'"),
+    ("duplicate", from_json_dict, ({"support": ["a", "a"], "probs": [0.5, 0.5]},), {},
+     DuplicateLabelError, "support: duplicate label 'a'"),
+    ("empty", from_json_dict, ({"probs": []},), {},
+     EmptySupportError, "support: must contain at least one atom"),
+    ("mismatch", from_json_dict, ({"support": ["a"], "probs": [0.5, 0.5]},), {},
+     ValidationError, "probs: 2 weights for 1 labels"),
+    ("nan-bad-sum", loads_distribution, ('{"probs": [0.9, NaN, 0.9]}',), {},
+     NegativeWeightError, "probs[1]: weight nan is not a finite number"),
+    ("inf-and-minus-inf", loads_distribution, ('{"probs": [Infinity, -Infinity]}',), {},
+     NegativeWeightError, "probs[0]: weight inf is not a finite number"),
+    ("overflowing-literal", loads_distribution, ('{"probs": [1e400, 0.5]}',), RENORMALIZE,
+     NegativeWeightError, "probs[0]: weight inf is not a finite number"),
+    ("two-1e308", loads_distribution, ('{"probs": [1e308, 1e308]}',), RENORMALIZE,
+     SumToleranceError, "probs: weights sum to inf, more than 1e-09 away from 1"),
+    ("minus-zero-renormalize", loads_distribution, ('{"probs": [-0.0, 0]}',), RENORMALIZE,
+     SumToleranceError, "probs: weights sum to 0.0, more than 1e-09 away from 1"),
+    ("bool", loads_distribution, ('{"probs": [true, 0.0]}',), {},
+     ValidationError, "probs[0]: True is not a number"),
+    ("int-bad-sum", loads_distribution, ('{"probs": [1, 1]}',), {},
+     SumToleranceError, "probs: weights sum to 2.0, more than 1e-09 away from 1"),
+    ("separator-after-non-str", loads_distribution,
+     ('{"support": [null, "a\\u00b7b"], "probs": [0.5, 0.5]}',), {},
+     InvalidLabelError, "labels[1]: 'a·b' contains the reserved separator '·'"),
+    ("duplicate", loads_distribution,
+     ('{"support": ["a", "b", "b"], "probs": [0.5, 0.5, 0.0]}',), {},
+     DuplicateLabelError, "support: duplicate label 'b'"),
+    ("empty", loads_distribution, ('{"probs": []}',), RENORMALIZE,
+     EmptySupportError, "support: must contain at least one atom"),
+    ("mismatch", loads_distribution, ('{"support": ["a", "b"], "probs": [1.0]}',), {},
+     ValidationError, "probs: 1 weights for 2 labels"),
+]
+
+# Refused since both fields are read through ``errors._tuple``: before, a
+# str or bytes was read as its characters, a dict as its keys, and None or
+# a float escaped as TypeError (or, as the support, gave EmptySupportError).
+TUPLE_REFUSALS = [
+    ("str-support", Distribution, ("ab", (0.5, 0.5)), {},
+     OutOfRangeError, "support: 'ab' is a str, not a sequence"),
+    ("none-support", Distribution, (None, (1.0,)), {},
+     OutOfRangeError, "support: None is not iterable"),
+    ("none-probs", Distribution, (("a",), None), {},
+     OutOfRangeError, "probs: None is not iterable"),
+    ("str-weights", new_distribution, ("1",), {},
+     OutOfRangeError, "weights: '1' is a str, not a sequence"),
+    ("bytes-weights", new_distribution, (b"\x01",), {},
+     OutOfRangeError, "weights: b'\\x01' is a bytes, not a sequence"),
+    ("dict-weights", new_distribution, ({1.0: "a"},), {},
+     OutOfRangeError, "weights: {1.0: 'a'} is a dict, not a sequence"),
+    ("str-labels", new_distribution, ([0.5, 0.5], "ab"), {},
+     OutOfRangeError, "labels: 'ab' is a str, not a sequence"),
+    ("float-weights", new_distribution, (0.5,), {},
+     OutOfRangeError, "weights: 0.5 is not iterable"),
+    ("none-weights", new_distribution, (None,), {},
+     OutOfRangeError, "weights: None is not iterable"),
+]
+
+
+def refusal_params(rows):
+    return [pytest.param(*row[1:], id=f"{row[1].__name__}-{row[0]}") for row in rows]
+
+
+def assert_refused(call, args, kwargs, error, message):
+    with pytest.raises(error) as exc:
+        call(*args, **kwargs)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, args, kwargs, error, message", refusal_params(REFUSALS))
+def test_refusals_are_unchanged(call, args, kwargs, error, message):
+    assert_refused(call, args, kwargs, error, message)
+
+
+@pytest.mark.parametrize("call, args, kwargs, error, message",
+                         refusal_params(TUPLE_REFUSALS))
+def test_a_field_that_is_no_sequence_is_refused(call, args, kwargs, error, message):
+    assert_refused(call, args, kwargs, error, message)
+
+
+class TestFieldsAreTuples:
+    def test_lists_are_read_as_tuples(self):
+        p, twin = Distribution(["a", "b"], [0.5, 0.5]), Distribution(("a", "b"), (0.5, 0.5))
+        assert (type(p.support), type(p.probs)) == (tuple, tuple)
+        assert p == twin and hash(p) == hash(twin)
+        q = Distribution(("b", "c"), (0.5, 0.5))
+        assert total_variation(p, q) == 0.5 and kl_divergence(p, q) == math.inf
+
+    def test_a_tuple_is_kept_not_copied(self):
+        # the alignment memo is keyed on the identity of p.support
+        support, probs = ("a", "b"), (0.25, 0.75)
+        p = Distribution(support, probs)
+        assert p.support is support and p.probs is probs
+        assert new_distribution(probs, support).support is support
+
+    def test_iterators_are_read_once(self):
+        d = new_distribution(iter([0.25, 0.75]), iter(["a", "b"]))
+        assert (d.support, d.probs) == (("a", "b"), (0.25, 0.75))
 
 
 # -- builders that skip the constructor's checks -----------------------------
