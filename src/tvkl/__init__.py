@@ -3,101 +3,74 @@
 Exact divergences, the closed-form inequality family relating them in both
 directions, the Donsker-Varadhan variational evaluation, coin-distinguishing
 sample-complexity lower bounds, and empirical verification engines.
+
+Each public name, and each module of the table below, is imported on first
+use (PEP 562), so ``import tvkl`` loads no submodule and a caller pays only
+for the modules it reads.
 """
 
-from .bounds import (
-    BoundEvaluation,
-    BoundId,
-    WEAK_BH_FACTOR,
-    compare_bounds,
-    forward_value,
-    inverse_value,
-    kl_lower,
-    kl_lower_bh,
-    kl_lower_pinsker,
-    kl_lower_tsybakov,
-    kl_lower_vajda,
-    tv_upper_best,
-    tv_upper_bh,
-    tv_upper_from_vajda,
-    tv_upper_pinsker,
-    tv_upper_tsybakov,
-    tv_upper_weak_bh,
-)
-from .distributions import (
-    Distribution,
-    LABEL_SEPARATOR,
-    MAX_PRODUCT_ATOMS,
-    ProductSpec,
-    SUM_TOLERANCE,
-    bernoulli,
-    dump_distribution,
-    dumps_distribution,
-    load_distribution,
-    loads_distribution,
-    new_distribution,
-    tensor_power,
-)
-from .divergence import (
-    BhDecomposition,
-    EventSubset,
-    bh_decomposition,
-    binary_kl,
-    binary_tv,
-    event_mass,
-    hellinger_affinity,
-    kl_divergence,
-    overlap_identities,
-    quantize,
-    total_variation,
-    tv_subset_oracle,
-)
-from .errors import (
-    DuplicateLabelError,
-    EmptySupportError,
-    InvalidLabelError,
-    MisalignedWitnessError,
-    MismatchedSupportsError,
-    NegativeWeightError,
-    OutOfRangeError,
-    SumToleranceError,
-    SupportMismatchError,
-    TooLargeError,
-    TvklError,
-    UnsupportedInequalityError,
-    ValidationError,
-)
-from .figures import FigureId, figure_header, figure_rows, write_figure_csv
-from .samples import (
-    SampleComplexityQuery,
-    SampleComplexityReport,
-    kl_per_toss,
-    min_samples_bh,
-    min_samples_pinsker,
-    min_samples_tsybakov,
-    report,
-    required_tv,
-)
-from .variational import (
-    TflParameter,
-    WitnessFunction,
-    dv_optimal_witness,
-    dv_supremum,
-    dv_value,
-    hoeffding_step_check,
-    ipm_identity_check,
-    pinsker_via_tfl,
-    pinsker_via_tfl_optimal,
-)
-from .verify import (
-    InequalityId,
-    ScanReport,
-    bernoulli_margin,
-    falsify,
-    kl_finite_implies_tv_lt_one,
-    random_distribution,
-    run_suite,
-    scan_bernoulli,
-)
+import importlib as _importlib
 
 __version__ = "0.1.0"
+
+# Each module and the public names the package re-exports from it.
+_EXPORTS = {
+    "bounds": (
+        "BoundEvaluation", "BoundId", "WEAK_BH_FACTOR", "compare_bounds",
+        "forward_value", "inverse_value", "kl_lower", "kl_lower_bh",
+        "kl_lower_pinsker", "kl_lower_tsybakov", "kl_lower_vajda",
+        "tv_upper_best", "tv_upper_bh", "tv_upper_from_vajda",
+        "tv_upper_pinsker", "tv_upper_tsybakov", "tv_upper_weak_bh",
+    ),
+    "distributions": (
+        "Distribution", "LABEL_SEPARATOR", "MAX_PRODUCT_ATOMS", "ProductSpec",
+        "SUM_TOLERANCE", "bernoulli", "dump_distribution", "dumps_distribution",
+        "load_distribution", "loads_distribution", "new_distribution",
+        "tensor_power",
+    ),
+    "divergence": (
+        "BhDecomposition", "EventSubset", "bh_decomposition", "binary_kl",
+        "binary_tv", "event_mass", "hellinger_affinity", "kl_divergence",
+        "overlap_identities", "quantize", "total_variation", "tv_subset_oracle",
+    ),
+    "errors": (
+        "DuplicateLabelError", "EmptySupportError", "InvalidLabelError",
+        "MisalignedWitnessError", "MismatchedSupportsError",
+        "NegativeWeightError", "OutOfRangeError", "SumToleranceError",
+        "SupportMismatchError", "TooLargeError", "TvklError",
+        "UnsupportedInequalityError", "ValidationError",
+    ),
+    "figures": ("FigureId", "figure_header", "figure_rows", "write_figure_csv"),
+    "samples": (
+        "SampleComplexityQuery", "SampleComplexityReport", "kl_per_toss",
+        "min_samples_bh", "min_samples_pinsker", "min_samples_tsybakov",
+        "report", "required_tv",
+    ),
+    "variational": (
+        "TflParameter", "WitnessFunction", "dv_optimal_witness", "dv_supremum",
+        "dv_value", "hoeffding_step_check", "ipm_identity_check",
+        "pinsker_via_tfl", "pinsker_via_tfl_optimal",
+    ),
+    "verify": (
+        "InequalityId", "ScanReport", "bernoulli_margin", "falsify",
+        "kl_finite_implies_tv_lt_one", "random_distribution", "run_suite",
+        "scan_bernoulli",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    # Importing a submodule binds it in this namespace; a name is cached here.
+    if name in _EXPORTS:
+        return _importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _importlib.import_module(f"{__name__}.{_HOME[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

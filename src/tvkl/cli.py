@@ -17,8 +17,9 @@ import json
 import math
 import sys
 
-from . import bounds, divergence, figures, samples, variational, verify
-from .distributions import load_distribution
+# The parser reads figures for its choices; each command imports the
+# modules it runs, so a call loads only those.
+from . import figures
 from .errors import TvklError
 
 
@@ -54,6 +55,9 @@ class _Parser(argparse.ArgumentParser):
 # stays out of the namespace, so a subcommand never wipes out a value given
 # before its name; main starts the parse from these defaults.
 _DEFAULTS = {"json": False, "renormalize": False, "tolerance": None, "seed": 0}
+
+#: The suites of ``verify.run_suite``, named in the verify help text.
+SUITE_NAMES = ("all", "grid", "random", "kl_finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "suite",
         help="one of %s or a single inequality identifier"
-        % ", ".join(verify.SUITE_NAMES),
+        % ", ".join(SUITE_NAMES),
     )
     p_verify.add_argument("--resolution", type=int, default=500)
     p_verify.add_argument("--trials", type=int, default=1000)
@@ -119,11 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_pair(args):
+    from .distributions import load_distribution
     return (load_distribution(args.file_p, renormalize=args.renormalize),
             load_distribution(args.file_q, renormalize=args.renormalize))
 
 
 def _cmd_div(args) -> int:
+    from . import divergence
     p, q = _load_pair(args)
     min_sum, max_sum = divergence.overlap_identities(p, q)
     _print_json(
@@ -139,6 +145,7 @@ def _cmd_div(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from . import bounds
     if args.direction == "forward":
         rows = bounds.compare_bounds(args.value)
     else:
@@ -159,6 +166,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_samples(args) -> int:
+    from . import samples
     rep = samples.report(samples.SampleComplexityQuery(args.epsilon, args.delta))
     if args.ceil:
         rep = dataclasses.replace(rep, **{
@@ -176,6 +184,7 @@ def _cmd_samples(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     kwargs = {}
     if args.tolerance is not None:
         kwargs["grid_tolerance"] = args.tolerance
@@ -199,6 +208,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dv(args) -> int:
+    from . import variational
     p, q = _load_pair(args)
     value, gaps = variational.dv_supremum(p, q, args.trials, args.seed)
     min_gap = min(gaps) if gaps else None

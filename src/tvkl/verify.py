@@ -333,9 +333,10 @@ def _kl_finite_margin(p: Distribution, q: Distribution) -> float:
 def kl_finite_implies_tv_lt_one(trials: int, seed: int) -> ScanReport:
     """On seeded full-support pairs (finite KL by construction), confirm
     that TV and the bh forward bound at the pair's KL both stay strictly
-    below 1. The reported margin is the smallest observed 1 - TV, and -inf
-    for a trial whose bh bound reaches 1; a margin that is not positive
-    (TV = 1 included), or NaN, is a violation.
+    below 1. Pair sizes are uniform in [2, 64], always. The reported margin
+    is the smallest observed 1 - TV, and -inf for a trial whose bh bound
+    reaches 1; a margin that is not positive (TV = 1 included), or NaN, is a
+    violation.
     """
     trials, seed = _integer("trials", trials, 1), _integer("seed", seed)
     rng = random.Random(seed)
@@ -350,8 +351,6 @@ def kl_finite_implies_tv_lt_one(trials: int, seed: int) -> ScanReport:
 
 #: The grid suite scans the six inequalities between TV and KL alone.
 GRID_INEQUALITIES = tuple(_TV_KL_MARGINS)
-
-SUITE_NAMES = ("all", "grid", "random", "kl_finite")
 
 
 def run_suite(
@@ -368,11 +367,14 @@ def run_suite(
     multi-atom randomized checks, "kl_finite" the finite-KL consequence,
     "all" everything, and a single inequality identifier its own check of
     its suite, at the same seed. Deterministic given the seed. Both
-    tolerances must be finite, whichever checks the suite runs.
+    tolerances must be finite, resolution >= 2, trials >= 1 and atoms in
+    [2, 64], whichever checks the suite runs.
     """
     seed = _integer("seed", seed)
     grid_tolerance = _check_tolerance(grid_tolerance)
     random_tolerance = _check_tolerance(random_tolerance)
+    resolution = _integer("resolution", resolution, 2)
+    trials, atoms = _integer("trials", trials, 1), _integer("atoms", atoms, 2, 64)
     # (key, suite, check) in report order; random check k runs at seed + 101 k.
     plan = [
         (i.value, "grid", partial(scan_bernoulli, i, resolution, grid_tolerance))

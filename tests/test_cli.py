@@ -393,6 +393,14 @@ class TestVerify:
         assert out == ""
         assert err.count("\n") == 1 and "tolerance" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("grid", "--trials", "0", "--resolution", "3"), "trials: 0 must be >= 1"),
+        (("random", "--resolution", "1", "--trials", "2"), "resolution: 1 must be >= 2"),
+        (("kl_finite", "--atoms", "1", "--trials", "2"), "atoms: 1 not in [2, 64]"),
+    ], ids=["grid-trials", "random-resolution", "kl_finite-atoms"])
+    def test_size_out_of_range_exits_one_whichever_checks_run(self, capsys, argv, message):
+        assert run_cli(capsys, "verify", *argv) == (1, "", f"error: {message}\n")
+
     def test_negative_infinite_margin_keeps_its_sign(self, monkeypatch, capsys):
         # a bh bound that reaches 1 gives a kl_finite trial margin -inf
         monkeypatch.setitem(verify._FORWARD, BoundId.BH, lambda kl: 1.0)

@@ -292,11 +292,16 @@ class TestSuites:
             run_suite("nonsense")
 
     @pytest.mark.parametrize(
-        "kwargs", [{"grid_tolerance": math.nan}, {"random_tolerance": math.inf}]
+        "kwargs",
+        [{"grid_tolerance": math.nan}, {"random_tolerance": math.inf},
+         {"resolution": 1}, {"trials": 0}, {"atoms": 1}, {"atoms": 65}],
     )
     def test_non_finite_tolerance_rejected_by_every_suite(self, kwargs):
-        with pytest.raises(OutOfRangeError):
-            run_suite("kl_finite", trials=5, **kwargs)
+        # Each argument is checked whichever checks the suite runs: the grid
+        # reads no trials or atoms, kl_finite no resolution or atoms.
+        for suite in ("all", "grid", "random", "kl_finite", "bh", "tfl_lower"):
+            with pytest.raises(OutOfRangeError):
+                run_suite(suite, **{"resolution": 3, "trials": 2, "atoms": 2, **kwargs})
 
     @pytest.mark.parametrize(
         "call",
