@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import repeat
 from operator import truediv
@@ -39,7 +40,7 @@ MAX_PRODUCT_ATOMS = 2**20
 
 
 class _AlignSlot:
-    __slots__ = ("_align",)
+    __slots__ = ("_align", "__weakref__")
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +55,7 @@ class Distribution(_AlignSlot):
     and it is written in one attribute store of a finished tuple. It is a
     slot of a base class, not a field, so it is outside ``dataclasses.fields``,
     ``asdict``, ``astuple`` and ``replace``, and takes no part in ``==``,
-    ``hash``, ``repr`` or pickling.
+    ``hash``, ``repr`` or pickling. The base also admits weak references.
     """
 
     support: tuple[str, ...]
@@ -198,6 +199,11 @@ class ProductSpec:
         object.__setattr__(self, "power", _integer("power", self.power, 1))
 
 
+#: (base labels, power, weak reference to the product) of the last product
+#: of power >= 2 built from a separator-free base.
+_last_product = ((), 0, None)
+
+
 def tensor_power(spec: ProductSpec) -> Distribution:
     """Materialise the product distribution of ``spec.power`` independent
     copies of ``spec.base``.
@@ -206,8 +212,10 @@ def tensor_power(spec: ProductSpec) -> Distribution:
     atom weights are products of component weights, divided by their sum if
     a base within ``SUM_TOLERANCE`` drifts outside it at this power. Refuses
     supports larger than ``MAX_PRODUCT_ATOMS``; larger powers should use KL
-    additivity instead of materialisation.
+    additivity instead of materialisation. While a product of equal base
+    labels and power is alive, the new product shares its label tuple.
     """
+    global _last_product
     base, n = spec.base, spec.power
     k = len(base.support)
     # k^n for n up to 21 is exact, and any k >= 2 is past the cap by then.
@@ -216,17 +224,25 @@ def tensor_power(spec: ProductSpec) -> Distribution:
             f"power: {k}^{n} atoms exceed the cap of {MAX_PRODUCT_ATOMS}; "
             "use KL additivity instead of materialising"
         )
-    # Extend the previous level by one factor at a time. Each weight is
-    # still the left-to-right product w0 * w1 * ... of its components, so it
-    # is bit-identical to math.prod over the combination.
-    suffixes = [LABEL_SEPARATOR + b for b in base.support]
-    labels, weights = base.support, base.probs
-    for _ in range(n - 1):
-        if k > 1:  # one atom: the levels do not grow, so join once below
-            labels = [a + s for a in labels for s in suffixes]
-        weights = [x * y for x in weights for y in base.probs]
-    if k == 1:
+    # Labels depend only on the base's labels and the power, so a live
+    # product of equal ones lends its tuple; the weak reference keeps no
+    # product alive. Otherwise extend the previous level by one factor at a
+    # time. Each weight is still the left-to-right product w0 * w1 * ... of
+    # its components, so it is bit-identical to math.prod over the combination.
+    key, power, ref = _last_product
+    earlier = ref() if power == n and key == base.support else None
+    if earlier is not None:
+        labels = earlier.support
+    elif k == 1:  # one atom: the levels do not grow, so join once
         labels = (LABEL_SEPARATOR.join(base.support * n),)
+    else:
+        suffixes = [LABEL_SEPARATOR + b for b in base.support]
+        labels = base.support
+        for _ in range(n - 1):
+            labels = [a + s for a in labels for s in suffixes]
+    weights = base.probs
+    for _ in range(n - 1):
+        weights = [x * y for x in weights for y in base.probs]
     total = math.fsum(weights)
     if abs(total - 1.0) > SUM_TOLERANCE:  # the base sums to S, the weights to S^n
         weights = [w / total for w in weights]
@@ -236,7 +252,10 @@ def tensor_power(spec: ProductSpec) -> Distribution:
     # built directly may hold it, so its labels go through every check.
     if LABEL_SEPARATOR in "".join(base.support):
         return Distribution(tuple(labels), tuple(weights))
-    return Distribution._trusted(tuple(labels), tuple(weights))
+    product = Distribution._trusted(tuple(labels), tuple(weights))
+    if n >= 2:
+        _last_product = (base.support, n, weakref.ref(product))
+    return product
 
 
 # ---------------------------------------------------------------------------

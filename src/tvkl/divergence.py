@@ -54,7 +54,7 @@ def _aligned(p: Distribution, q: Distribution):
     ``id``, so the key cannot be reused by a later tuple, and one slot keeps
     one entry: the memo dies with q.
     """
-    if p.support == q.support:
+    if p.support is q.support or p.support == q.support:
         return p.support, p.probs, q.probs
     memo = q._align
     if memo is not None and memo[0] is p.support:

@@ -5,6 +5,9 @@ import json
 import math
 import pickle
 import random
+import sys
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +34,7 @@ from tvkl import (
     tensor_power,
     total_variation,
 )
+from tvkl import distributions
 from tvkl.distributions import _default_labels, from_json_dict, to_json_dict
 from tvkl.divergence import _aligned
 from tvkl.errors import ValidationError
@@ -237,6 +241,49 @@ class TestTensorPower:
         # refused without forming 2^n, whose size grows with n
         with pytest.raises(TooLargeError, match=r"^power: 2\^100000000 atoms exceed"):
             tensor_power(ProductSpec(bernoulli(0.5), 10**8))
+
+    def test_a_live_product_lends_its_labels_to_the_next(self):
+        # both products of a coin pair have the same labels; the second
+        # takes the first's tuple, and an aligned pair skips the comparison
+        pp = tensor_power(ProductSpec(bernoulli(0.3), 5))
+        qp = tensor_power(ProductSpec(bernoulli(0.7), 5))
+        assert qp.support is pp.support
+        assert_bit_identical(pp, checked_tensor_power(bernoulli(0.3), 5))
+        assert_bit_identical(qp, checked_tensor_power(bernoulli(0.7), 5))
+        assert _aligned(pp, qp)[0] is pp.support
+        # equal labels in another tuple are equal base labels
+        a = tensor_power(ProductSpec(Distribution(("x", "y"), (0.5, 0.5)), 3))
+        b = tensor_power(ProductSpec(Distribution(tuple("xy"), (0.25, 0.75)), 3))
+        assert b.support is a.support
+        assert_bit_identical(b, checked_tensor_power(Distribution(("x", "y"), (0.25, 0.75)), 3))
+
+    def test_no_sharing_across_powers_or_unequal_base_labels(self):
+        # each case differs from the live product in its power or its labels
+        for base, power in [(bernoulli(0.7), 3), (bernoulli(0.7), 5),
+                            (Distribution(("0", "1"), (0.5, 0.5)), 4),
+                            (Distribution(("1", "0", "2"), (0.5, 0.25, 0.25)), 4),
+                            (Distribution(("a", "b"), (0.5, 0.5)), 4)]:
+            first = tensor_power(ProductSpec(bernoulli(0.3), 4))
+            d = tensor_power(ProductSpec(base, power))
+            assert d.support is not first.support
+            assert_bit_identical(d, checked_tensor_power(base, power))
+
+    def test_the_entry_keeps_no_product_alive(self):
+        # 2^16 atoms: once the product is dropped its labels are freed, and
+        # the next product of equal base labels builds its own
+        tracemalloc.start()
+        try:
+            first = tensor_power(ProductSpec(bernoulli(0.3), 16))
+            label_bytes = sum(map(sys.getsizeof, first.support))
+            held = tracemalloc.get_traced_memory()[0]
+            del first
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert freed > label_bytes > 2**16 * 31
+        assert distributions._last_product[2]() is None
+        again = tensor_power(ProductSpec(bernoulli(0.7), 16))
+        assert_bit_identical(again, checked_tensor_power(bernoulli(0.7), 16))
 
 
 @st.composite
@@ -673,3 +720,20 @@ class TestTrustedBuilders:
         for other in (dataclasses.replace(q), copy.copy(q), copy.deepcopy(q),
                       pickle.loads(pickle.dumps(q))):
             assert other == q and other._align is None
+
+    def test_a_weakly_referenceable_distribution_is_still_a_two_field_value(self):
+        d, twin = Distribution(("a", "b"), (0.25, 0.75)), Distribution(("a", "b"), (0.25, 0.75))
+        ref = weakref.ref(d)
+        assert ref() is d
+        assert tuple(f.name for f in dataclasses.fields(d)) == ("support", "probs")
+        assert dataclasses.asdict(d) == {"support": ("a", "b"), "probs": (0.25, 0.75)}
+        assert dataclasses.astuple(d) == (("a", "b"), (0.25, 0.75))
+        assert d == twin and hash(d) == hash(twin)
+        assert repr(d) == "Distribution(support=('a', 'b'), probs=(0.25, 0.75))"
+        assert d.__reduce__() == (Distribution, (("a", "b"), (0.25, 0.75)))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(d, protocol) == pickle.dumps(twin, protocol)
+        for other in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert other == d and hash(other) == hash(d) and repr(other) == repr(d)
+            assert weakref.ref(other)() is other
+        assert ref() is d

@@ -842,6 +842,15 @@ class TestQuantize:
         bp, bq = quantize(p, q, full)
         assert binary_kl(bp.probs[0], bq.probs[0]) == 0.0
 
+    def test_a_partial_event_above_1_within_tolerance_has_mass_1(self):
+        # weights need only sum to 1 within 1e-9, so a partial event's raw
+        # sum can pass 1; quantize makes a bernoulli of it, which needs [0, 1]
+        p = Distribution(("a", "b", "c"), (0.5 + 4e-10, 0.5 + 4e-10, 0.0))
+        event = EventSubset((True, True, False))
+        assert math.fsum(p.probs) > 1.0
+        assert event_mass(p.probs, event) == 1.0
+        assert quantize(p, p, event)[0].probs == (1.0, 0.0)
+
     def test_data_processing_never_grows_divergences(self):
         # two-point quantization by any event shrinks both KL and TV; the
         # KL side is checked at the randomized tolerance because the
