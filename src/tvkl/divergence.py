@@ -15,11 +15,11 @@ exactly-rounded compensated sum: results are reproducible across platforms.
 The pair ops (TV, KL, the affinity, the overlap identities, event masses,
 and the variational sums) each walk the atoms once with no Python-level
 call per atom: a C-level ``map`` chain, or a list comprehension with the
-arithmetic inline. KL and the optimal witness read one vector of
-log-ratios, :func:`_log_ratios`: an atom that one side leaves empty has
-log-ratio +inf (mass on p only) or -inf (on q only), and one empty on both
-sides has 0. KL keeps the terms of p's nonempty atoms, which writes
-0 log 0 = 0, and the witness refuses an infinite value.
+arithmetic inline. KL and the optimal witness read log-ratios from
+:func:`_log_ratios`: an atom that one side leaves empty has log-ratio +inf
+(mass on p only) or -inf (on q only), and one empty on both sides has 0.
+KL keeps the terms of p's nonempty atoms, which writes 0 log 0 = 0, and
+reads a long pair one block at a time; the witness refuses an infinite value.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import mul, sub
 
 from .distributions import SUM_TOLERANCE, Distribution, bernoulli
@@ -38,6 +38,9 @@ _MIN_NORMAL = sys.float_info.min
 
 #: Largest aligned support for the exhaustive 2^n subset enumeration.
 SUBSET_ORACLE_CAP = 20
+
+# Atoms per block of a long pair's KL terms.
+_BLOCK = 4096
 
 
 def _aligned(p: Distribution, q: Distribution):
@@ -129,10 +132,22 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     a negative sum is rounding and is returned as 0.0: for instance
     p = (5e-324, 1.0), q = (1e-300, 1.0), both valid within the weight-sum
     tolerance, sum to about -2.7e-322.
+
+    The terms are made one block of ``_BLOCK`` atoms at a time, so only one
+    block of log-ratios is held; a pair of at most ``_BLOCK`` atoms is one
+    block, and slicing its weight tuples whole copies nothing. The bits are
+    those of one pass: fsum rounds the exact sum of all its terms once,
+    however they are grouped.
     """
     _, pw, qw = _aligned(p, q)
+    blocks = (_kl_terms(pw[i:i + _BLOCK], qw[i:i + _BLOCK])
+              for i in range(0, len(pw), _BLOCK))
+    return max(0.0, math.fsum(chain.from_iterable(blocks)))
+
+
+def _kl_terms(pw, qw):
     # Only p's nonempty atoms keep a term (0 log 0 = 0); an inf term sums to inf.
-    return max(0.0, math.fsum(compress(map(mul, pw, _log_ratios(pw, qw)), pw)))
+    return compress(map(mul, pw, _log_ratios(pw, qw)), pw)
 
 
 def binary_tv(a: float, b: float) -> float:

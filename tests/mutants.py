@@ -29,9 +29,13 @@ MUTANTS = [
     (DIV, "return math.inf if a > 0.0 else -math.inf",
      "return -math.inf if a > 0.0 else math.inf",
      "an atom on p only has log-ratio +inf, one on q only -inf"),
-    (DIV, "math.fsum(compress(map(mul, pw, _log_ratios(pw, qw)), pw))",
-     "math.fsum(map(mul, pw, _log_ratios(pw, qw)))",
+    (DIV, "return compress(map(mul, pw, _log_ratios(pw, qw)), pw)",
+     "return map(mul, pw, _log_ratios(pw, qw))",
      "KL keeps only p's nonempty atoms: 0 log 0 = 0, not 0 * -inf"),
+    (DIV, "math.fsum(chain.from_iterable(blocks))", "math.fsum(map(math.fsum, blocks))",
+     "a long pair's KL rounds once, not once per block"),
+    (DIV, "for i in range(0, len(pw), _BLOCK))", "for i in range(0, len(pw), _BLOCK + 1))",
+     "a long pair's blocks cover each atom once"),
     (DIV, "log1p((a - b) / b) if 0.5 * b <= a <= 2.0 * b else log(a) - log(b)",
      "log(a) - log(b)",
      "near-equal weights take log1p of an exact difference (Sterbenz)"),

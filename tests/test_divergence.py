@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from tvkl import (
     EventSubset,
     MismatchedSupportsError,
     OutOfRangeError,
+    ProductSpec,
     SupportMismatchError,
     TooLargeError,
     WitnessFunction,
@@ -25,11 +27,12 @@ from tvkl import (
     new_distribution,
     overlap_identities,
     quantize,
+    tensor_power,
     total_variation,
     tv_subset_oracle,
 )
 from tvkl.distributions import Distribution
-from tvkl.divergence import _aligned
+from tvkl.divergence import _BLOCK, _aligned
 from tvkl.samples import kl_per_toss
 from tvkl.variational import _mean_difference, dv_optimal_witness, dv_value
 from tvkl.verify import (
@@ -351,6 +354,20 @@ def _random_witness(n, seed):
     return tuple(rng.uniform(-3.0, 3.0) for _ in range(n))
 
 
+def _long_pair(n, seed, special=None, at=None):
+    # A seeded pair of n atoms on shared labels. special names the one atom
+    # of another kind, put at index at: empty on both sides, subnormal on p,
+    # or empty on q (p-only) or on p (q-only).
+    rng = random.Random(seed)
+    pw = list(_draw_distribution(rng, n, 1.0).probs)
+    qw = list(_draw_distribution(rng, n, 1.0).probs)
+    if special is not None:
+        a, b = {"zero": (0.0, 0.0), "subnormal": (1e-310, qw[at]),
+                "p_only": (pw[at], 0.0), "q_only": (0.0, qw[at])}[special]
+        pw[at], qw[at] = a, b
+    return dist(*pw, renormalize=True), dist(*qw, renormalize=True)
+
+
 class TestKernelReference:
     """Every rewritten kernel against its reference copy, by float.hex."""
 
@@ -430,6 +447,69 @@ class TestKernelReference:
             expected = ref_draw_weights(reference, n, c), ref_draw_weights(reference, n, c)
             assert hexes((p.probs, q.probs)) == hexes(expected)
             assert p.support is q.support == tuple(map(str, range(n)))
+
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_long_pairs_around_the_block_size(self, n):
+        p, q = _long_pair(n, seed=n)
+        self.check(p, q, seed=n)
+        self.check(q, p, seed=n)
+
+    @pytest.mark.parametrize(
+        "special, at",
+        [("zero", 2 * _BLOCK + 7), ("subnormal", 2 * _BLOCK + 7),
+         ("p_only", 2 * _BLOCK + 7), ("q_only", 2 * _BLOCK + 7),
+         ("p_only", 3 * _BLOCK + 4)],
+    )
+    def test_long_pair_with_one_special_atom_in_a_later_block(self, special, at):
+        # the blocks before it take the all-normal branch of _log_ratios,
+        # its own block the per-atom one; a p-only atom makes KL +inf
+        p, q = _long_pair(3 * _BLOCK + 5, seed=at, special=special, at=at)
+        self.check(p, q)
+        self.check(q, p)
+        assert (kl_divergence(p, q) == math.inf) == (special == "p_only")
+
+    def test_relabelled_long_pair_padded_past_p_last_block(self):
+        # q holds p's labels shuffled and a block's worth of its own, so p's
+        # aligned weights end in zeros that fill a block of their own
+        n, extra = 2 * _BLOCK + 3, _BLOCK + 10
+        p = _long_pair(n, seed=3)[0]
+        rng = random.Random(4)
+        labels = list(p.support) + [f"q{i}" for i in range(extra)]
+        rng.shuffle(labels)
+        q = new_distribution(_draw_distribution(rng, n + extra, 1.0).probs, labels)
+        _, pw, _ = _aligned(p, q)
+        assert len(pw) == n + extra and not any(pw[n:])
+        self.check(p, q)
+        self.check(q, p)
+
+    def test_cancelling_blocks_are_not_rounded_apart(self):
+        # p = q (1 + d) on the first block and q (1 - d) on the second: each
+        # block's terms sum to about 7e-5 against a KL of about 1e-8, so
+        # adding the two rounded block sums would change the bits
+        rng = random.Random(9)
+        half = tuple(w / 2.0 for w in _draw_distribution(rng, _BLOCK, 1.0).probs)
+        d = [rng.uniform(1e-4, 2e-4) for _ in half]
+        pw = ([w * (1.0 + e) for w, e in zip(half, d)]
+              + [w * (1.0 - e) for w, e in zip(half, d)])
+        p, q = dist(*pw), dist(*(half + half))
+        self.check(p, q)
+        blocks = [math.fsum(a * ref_log_ratio(a, b) for a, b in
+                            zip(p.probs[i:i + _BLOCK], q.probs[i:i + _BLOCK]))
+                  for i in (0, _BLOCK)]
+        assert math.fsum(blocks) != kl_divergence(p, q) < 1e-7 < min(map(abs, blocks))
+
+    def test_long_product_kl_holds_one_block_of_log_ratios(self):
+        # 2^18 atoms: a whole vector of log-ratios would take 8.6 MB
+        p = tensor_power(ProductSpec(bernoulli(0.3), 18))
+        q = tensor_power(ProductSpec(bernoulli(0.6), 18))
+        tracemalloc.start()
+        try:
+            kl = kl_divergence(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert kl == pytest.approx(18 * binary_kl(0.3, 0.6), rel=1e-12)
 
 
 def _optimal_witness_or_none(p, q, f):
