@@ -12,7 +12,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import truediv
 
 from .errors import (
@@ -214,6 +214,9 @@ def tensor_power(spec: ProductSpec) -> Distribution:
     supports larger than ``MAX_PRODUCT_ATOMS``; larger powers should use KL
     additivity instead of materialisation. While a product of equal base
     labels and power is alive, the new product shares its label tuple.
+    Atoms whose weights agree but for the last factor share one float; a
+    base holding a zero weight gives each atom its own, so that each zero
+    keeps its sign. Weights divided by their sum are each their own float.
     """
     global _last_product
     base, n = spec.base, spec.power
@@ -240,9 +243,24 @@ def tensor_power(spec: ProductSpec) -> Distribution:
         labels = base.support
         for _ in range(n - 1):
             labels = [a + s for a in labels for s in suffixes]
-    weights = base.probs
-    for _ in range(n - 1):
-        weights = [x * y for x in weights for y in base.probs]
+    # A level is kept as its distinct weights and each atom's index into
+    # them: each distinct weight is multiplied by each base weight once, and
+    # the last level chains one row of products per distinct weight before
+    # it. A dict key merges -0.0 with 0.0, so a base holding a zero, which
+    # may make both, multiplies per atom.
+    probs = base.probs
+    if 0.0 in probs:
+        weights = probs
+        for _ in range(n - 1):
+            weights = [x * y for x in weights for y in probs]
+    else:
+        values, index = (1.0,), (0,)
+        for _ in range(n - 1):
+            seen = {}
+            table = [[seen.setdefault(v * y, len(seen)) for y in probs] for v in values]
+            values, index = list(seen), list(chain.from_iterable(map(table.__getitem__, index)))
+        rows = [[v * y for y in probs] for v in values]
+        weights = tuple(chain.from_iterable(map(rows.__getitem__, index)))
     total = math.fsum(weights)
     if abs(total - 1.0) > SUM_TOLERANCE:  # the base sums to S, the weights to S^n
         weights = [w / total for w in weights]

@@ -181,9 +181,10 @@ def scan_bernoulli(
     others raise ``UnsupportedInequalityError`` (``falsify`` checks them).
     Boundary pairs are excluded (degenerate weights are covered by the
     explicit boundary cases of the closed forms). On the open grid
-    |p - q| >= 1/r and every log is finite, so no cell has infinite KL:
-    skipped_infinite_kl is always 0. A cell whose margin is not at least
-    -tolerance, NaN included, is a violation.
+    0 < p, q < 1, so every log is finite and no cell has infinite KL:
+    skipped_infinite_kl is always 0. A diagonal cell (p = q) has TV and KL
+    0.0 exactly. A cell whose margin is not at least -tolerance, NaN
+    included, is a violation.
     """
     r = _integer("resolution", resolution, 2)
     tolerance = _check_tolerance(tolerance)

@@ -60,6 +60,8 @@ MUTANTS = [
      "a product lends its labels only to a product of the same power"),
     (DIST, "(base.support, n, weakref.ref(product))", "(base.support, n, lambda: product)",
      "the shared-labels entry must not keep a dropped product alive"),
+    (DIST, "if 0.0 in probs:", "if False:",
+     "a dict key merges -0.0 with 0.0, so a base holding a zero multiplies per atom"),
 ]
 
 

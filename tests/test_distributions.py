@@ -189,6 +189,8 @@ class TestTensorPower:
             (("x", "y", "z"), (5e-324, 0.5, 0.5)),
             (("u", "v", "w"), (1 / 3, 1 / 3, 1 / 3)),
             (("0", "1", "2", "3"), (0.1, 0.2, 0.3, 0.4 + 1e-10)),
+            (("m", "z", "o"), (-0.0, 0.0, 1.0)),  # products of both zero signs
+            (("s", "l"), (1e-200, 1.0)),  # products that underflow to 0.0
         ],
     )
     def test_matches_reference_construction_bit_for_bit(self, support, probs):
@@ -223,6 +225,49 @@ class TestTensorPower:
             d = tensor_power(ProductSpec(base, power))
             assert abs(math.fsum(d.probs) - 1.0) <= SUM_TOLERANCE
             assert_bit_identical(d, checked_tensor_power(base, power))
+
+    @pytest.mark.parametrize("probs, power", [
+        ((0.1, 0.15, 0.2, 0.25, 0.3), 5),
+        ((0.3, 0.7), 12),  # a coin
+        ((0.25, 0.25, 0.25, 0.25), 3),  # equal base weights share from the first level
+    ])
+    def test_equal_weights_share_their_products(self, probs, power):
+        # atoms whose weights agree but for the last factor share that
+        # product's float
+        base = Distribution(_default_labels(len(probs)), probs)
+        d = tensor_power(ProductSpec(base, power))
+        assert_bit_identical(d, checked_tensor_power(base, power))
+        floats = {}
+        for c, w in zip(itertools.product(range(len(probs)), repeat=power), d.probs):
+            floats.setdefault((math.prod(probs[i] for i in c[:-1]), c[-1]), set()).add(id(w))
+        assert all(len(ids) == 1 for ids in floats.values())
+        assert len(set(map(id, d.probs))) <= len(floats) <= len(d) // 2
+
+    @pytest.mark.parametrize("power", [2, 5])
+    def test_zero_weights_keep_their_signs_when_divided(self, power):
+        # the base drifts past the tolerance by power 2, so every weight,
+        # -0.0 and 0.0 among them, is divided by the sum
+        probs = (-0.0, 0.0, 0.5, 0.5 + 9e-10)
+        base = Distribution(_default_labels(len(probs)), probs)
+        d = tensor_power(ProductSpec(base, power))
+        assert_bit_identical(d, checked_tensor_power(base, power))
+        assert {math.copysign(1.0, w) for w in d.probs if w == 0.0} == {1.0, -1.0}
+
+    def test_product_weights_hold_one_float_per_distinct_row_entry(self):
+        # a seeded 8^6 product, its labels lent by a live twin, so that only
+        # its weights are new: 262,144 floats of their own would take 6.3 MB
+        base = _draw_distribution(random.Random(1), 8, 1.0)
+        first = tensor_power(ProductSpec(base, 6))
+        tracemalloc.start()
+        try:
+            d = tensor_power(ProductSpec(base, 6))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert d.support is first.support
+        assert held < 3_000_000
+        assert len(set(map(id, d.probs))) < len(d) // 10
+        assert_bit_identical(d, first)
 
     def test_one_atom_base_at_a_high_power(self):
         n = 40_000
