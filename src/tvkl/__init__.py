@@ -29,9 +29,9 @@ _EXPORTS = {
         "tensor_power",
     ),
     "divergence": (
-        "BhDecomposition", "EventSubset", "bh_decomposition", "binary_kl",
-        "binary_tv", "event_mass", "hellinger_affinity", "kl_divergence",
-        "overlap_identities", "quantize", "total_variation", "tv_subset_oracle",
+        "EventSubset", "binary_kl", "binary_tv", "event_mass",
+        "hellinger_affinity", "kl_divergence", "overlap_identities", "quantize",
+        "total_variation",
     ),
     "errors": (
         "DuplicateLabelError", "EmptySupportError", "InvalidLabelError",
@@ -48,8 +48,7 @@ _EXPORTS = {
     ),
     "variational": (
         "TflParameter", "WitnessFunction", "dv_optimal_witness", "dv_supremum",
-        "dv_value", "hoeffding_step_check", "ipm_identity_check",
-        "pinsker_via_tfl", "pinsker_via_tfl_optimal",
+        "dv_value", "pinsker_via_tfl", "pinsker_via_tfl_optimal",
     ),
     "verify": (
         "InequalityId", "ScanReport", "bernoulli_margin", "falsify",

@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 _DEFAULTS = {"json": False, "renormalize": False, "tolerance": None, "seed": 0}
 
 #: The suites of ``verify.run_suite``, named in the verify help text.
-SUITE_NAMES = ("all", "grid", "random", "kl_finite")
+SUITE_NAMES = ("all", "grid", "random", "kl_finite", "derivation")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,7 @@
 """Exact divergences on finite discrete distributions.
 
 Total variation, Kullback-Leibler (nats), Hellinger affinity, the overlap
-identities, two-point closed forms, and the exhaustive subset oracle for TV.
+identities, two-point closed forms, event masses and quantization.
 
 Conventions. KL uses 0 log 0 = 0 and returns +inf exactly when p puts mass
 on an atom where q has none; it is therefore a total function with values in
@@ -30,14 +30,10 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from operator import mul, sub
 
-from .distributions import SUM_TOLERANCE, Distribution, bernoulli
-from .errors import (MismatchedSupportsError, OutOfRangeError, TooLargeError,
-                     TvklError, _integer, _tuple, _unit)
+from .distributions import Distribution, bernoulli
+from .errors import MismatchedSupportsError, OutOfRangeError, _integer, _tuple, _unit
 
 _MIN_NORMAL = sys.float_info.min
-
-#: Largest aligned support for the exhaustive 2^n subset enumeration.
-SUBSET_ORACLE_CAP = 20
 
 # Atoms per block of a long pair's KL terms.
 _BLOCK = 4096
@@ -256,26 +252,6 @@ def event_mass(weights, subset: EventSubset) -> float:
     return min(max(mass, 0.0), 1.0)
 
 
-def tv_subset_oracle(p: Distribution, q: Distribution) -> float:
-    """Exact sup over events S of p(S) - q(S), by enumerating all 2^n subsets,
-    clamped into [0, 1] as :func:`total_variation` is.
-
-    Independent of :func:`total_variation`; must agree with it to 1e-12.
-    Only supports aligned sizes up to ``SUBSET_ORACLE_CAP``.
-    """
-    _, pw, qw = _aligned(p, q)
-    n = len(pw)
-    if n > SUBSET_ORACLE_CAP:
-        raise TooLargeError(
-            f"support: {n} atoms exceed the exhaustive cap of {SUBSET_ORACLE_CAP}"
-        )
-    diffs = [a - b for a, b in zip(pw, qw)]
-    sums = [0.0]
-    for d in diffs:
-        sums.extend([s + d for s in sums])
-    return min(max(sums), 1.0)
-
-
 def quantize(
     p: Distribution, q: Distribution, subset: EventSubset
 ) -> tuple[Distribution, Distribution]:
@@ -286,58 +262,3 @@ def quantize(
     """
     _, pw, qw = _aligned(p, q)
     return bernoulli(event_mass(pw, subset)), bernoulli(event_mass(qw, subset))
-
-
-@dataclass(frozen=True, slots=True)
-class BhDecomposition:
-    """Per-atom likelihood-ratio split over p's support.
-
-    With U = q(x)/p(x) on atoms where p(x) > 0, V = (U - 1)+ and
-    W = (1 - U)+ satisfy V >= 0, W >= 0, V W = 0 and (1 + V)(1 - W) = U
-    atomwise, and the p-expectation of W equals TV(p, q). The p-expectation
-    of V also equals TV when q puts no mass outside p's support; otherwise it
-    falls short by exactly that escaped mass.
-    """
-
-    labels: tuple[str, ...]
-    u: tuple[float, ...]
-    v: tuple[float, ...]
-    w: tuple[float, ...]
-    mean_v: float
-    mean_w: float
-
-
-def bh_decomposition(p: Distribution, q: Distribution) -> BhDecomposition:
-    """Compute the U, V, W split and verify its identities.
-
-    Verifies, within 1e-12 (relative for large U): V W = 0 and
-    (1 + V)(1 - W) = U atomwise. Verifies E_p[W] = TV(p, q), and
-    E_p[V] = TV(p, q) whenever q assigns no mass outside p's support, within
-    1e-12 + ``SUM_TOLERANCE``: E_p[W] is the sum of (p - q)+ and E_p[V] that
-    of (q - p)+, so before rounding E_p[W] - TV = (sum p - sum q)/2 =
-    TV - E_p[V]. Each weight sum is within ``SUM_TOLERANCE`` of 1, so the
-    gap is at most ``SUM_TOLERANCE``, and clamping TV to 1 keeps it so.
-    """
-    labels_all, pw, qw = _aligned(p, q)
-    # p has positive mass, so at least one atom is kept.
-    labels, weights, u = zip(
-        *((lab, a, b / a) for lab, a, b in zip(labels_all, pw, qw) if a > 0.0)
-    )
-    v = tuple(max(x - 1.0, 0.0) for x in u)
-    w = tuple(max(1.0 - x, 0.0) for x in u)
-    mean_v = math.fsum(a * x for a, x in zip(weights, v))
-    mean_w = math.fsum(a * x for a, x in zip(weights, w))
-
-    for ui, vi, wi in zip(u, v, w):
-        scale = max(1.0, abs(ui))
-        if vi * wi > 1e-12 * scale:
-            raise TvklError("internal: V W = 0 violated")
-        if abs((1.0 + vi) * (1.0 - wi) - ui) > 1e-12 * scale:
-            raise TvklError("internal: (1 + V)(1 - W) = U violated")
-    tv = total_variation(p, q)
-    if abs(mean_w - tv) > 1e-12 + SUM_TOLERANCE:
-        raise TvklError("internal: E_p[W] = TV violated")
-    escaped = math.fsum(b for a, b in zip(pw, qw) if a <= 0.0)
-    if escaped == 0.0 and abs(mean_v - tv) > 1e-12 + SUM_TOLERANCE:
-        raise TvklError("internal: E_p[V] = TV violated on dominated pair")
-    return BhDecomposition(labels, u, v, w, mean_v, mean_w)

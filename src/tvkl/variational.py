@@ -12,8 +12,9 @@ bound on the divergence, which is what the random-witness checks exploit.
 Also here: the bounded-witness route from the same identity to the pinsker
 forward bound (via the subgaussian moment inequality
 log E_q[exp f] <= E_q[f] + ||f||_inf^2 / 2 and the choice
-lambda = sqrt(2 KL)), and the representation of TV as half the supremum of
-E_p[f] - E_q[f] over the sup-norm unit ball, attained at f = sign(p - q).
+lambda = sqrt(2 KL)). That moment inequality, and the representation of TV
+as half the supremum of E_p[f] - E_q[f] over the sup-norm unit ball,
+attained at f = sign(p - q), are checked by ``verify``'s derivation suite.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .errors import (
     MisalignedWitnessError,
     OutOfRangeError,
     SupportMismatchError,
-    TooLargeError,
-    TvklError,
     _integer,
     _real,
     _tuple,
@@ -177,57 +176,3 @@ def _check_finite_kl(kl: float) -> float:
     if math.isnan(kl) or math.isinf(kl) or kl < 0.0:
         raise OutOfRangeError(f"kl: {kl!r} must be a finite value >= 0")
     return kl
-
-
-def hoeffding_step_check(
-    p: Distribution, q: Distribution, f: WitnessFunction
-) -> float:
-    """Margin of the bounded-moment step:
-
-        E_q[f] + ||f||_inf^2 / 2 - log E_q[exp f]
-
-    which is nonnegative for every bounded witness (a function with sup-norm
-    s ranges within an interval of width 2s, so its log moment generating
-    function is (2s)^2/8-subgaussian)."""
-    pw, qw, values = _aligned_with_witness(p, q, f)
-    mean_q = math.fsum(map(mul, qw, values))
-    return mean_q + 0.5 * f.sup_norm**2 - _log_mean_exp(qw, values)
-
-
-#: Largest aligned support for the sign-witness TV identity check.
-IPM_SUPPORT_CAP = 20
-
-
-def ipm_identity_check(
-    p: Distribution, q: Distribution, trials: int, seed: int
-) -> float:
-    """Gap between TV and half the supremum of E_p[f] - E_q[f] over
-    witnesses with sup-norm at most 1.
-
-    The supremum is computed exactly at its extreme point f = sign(p - q),
-    not by search; ``trials`` random unit-ball witnesses are then evaluated
-    and must not exceed it (a TvklError would mean the identity machinery is
-    broken). Returns half_supremum - total_variation, which is zero up to
-    rounding.
-    """
-    trials, seed = _integer("trials", trials, 0), _integer("seed", seed)
-    labels, pw, qw = _aligned(p, q)
-    n = len(labels)
-    if n > IPM_SUPPORT_CAP:
-        raise TooLargeError(
-            f"support: {n} atoms exceed the identity-check cap of {IPM_SUPPORT_CAP}"
-        )
-    sign = tuple(1.0 if a > b else (-1.0 if a < b else 0.0) for a, b in zip(pw, qw))
-    supremum = _mean_difference(pw, qw, sign)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        f = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
-        if _mean_difference(pw, qw, f) > supremum + 1e-12:
-            raise TvklError(
-                "internal: a random unit-ball witness beat the sign witness"
-            )
-    return 0.5 * supremum - total_variation(p, q)
-
-
-def _mean_difference(pw, qw, values) -> float:
-    return math.fsum(map(mul, values, map(sub, pw, qw)))

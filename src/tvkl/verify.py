@@ -13,8 +13,11 @@ alone (``GRID_INEQUALITIES``) have a margin function of (tv, kl), shared by
 the grid, ``bernoulli_margin`` and the random engine; the Bernoulli scan
 takes these six and no other. The hellinger chain and the quantized
 data-processing check need the pair itself, so only the random engine runs
-them. One tally loop counts violations and finds the worst margin for every
-engine; one generator draws the seeded pairs of both random checks.
+them. It also runs the margins of three steps of the paper's derivations
+(``DERIVATION_INEQUALITIES``): the U, V, W split behind BH, TV as half the
+sign witness's mean gap, and the Hoeffding step of the bounded-witness
+route. One tally loop counts violations and finds the worst margin for
+every engine; one generator draws the seeded pairs of both random checks.
 
 The grid validates at its boundary (resolution, tolerance, inequality) and
 not per cell: its values i/r lie in (0, 1) by construction. It caches the
@@ -35,11 +38,13 @@ import math
 import random
 from dataclasses import dataclass
 from functools import partial
+from operator import mul, sub
 
 from .bounds import _FORWARD, _INVERSE, BoundId
 from .distributions import Distribution, _default_labels
 from .divergence import (
     EventSubset,
+    _aligned,
     _binary_kl,
     binary_kl,
     binary_tv,
@@ -49,7 +54,7 @@ from .divergence import (
     total_variation,
 )
 from .errors import OutOfRangeError, UnsupportedInequalityError, _integer, _real, _unit
-from .variational import WitnessFunction, dv_value
+from .variational import WitnessFunction, _log_mean_exp, dv_value
 
 #: Default violation tolerances: closed-form grid cells vs 64-atom sums.
 GRID_TOLERANCE = 1e-12
@@ -69,6 +74,9 @@ class InequalityId(enum.Enum):
     HELLINGER_CHAIN = "hellinger_chain"  # 1 - tv^2 >= affinity^2 >= exp(-kl)
     DPI_QUANTIZED = "dpi_quantized"  # binary quantization shrinks kl and tv
     TFL_LOWER = "tfl_lower"  # every witness lower-bounds kl
+    BH_DECOMPOSITION = "bh_decomposition"  # the U, V, W split behind bh
+    IPM_IDENTITY = "ipm_identity"  # tv is half the sign witness's mean gap
+    HOEFFDING_STEP = "hoeffding_step"  # log E_q[e^f] <= E_q[f] + ||f||^2 / 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,6 +125,48 @@ _TV_KL_MARGINS = {
 def _hellinger_chain(tv: float, kl: float, aff2: float) -> float:
     # 1 - tv^2 >= affinity^2 >= exp(-kl)
     return min((1.0 - tv * tv) - aff2, aff2 - math.exp(-kl))
+
+
+def _bh_decomposition(p: Distribution, q: Distribution) -> float:
+    # On p's support, U = q/p, V = (U - 1)+ and W = (1 - U)+ satisfy V W = 0
+    # and (1 + V)(1 - W) = U (residuals relative to max(1, U)), E_p[W] = TV,
+    # and E_p[V] = TV when q puts no mass outside p's support. Returns 0.0
+    # minus the largest residual (0.0 on an exact split, not -0.0), or NaN
+    # if a residual is NaN (a ratio that overflows).
+    _, pw, qw = _aligned(p, q)
+    weights, u = zip(*[(a, b / a) for a, b in zip(pw, qw) if a > 0.0])
+    v, w = [max(x - 1.0, 0.0) for x in u], [max(1.0 - x, 0.0) for x in u]
+    residuals = [y * z / max(1.0, x) for x, y, z in zip(u, v, w)]
+    residuals += [abs((1.0 + y) * (1.0 - z) - x) / max(1.0, x) for x, y, z in zip(u, v, w)]
+    tv = total_variation(p, q)
+    residuals.append(abs(math.fsum(map(mul, weights, w)) - tv))
+    escaped = math.fsum(b for a, b in zip(pw, qw) if a <= 0.0)
+    if escaped == 0.0:
+        residuals.append(abs(math.fsum(map(mul, weights, v)) - tv))
+    return math.nan if math.isnan(sum(residuals)) else 0.0 - max(residuals)
+
+
+def _mean_difference(pw, qw, values) -> float:
+    return math.fsum(map(mul, values, map(sub, pw, qw)))
+
+
+def _ipm_identity(p: Distribution, q: Distribution, values) -> float:
+    # TV is half the largest E_p[f] - E_q[f] over witnesses with sup-norm at
+    # most 1, reached at f = sign(p - q). The smaller of that gap less the
+    # gap of the unit-ball witness ``values``, and 0.0 - |gap / 2 - TV|.
+    _, pw, qw = _aligned(p, q)
+    gap = _mean_difference(pw, qw, [(a > b) - (a < b) for a, b in zip(pw, qw)])
+    tv = total_variation(p, q)
+    return min(gap - _mean_difference(pw, qw, values), 0.0 - abs(0.5 * gap - tv))
+
+
+def _hoeffding_step(p: Distribution, q: Distribution, values) -> float:
+    # E_q[f] + ||f||_inf^2 / 2 - log E_q[e^f]: a witness of sup-norm s ranges
+    # within an interval of width 2s, so by Hoeffding's lemma its log moment
+    # generating function is at most its mean plus (2s)^2 / 8.
+    _, _, qw = _aligned(p, q)
+    mean_q = math.fsum(map(mul, qw, values))
+    return mean_q + 0.5 * max(map(abs, values)) ** 2 - _log_mean_exp(qw, values)
 
 
 def _check_binary(inequality: InequalityId) -> None:
@@ -275,10 +325,23 @@ RANDOM_INEQUALITIES = (
     InequalityId.TFL_LOWER,
 )
 
+#: The derivation steps, checked by the random engine outside ``all``.
+DERIVATION_INEQUALITIES = (
+    InequalityId.BH_DECOMPOSITION,
+    InequalityId.IPM_IDENTITY,
+    InequalityId.HOEFFDING_STEP,
+)
+
 
 def _random_margin(
     inequality: InequalityId, rng: random.Random, p: Distribution, q: Distribution
 ) -> float:
+    if inequality is InequalityId.BH_DECOMPOSITION:
+        return _bh_decomposition(p, q)
+    if inequality is InequalityId.IPM_IDENTITY:
+        return _ipm_identity(p, q, [rng.uniform(-1.0, 1.0) for _ in range(len(p))])
+    if inequality is InequalityId.HOEFFDING_STEP:
+        return _hoeffding_step(p, q, [rng.uniform(-3.0, 3.0) for _ in range(len(p))])
     kl = kl_divergence(p, q)
     if inequality is InequalityId.TFL_LOWER:
         f = WitnessFunction(tuple(rng.uniform(-3.0, 3.0) for _ in range(len(p))))
@@ -305,9 +368,11 @@ def falsify(
     Draws ``trials`` seeded full-support pairs with sizes uniform in
     [2, atoms] and concentrations cycling through
     ``FALSIFY_CONCENTRATIONS``, plus a random event for the quantization
-    check and a random bounded witness for the variational one. A trial
-    whose margin is not at least -tolerance, NaN included, is a violation.
-    The worst point records the offending trial index.
+    check, a random witness in [-3, 3] for the variational one and the
+    Hoeffding step, and one in the unit ball for the IPM identity. A trial
+    whose margin is not at least -tolerance, NaN included, is a violation;
+    an exact identity of ``DERIVATION_INEQUALITIES`` has margin 0.0. The
+    worst point records the offending trial index.
     """
     trials, atoms = _integer("trials", trials, 1), _integer("atoms", atoms, 2, 64)
     seed = _integer("seed", seed)
@@ -366,8 +431,9 @@ def run_suite(
     """Run a named verification suite and return its reports in a fixed
     order: "grid" scans the six binary inequalities, "random" runs the three
     multi-atom randomized checks, "kl_finite" the finite-KL consequence,
-    "all" everything, and a single inequality identifier its own check of
-    its suite, at the same seed. Deterministic given the seed. Both
+    "all" these three suites, "derivation" the three derivation steps, and
+    a single inequality identifier its own check of its suite, at the same
+    seed. Deterministic given the seed. Both
     tolerances must be finite, resolution >= 2, trials >= 1 and atoms in
     [2, 64], whichever checks the suite runs.
     """
@@ -376,17 +442,22 @@ def run_suite(
     random_tolerance = _check_tolerance(random_tolerance)
     resolution = _integer("resolution", resolution, 2)
     trials, atoms = _integer("trials", trials, 1), _integer("atoms", atoms, 2, 64)
-    # (key, suite, check) in report order; random check k runs at seed + 101 k.
+    # (key, suite, check) in report order; falsify check k runs at seed + 101 k.
     plan = [
         (i.value, "grid", partial(scan_bernoulli, i, resolution, grid_tolerance))
         for i in GRID_INEQUALITIES
     ]
-    for k, i in enumerate(RANDOM_INEQUALITIES, 1):
+    suites = [(i, "random") for i in RANDOM_INEQUALITIES]
+    suites += [(i, "derivation") for i in DERIVATION_INEQUALITIES]
+    for k, (i, suite) in enumerate(suites, 1):
         check = partial(falsify, i, trials, atoms, seed + 101 * k, random_tolerance)
-        plan.append((i.value, "random", check))
+        plan.append((i.value, suite, check))
     check = partial(kl_finite_implies_tv_lt_one, trials, seed + 909)
     plan.append(("kl_finite", "kl_finite", check))
-    reports = [run() for key, suite, run in plan if name in ("all", suite, key)]
+    reports = [
+        run() for key, suite, run in plan
+        if name in (suite, key) or name == "all" and suite != "derivation"
+    ]
     if not reports:
         raise OutOfRangeError(
             f"suite: {name!r} is not a suite name or inequality identifier"

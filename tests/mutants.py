@@ -1,6 +1,6 @@
-"""The standing mutation list: small wrong edits of ``src/`` that the tests
-must catch. Run as a script (standard library only; the tests need pytest
-and hypothesis):
+"""The standing mutation list: small wrong edits of ``src/``, and of the
+reference in ``tests/oracle.py``, that the tests must catch. Run as a script
+(standard library only; the tests need pytest and hypothesis):
 
     python tests/mutants.py
 
@@ -23,6 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 DIV, BOUNDS, DIST = "src/tvkl/divergence.py", "src/tvkl/bounds.py", "src/tvkl/distributions.py"
+VERIFY, ORACLE = "src/tvkl/verify.py", "tests/oracle.py"
 
 # (file, exact old text, new text, why the tests must catch it)
 MUTANTS = [
@@ -53,7 +54,7 @@ MUTANTS = [
      "the Hellinger affinity is clamped to 1"),
     (DIV, "return min(max(mass, 0.0), 1.0)", "return max(mass, 0.0)",
      "an event's mass is clamped to 1"),
-    (DIV, "return min(max(sums), 1.0)", "return max(sums)",
+    (ORACLE, "return min(max(sums), 1.0)", "return max(sums)",
      "the subset oracle is clamped to 1, as TV is"),
     (DIST, "ref() if power == n and key == base.support else None",
      "ref() if key == base.support else None",
@@ -62,6 +63,15 @@ MUTANTS = [
      "the shared-labels entry must not keep a dropped product alive"),
     (DIST, "if 0.0 in probs:", "if False:",
      "a dict key merges -0.0 with 0.0, so a base holding a zero multiplies per atom"),
+    (VERIFY, "if escaped == 0.0:", "if True:",
+     "E_p[V] = TV holds only when q puts no mass outside p's support"),
+    (VERIFY, "[(a > b) - (a < b) for a, b in zip(pw, qw)]",
+     "[(a < b) - (a > b) for a, b in zip(pw, qw)]",
+     "the IPM identity's supremum is reached at sign(p - q), not at its negation"),
+    (VERIFY, "else 0.0 - max(residuals)", "else -max(residuals)",
+     "an exact BH split has margin 0.0, not -0.0"),
+    (VERIFY, "0.0 - abs(0.5 * gap - tv)", "-abs(0.5 * gap - tv)",
+     "an exact IPM identity has margin 0.0, not -0.0"),
 ]
 
 

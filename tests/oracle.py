@@ -2,7 +2,9 @@
 ``decimal`` context that reads each double as the rational it is, and the coin
 answer n* in ``fractions``. Each function states the digits it guarantees. One
 with a series sums it below its stated cut-off; ``series=True`` or ``False``
-forces a branch, so that ``test_oracle.py`` can check the two agree there."""
+forces a branch, so that ``test_oracle.py`` can check the two agree there.
+``tv_subset_oracle`` is the one float reference: TV by brute force over events,
+sharing no code with tvkl's alignment or TV kernel."""
 
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
+
+from tvkl.errors import TooLargeError
 
 _CONTEXT = decimal.Context(prec=60)
 _INF = Decimal("Infinity")
@@ -126,6 +130,29 @@ def kl_divergence(pw, qw) -> Decimal:
         return _INF
     return sum(Decimal(a) * (Decimal(a) / Decimal(b)).ln()
                for a, b in zip(pw, qw) if a != 0.0)
+
+
+#: Largest label union that ``tv_subset_oracle`` enumerates, 2^20 events.
+SUBSET_ORACLE_CAP = 20
+
+
+def tv_subset_oracle(p, q) -> float:
+    """The largest p(S) - q(S) over all 2^n events S of the label union of
+    two distributions, clamped into [0, 1] as ``total_variation`` is. In
+    floats: each event's sum rounds once per atom, so it agrees with TV to
+    1e-12. A union of more than ``SUBSET_ORACLE_CAP`` labels raises
+    ``TooLargeError``."""
+    wp, wq = dict(zip(p.support, p.probs)), dict(zip(q.support, q.probs))
+    labels = dict.fromkeys(p.support + q.support)
+    if len(labels) > SUBSET_ORACLE_CAP:
+        raise TooLargeError(
+            f"support: {len(labels)} atoms exceed the exhaustive cap of {SUBSET_ORACLE_CAP}"
+        )
+    sums = [0.0]
+    for label in labels:
+        d = wp.get(label, 0.0) - wq.get(label, 0.0)
+        sums.extend([s + d for s in sums])
+    return min(max(sums), 1.0)
 
 
 @_at_60_digits

@@ -61,6 +61,7 @@ edb1e79e6434a8b407b8aa20738c531ff31948ba0243d7e23bf0f04bfb70f3d8  samples 0.3 0.
 a0bb33672132695b532bf7737d8e63f709470db14c46bcd8b78e49976f62e242  samples 1e-6 1e-9 --json --ceil
 9e64e1b7c82d47a2865ee9167820f92d03caa80e6055ab35569fd84dc09a5e95  verify all --seed 42 --resolution 40 --trials 50 --atoms 8
 2282bf19fdb597b9e73a8412b67a04fcc86b1d4fca13cc1bd8c11fd3f9884bfc  --json verify all --seed 42
+75ea55b91f49f5b1acf66958debbdefc83efd1756dd27184d849678a4b112019  --json verify derivation --seed 42
 56a17dcfebf5fabe5edd147b0943da5440f136a9346c3ae3fe003ed06caa1808  --json div relabelled_p.json relabelled_q.json
 7a81a581d34e8da5241f8a2b43443a9923a52b0220154d8f13db02344a87b77b  --json div q_only_p.json q_only_q.json
 d2352b789b9e00c9962514af90fce6e2f0472121b2a675532dd65cd676a06284  --json div subnormal_p.json subnormal_q.json

@@ -51,7 +51,6 @@ from tvkl import (
     scan_bernoulli,
     tensor_power,
     total_variation,
-    tv_subset_oracle,
     tv_upper_bh,
     tv_upper_from_vajda,
     tv_upper_pinsker,
@@ -59,8 +58,9 @@ from tvkl import (
 )
 from tvkl.bounds import BoundId
 from tvkl.samples import FLAG_SIMPLIFIED_EXCEEDS_EXACT
-from tvkl.verify import GRID_INEQUALITIES, RANDOM_INEQUALITIES
+from tvkl.verify import DERIVATION_INEQUALITIES, GRID_INEQUALITIES, RANDOM_INEQUALITIES
 from conftest import seeded_pairs
+from oracle import tv_subset_oracle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -275,4 +275,6 @@ def test_criterion_9_verify_suite_is_byte_deterministic():
     reports = [json.loads(line) for line in first.decode().strip().splitlines()]
     assert len(reports) == 10
     assert all(r["violations"] == 0 for r in reports)
-    assert {r["inequality"] for r in reports} == {i.value for i in InequalityId}
+    # every inequality but the derivation steps, which run outside "all"
+    every = {i.value for i in InequalityId if i not in DERIVATION_INEQUALITIES}
+    assert {r["inequality"] for r in reports} == every

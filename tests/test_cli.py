@@ -431,6 +431,35 @@ class TestVerify:
             self, capsys, tmp_path, command=pin("--json verify all --seed 42")):
         assert_pinned(capsys, tmp_path, command)
 
+    def test_derivation_seed_42_stdout_is_pinned(
+            self, capsys, tmp_path, command=pin("--json verify derivation --seed 42")):
+        assert_pinned(capsys, tmp_path, command)
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "42"]], ids=["default", "42"])
+    def test_derivation_suite_exits_zero(self, capsys, seed):
+        code, out, _ = run_cli(capsys, "verify", "derivation", *seed)
+        lines = out.splitlines()
+        assert code == 0
+        assert [line.split(":")[0] for line in lines] == [
+            "bh_decomposition", "ipm_identity", "hoeffding_step",
+        ]
+        assert all("violations=0 " in line for line in lines)
+        _, single, _ = run_cli(capsys, "verify", "bh_decomposition", *seed)
+        assert single.splitlines() == lines[:1]
+
+    @pytest.mark.parametrize("inequality", ["ipm_identity", "bh_decomposition"])
+    def test_exact_identity_prints_positive_zero(self, monkeypatch, capsys, inequality):
+        # on identical pairs each identity holds exactly: 0.0, never -0.0
+        seeded = verify._seeded_pairs
+        monkeypatch.setattr(verify, "_seeded_pairs",
+                            lambda *args: ((p, p) for p, _ in seeded(*args)))
+        args = ("verify", inequality, "--trials", "20", "--atoms", "8")
+        code, text, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert "violations=0 worst_margin=0.0 worst_point=[0] " in text
+        _, out, _ = run_cli(capsys, "--json", *args)
+        assert '"worst_margin": 0.0,' in out
+
     @pytest.mark.parametrize(
         "k, inequality", enumerate(["hellinger_chain", "dpi_quantized", "tfl_lower"])
     )

@@ -16,12 +16,10 @@ from tvkl import (
     TooLargeError,
     WitnessFunction,
     bernoulli,
-    bh_decomposition,
     binary_kl,
     binary_tv,
     event_mass,
     hellinger_affinity,
-    hoeffding_step_check,
     kl_divergence,
     kl_lower_vajda,
     new_distribution,
@@ -29,20 +27,24 @@ from tvkl import (
     quantize,
     tensor_power,
     total_variation,
-    tv_subset_oracle,
 )
-from tvkl.distributions import Distribution
+from tvkl.distributions import SUM_TOLERANCE, Distribution
 from tvkl.divergence import _BLOCK, _aligned
 from tvkl.samples import kl_per_toss
-from tvkl.variational import _mean_difference, dv_optimal_witness, dv_value
+from tvkl.variational import dv_optimal_witness, dv_value
 from tvkl.verify import (
+    RANDOM_TOLERANCE,
     WEIGHT_FLOOR,
+    _bh_decomposition,
     _draw_distribution,
     _hellinger_chain,
+    _hoeffding_step,
+    _mean_difference,
     _seeded_pairs,
     random_distribution,
 )
 import oracle
+from oracle import tv_subset_oracle
 from conftest import dist, seeded_pairs
 
 P3 = dist(0.2, 0.3, 0.5)
@@ -269,7 +271,7 @@ def ref_dv_value(pw, qw, values):
     return math.fsum(w * v for w, v in zip(pw, values)) - ref_log_mean_exp(qw, values)
 
 
-def ref_hoeffding_step_check(qw, values):
+def ref_hoeffding_step(qw, values):
     mean_q = math.fsum(w * v for w, v in zip(qw, values))
     sup_norm = max(map(abs, values))
     return mean_q + 0.5 * sup_norm**2 - ref_log_mean_exp(qw, values)
@@ -390,8 +392,8 @@ class TestKernelReference:
         for values in witnesses:
             f = WitnessFunction(values)
             assert hexes(dv_value(p, q, f)) == hexes(ref_dv_value(pw, qw, values))
-            assert hexes(hoeffding_step_check(p, q, f)) == hexes(
-                ref_hoeffding_step_check(qw, values)
+            assert hexes(_hoeffding_step(p, q, values)) == hexes(
+                ref_hoeffding_step(qw, values)
             )
             assert hexes(_mean_difference(pw, qw, values)) == hexes(
                 ref_mean_difference(pw, qw, values)
@@ -527,7 +529,7 @@ MEMO_OPS = {
     "overlap": lambda p, q, f: overlap_identities(p, q),
     "witness": _optimal_witness_or_none,
     "dv": dv_value,
-    "hoeffding": hoeffding_step_check,
+    "hoeffding": lambda p, q, f: _hoeffding_step(p, q, f.values),
 }
 
 
@@ -555,7 +557,7 @@ def reference_ops(p, q):
         "overlap": hexes(ref_overlap_identities(pw, qw)),
         "witness": None if witness is None else hexes(witness),
         "dv": hexes(ref_dv_value(pw, qw, values)),
-        "hoeffding": hexes(ref_hoeffding_step_check(qw, values)),
+        "hoeffding": hexes(ref_hoeffding_step(qw, values)),
     }
 
 
@@ -829,51 +831,47 @@ class TestOverlapIdentities:
 
 
 class TestBhDecomposition:
+    """The margin of the U, V, W split behind BH: 0.0 less its largest
+    residual, so an exact split has margin 0.0 and a broken one is
+    negative."""
+
     def test_bernoulli_shift(self):
-        d = bh_decomposition(bernoulli(0.5), bernoulli(0.6))
-        assert d.u == pytest.approx((1.2, 0.8), abs=1e-15)
-        assert d.v == pytest.approx((0.2, 0.0), abs=1e-15)
-        assert d.w == pytest.approx((0.0, 0.2), abs=1e-15)
-        assert d.mean_v == pytest.approx(0.1, abs=1e-15)
-        assert d.mean_w == pytest.approx(0.1, abs=1e-15)
+        # U = (1.2, 0.8), V = (0.2, 0), W = (0, 0.2) and E_p[V] = E_p[W] = 0.1
+        assert -1e-15 <= _bh_decomposition(bernoulli(0.5), bernoulli(0.6)) <= 0.0
 
     def test_identity(self):
-        d = bh_decomposition(P3, P3)
-        assert all(x == 1.0 for x in d.u)
-        assert all(x == 0.0 for x in d.v)
-        assert all(x == 0.0 for x in d.w)
+        # U = 1 and V = W = 0 on every atom: each residual is exactly 0
+        margin = _bh_decomposition(P3, P3)
+        assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
 
     def test_mass_escaping_p_support(self):
         # E_p[W] still equals TV even though half of q's mass lives outside
-        # p's support; E_p[V] falls short by exactly that escaped mass.
+        # p's support; E_p[V] falls short by exactly that escaped mass, so
+        # the margin leaves its residual out.
         p = dist(0.5, 0.5, 0.0)
         q = dist(0.25, 0.25, 0.5)
-        d = bh_decomposition(p, q)
-        assert d.u == (0.5, 0.5)
-        assert d.mean_w == pytest.approx(0.5, abs=1e-15)
-        assert d.mean_w == pytest.approx(total_variation(p, q), abs=1e-12)
-        assert d.mean_v == pytest.approx(total_variation(p, q) - 0.5, abs=1e-12)
+        mean_v = math.fsum(a * max(b / a - 1.0, 0.0) for a, b in zip(p.probs, q.probs) if a)
+        assert mean_v == pytest.approx(total_variation(p, q) - 0.5, abs=1e-12)
+        assert -1e-12 <= _bh_decomposition(p, q) <= 0.0
 
     def test_weights_summing_within_tolerance(self):
-        # E_p[W] - TV = (sum p - sum q)/2 = 4e-10 here, inside SUM_TOLERANCE
+        # E_p[W] - TV = (sum p - sum q)/2 = 4e-10 = TV - E_p[V] here: inside
+        # SUM_TOLERANCE, but outside the random engine's tolerance, whose
+        # seeded pairs sum to 1 within rounding
         p = Distribution(("a", "b"), (0.5 + 4e-10, 0.5 + 4e-10))
         q = Distribution(("a", "b"), (0.3, 0.7))
-        d = bh_decomposition(p, q)
-        assert d.mean_w == pytest.approx(total_variation(p, q), abs=1e-9)
-        assert d.mean_v == pytest.approx(total_variation(p, q), abs=1e-9)
+        margin = _bh_decomposition(p, q)
+        assert margin == pytest.approx(-4e-10, rel=1e-6)
+        assert -SUM_TOLERANCE <= margin < -RANDOM_TOLERANCE
 
     def test_identities_on_random_pairs(self):
         for p, q in seeded_pairs(60, 16, seed=23):
-            d = bh_decomposition(p, q)
-            tv = total_variation(p, q)
-            assert d.mean_v == pytest.approx(tv, abs=1e-12)
-            assert d.mean_w == pytest.approx(tv, abs=1e-12)
-            for ui, vi, wi in zip(d.u, d.v, d.w):
-                assert vi >= 0.0 and wi >= 0.0
-                assert vi * wi == 0.0
-                assert (1.0 + vi) * (1.0 - wi) == pytest.approx(
-                    ui, rel=1e-12, abs=1e-12
-                )
+            assert -1e-12 <= _bh_decomposition(p, q) <= 0.0
+
+    def test_overflowing_ratio_is_a_nan_margin(self):
+        # U = 1 / 5e-324 overflows to inf, and V W = inf * 0 is NaN: the
+        # margin is NaN, which the engine counts as a violation
+        assert math.isnan(_bh_decomposition(dist(5e-324, 1.0), dist(1.0, 0.0)))
 
 
 class TestQuantize:

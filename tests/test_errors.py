@@ -25,7 +25,6 @@ from tvkl import (
     falsify,
     figure_rows,
     forward_value,
-    ipm_identity_check,
     inverse_value,
     kl_finite_implies_tv_lt_one,
     kl_lower,
@@ -106,6 +105,8 @@ def test_negative_zero_is_read_as_zero():
 
 
 P, Q = bernoulli(0.3), bernoulli(0.6)
+# The IPM identity is checked through falsify, as the other derivation steps.
+IPM_IDENTITY = InequalityId.IPM_IDENTITY
 
 # 8.0 is integral but still refused: nothing is truncated or parsed.
 NON_INTEGERS = ["x", None, [1], 2.5, "10", 8.0]
@@ -125,8 +126,8 @@ INTEGER_ENTRY_POINTS = {
     "run_suite-atoms": ("atoms", lambda x: run_suite("random", trials=5, atoms=x)),
     "dv_supremum-trials": ("trials", lambda x: dv_supremum(P, Q, x, 0)),
     "dv_supremum-seed": ("seed", lambda x: dv_supremum(P, Q, 5, x)),
-    "ipm_identity_check-trials": ("trials", lambda x: ipm_identity_check(P, Q, x, 0)),
-    "ipm_identity_check-seed": ("seed", lambda x: ipm_identity_check(P, Q, 5, x)),
+    "ipm_identity_check-trials": ("trials", lambda x: falsify(IPM_IDENTITY, x, 8, 0)),
+    "ipm_identity_check-seed": ("seed", lambda x: falsify(IPM_IDENTITY, 5, 8, x)),
     "figure_rows": ("points", lambda x: figure_rows(FigureId.FIG_FORWARD, x)),
     "ProductSpec": ("power", lambda x: ProductSpec(P, x)),
     "EventSubset.empty": ("size", EventSubset.empty),
@@ -155,7 +156,7 @@ RANGE_EDGES = {
     "random_distribution": (lambda: random_distribution(0, 0, 1.0), "atoms: 0 must be >= 1"),
     "kl_finite": (lambda: kl_finite_implies_tv_lt_one(0, 0), "trials: 0 must be >= 1"),
     "dv_supremum": (lambda: dv_supremum(P, Q, -1, 0), "trials: -1 must be >= 0"),
-    "ipm_identity_check": (lambda: ipm_identity_check(P, Q, -1, 0), "trials: -1 must be >= 0"),
+    "ipm_identity_check": (lambda: falsify(IPM_IDENTITY, -1, 8, 0), "trials: -1 must be >= 1"),
     "figure_rows": (lambda: figure_rows(FigureId.FIG_FORWARD, 1), "points: 1 must be >= 2"),
     "ProductSpec": (lambda: ProductSpec(P, 0), "power: 0 must be >= 1"),
     "EventSubset.empty": (lambda: EventSubset.empty(-2), "size: -2 must be >= 0"),

@@ -15,7 +15,7 @@ import tvkl
 from tvkl.figures import FigureId
 
 #: Each module and the names the package re-exported from it, recorded when
-#: every name was imported eagerly.
+#: every name was imported eagerly. A name leaves only with a stated reason.
 SURFACE = {
     "bounds": [
         "BoundEvaluation", "BoundId", "WEAK_BH_FACTOR", "compare_bounds",
@@ -31,9 +31,9 @@ SURFACE = {
         "tensor_power",
     ],
     "divergence": [
-        "BhDecomposition", "EventSubset", "bh_decomposition", "binary_kl",
-        "binary_tv", "event_mass", "hellinger_affinity", "kl_divergence",
-        "overlap_identities", "quantize", "total_variation", "tv_subset_oracle",
+        "EventSubset", "binary_kl", "binary_tv", "event_mass",
+        "hellinger_affinity", "kl_divergence", "overlap_identities", "quantize",
+        "total_variation",
     ],
     "errors": [
         "DuplicateLabelError", "EmptySupportError", "InvalidLabelError",
@@ -50,8 +50,7 @@ SURFACE = {
     ],
     "variational": [
         "TflParameter", "WitnessFunction", "dv_optimal_witness", "dv_supremum",
-        "dv_value", "hoeffding_step_check", "ipm_identity_check",
-        "pinsker_via_tfl", "pinsker_via_tfl_optimal",
+        "dv_value", "pinsker_via_tfl", "pinsker_via_tfl_optimal",
     ],
     "verify": [
         "InequalityId", "ScanReport", "bernoulli_margin", "falsify",
@@ -131,7 +130,8 @@ print(json.dumps(helps))
 """)
         assert [code for code, _ in helps.values()] == [0] * 7
         assert "{div,bound,figure,samples,verify,dv}" in helps[""][1]
-        assert "one of all, grid, random, kl_finite or a single" in helps["verify"][1]
+        verify_help = " ".join(helps["verify"][1].split())  # argparse wraps it
+        assert "one of all, grid, random, kl_finite, derivation or a single" in verify_help
         assert "{%s}" % ",".join(f.value for f in FigureId) in helps["figure"][1]
 
 

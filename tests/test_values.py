@@ -10,7 +10,6 @@ import pytest
 
 from tvkl import (EventSubset, InequalityId, ProductSpec, SampleComplexityQuery, TflParameter,
                   WitnessFunction, bernoulli, compare_bounds, report, scan_bernoulli)
-from tvkl.divergence import bh_decomposition
 
 
 class ValueContract:
@@ -86,7 +85,7 @@ P = bernoulli(0.3)
     compare_bounds(0.5)[1], SampleComplexityQuery(0.1, 0.01),
     report(SampleComplexityQuery(0.1, 0.01)), P, EventSubset((True, False)),
     WitnessFunction((0.1, -0.2)), TflParameter(0.5), ProductSpec(P, 2),
-    scan_bernoulli(InequalityId.BH, 5), bh_decomposition(P, bernoulli(0.6)),
+    scan_bernoulli(InequalityId.BH, 5),
 ], ids=lambda value: type(value).__name__)
 def test_a_name_that_is_not_a_field_raises_type_error(value):
     with pytest.raises(TypeError, match=r"^super\(type, obj\)"):

@@ -4,18 +4,17 @@ import random
 import pytest
 
 from tvkl import (
+    InequalityId,
     MisalignedWitnessError,
     OutOfRangeError,
     SupportMismatchError,
     TflParameter,
-    TooLargeError,
     WitnessFunction,
     bernoulli,
     dv_optimal_witness,
     dv_supremum,
     dv_value,
-    hoeffding_step_check,
-    ipm_identity_check,
+    falsify,
     kl_divergence,
     new_distribution,
     pinsker_via_tfl,
@@ -23,6 +22,7 @@ from tvkl import (
     total_variation,
     tv_upper_pinsker,
 )
+from tvkl.verify import _hoeffding_step, _ipm_identity
 from conftest import dist, seeded_pairs
 
 P3 = dist(0.2, 0.3, 0.5)
@@ -228,20 +228,22 @@ class TestPinskerViaTfl:
 
 
 class TestHoeffdingStep:
+    """The margin E_q[f] + ||f||^2 / 2 - log E_q[e^f] of the Hoeffding step."""
+
     def test_zero_witness(self):
-        assert hoeffding_step_check(P3, Q3, WitnessFunction((0.0,) * 3)) == 0.0
+        assert _hoeffding_step(P3, Q3, (0.0,) * 3) == 0.0
 
     def test_constant_witness_margin_is_half_square(self):
         for c in (0.5, -2.0, 4.0):
-            margin = hoeffding_step_check(P3, Q3, WitnessFunction((c,) * 3))
+            margin = _hoeffding_step(P3, Q3, (c,) * 3)
             assert margin == pytest.approx(0.5 * c * c, abs=1e-12)
 
     def test_random_witnesses_have_nonnegative_margin(self):
         rng = random.Random(41)
         p, q = seeded_pairs(1, 8, seed=41, min_atoms=8)[0]
         for _ in range(1000):
-            f = WitnessFunction(tuple(rng.uniform(-2.0, 2.0) for _ in range(8)))
-            assert hoeffding_step_check(p, q, f) >= -1e-12
+            values = tuple(rng.uniform(-2.0, 2.0) for _ in range(8))
+            assert _hoeffding_step(p, q, values) >= -1e-12
 
 
 class TestBoundedWitnessChain:
@@ -261,27 +263,46 @@ class TestBoundedWitnessChain:
             assert gap <= kl + 0.5 * f.sup_norm**2 + 1e-12
 
 
+def unit_ball_witnesses(count, n, seed):
+    rng = random.Random(seed)
+    return [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(count)]
+
+
 class TestIpmIdentity:
+    """The margin of TV as half the sign witness's mean gap: the smaller of
+    the sign witness's lead over a unit-ball witness and 0.0 - |gap/2 - TV|,
+    so it is at most 0.0 and an exact identity reads 0.0."""
+
     def test_identical(self):
-        assert ipm_identity_check(P3, P3, trials=20, seed=5) == 0.0
+        for values in unit_ball_witnesses(20, 3, seed=5):
+            margin = _ipm_identity(P3, P3, values)
+            assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
 
     def test_bernoulli_pair(self):
-        gap = ipm_identity_check(bernoulli(0.5), bernoulli(0.6), 50, seed=7)
-        assert abs(gap) <= 1e-12
+        for values in unit_ball_witnesses(50, 2, seed=7):
+            assert -1e-12 <= _ipm_identity(bernoulli(0.5), bernoulli(0.6), values) <= 0.0
 
     def test_three_atom_pair(self):
-        gap = ipm_identity_check(P3, Q3, 50, seed=11)
-        assert abs(gap) <= 1e-12
+        # gap is the sum of |p - q| that TV halves, so the identity is exact
+        # and 0.0 - 0.0 keeps its margin at 0.0, not -0.0
+        for values in unit_ball_witnesses(50, 3, seed=11):
+            margin = _ipm_identity(P3, Q3, values)
+            assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
 
     def test_sign_witness_attains_double_tv(self):
         sup = 2.0 * total_variation(P3, Q3)
         assert sup == pytest.approx(0.6, abs=1e-12)
 
     def test_gap_small_on_random_pairs(self):
-        for p, q in seeded_pairs(100, 16, seed=19):
-            assert abs(ipm_identity_check(p, q, 20, seed=23)) <= 1e-12
+        for i, (p, q) in enumerate(seeded_pairs(100, 16, seed=19)):
+            for values in unit_ball_witnesses(20, len(p), seed=23 + i):
+                assert -1e-12 <= _ipm_identity(p, q, values) <= 0.0
 
     def test_support_cap(self):
-        big = new_distribution([1.0] * 21, renormalize=True)
-        with pytest.raises(TooLargeError):
-            ipm_identity_check(big, big, 1, seed=1)
+        # the identity has no cap of its own: a pair runs up to the random
+        # engine's 64 atoms, and no further
+        big = new_distribution([1.0] * 64, renormalize=True)
+        assert _ipm_identity(big, big, unit_ball_witnesses(1, 64, seed=1)[0]) == 0.0
+        assert falsify(InequalityId.IPM_IDENTITY, 5, 64, seed=1).violations == 0
+        with pytest.raises(OutOfRangeError):
+            falsify(InequalityId.IPM_IDENTITY, 1, 65, seed=1)

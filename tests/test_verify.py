@@ -17,7 +17,8 @@ from tvkl import (
     scan_bernoulli,
 )
 from tvkl import verify
-from tvkl.verify import GRID_INEQUALITIES, GRID_TOLERANCE, RANDOM_INEQUALITIES
+from tvkl.verify import (DERIVATION_INEQUALITIES, GRID_INEQUALITIES, GRID_TOLERANCE,
+                         RANDOM_INEQUALITIES)
 
 NOT_ON_THE_GRID = tuple(i for i in InequalityId if i not in GRID_INEQUALITIES)
 
@@ -274,12 +275,29 @@ class TestKlFiniteImpliesTvBelowOne:
 
 class TestSuites:
     def test_all_covers_every_inequality_plus_the_finite_kl_check(self):
+        # every inequality but the derivation steps, which run on their own
         reports = run_suite("all", seed=0, resolution=40, trials=20, atoms=8)
         assert len(reports) == 10
         scanned = [r.inequality for r in reports]
         for ineq in InequalityId:
-            assert ineq in scanned
+            assert (ineq in scanned) == (ineq not in DERIVATION_INEQUALITIES)
         assert all(r.violations == 0 for r in reports)
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_derivation_suite_runs_the_three_steps_clean(self, seed):
+        reports = run_suite("derivation", seed=seed)
+        assert [r.inequality for r in reports] == list(DERIVATION_INEQUALITIES)
+        assert all(r.violations == 0 for r in reports)
+        for k, report in enumerate(reports, 4):
+            assert report == falsify(report.inequality, 1000, 64, seed + 101 * k)
+            assert report.worst_margin >= -1e-15
+        # the two identities are exact up to rounding, and the ipm one to the bit
+        assert reports[0].worst_margin <= 0.0 and reports[1].worst_margin == 0.0
+
+    def test_single_derivation_step_runs_at_its_suite_seed(self):
+        suite = run_suite("derivation", seed=3, trials=40, atoms=8)
+        for report in suite:
+            assert run_suite(report.inequality.value, seed=3, trials=40, atoms=8) == [report]
 
     def test_individual_inequality_names(self):
         (report,) = run_suite("vajda", resolution=40)
@@ -299,7 +317,7 @@ class TestSuites:
     def test_non_finite_tolerance_rejected_by_every_suite(self, kwargs):
         # Each argument is checked whichever checks the suite runs: the grid
         # reads no trials or atoms, kl_finite no resolution or atoms.
-        for suite in ("all", "grid", "random", "kl_finite", "bh", "tfl_lower"):
+        for suite in ("all", "grid", "random", "kl_finite", "derivation", "bh", "tfl_lower"):
             with pytest.raises(OutOfRangeError):
                 run_suite(suite, **{"resolution": 3, "trials": 2, "atoms": 2, **kwargs})
 
