@@ -9,11 +9,13 @@ function or an event where needed) and evaluate the inequality through the
 full divergence machinery.
 
 Every inequality has one margin definition. The six between TV and KL
-alone (``GRID_INEQUALITIES``) have a margin function of (tv, kl), shared by
-the grid, ``bernoulli_margin`` and the random engine; the Bernoulli scan
-takes these six and no other. The hellinger chain and the quantized
-data-processing check need the pair itself, so only the random engine runs
-them. It also runs the margins of three steps of the paper's derivations
+alone (``GRID_INEQUALITIES``) have one entry each in a table of
+(orientation, curve): a forward curve f gives the margin f(kl) - tv, an
+inverse curve g gives kl - g(tv, 1 - tv). The grid, ``bernoulli_margin``
+and the random engine read that table; the Bernoulli scan takes these six
+and no other. The hellinger chain and the quantized data-processing check
+need the pair itself, so only the random engine runs them. It also runs the
+margins of three steps of the paper's derivations
 (``DERIVATION_INEQUALITIES``): the U, V, W split behind BH, TV as half the
 sign witness's mean gap, and the Hoeffding step of the bounded-witness
 route. One tally loop counts violations and finds the worst margin for
@@ -22,7 +24,10 @@ every engine; one generator draws the seeded pairs of both random checks.
 The grid validates at its boundary (resolution, tolerance, inequality) and
 not per cell: its values i/r lie in (0, 1) by construction. It caches the
 logs of each row's p and each column's q, so a cell forms KL from four
-cached logs and makes one call to the inequality's margin.
+cached logs. A forward cell then makes one call to its curve. An inverse
+cell looks up curve(tv, 1 - tv) in a table local to the scan, which
+computes each value on first use: once per distinct |p - q| (1,668 on the
+499 x 499 grid).
 
 Every margin is oriented as RHS - LHS of the inequality, so violations are
 margins below -tolerance; a NaN margin is a violation too, and a tolerance
@@ -94,32 +99,23 @@ class ScanReport:
 # -- margins ----------------------------------------------------------------
 
 
-def _forward_margin(bound: BoundId):
-    curve = _FORWARD[bound]
-
-    def margin(tv: float, kl: float) -> float:
-        return curve(kl) - tv
-
-    return margin
-
-
-def _inverse_margin(bound: BoundId):
-    curve = _INVERSE[bound]
-
-    def margin(tv: float, kl: float) -> float:
-        return kl - curve(tv, 1.0 - tv)
-
-    return margin
-
-
-_TV_KL_MARGINS = {
-    InequalityId.PINSKER_BINARY: _inverse_margin(BoundId.PINSKER),
-    InequalityId.PINSKER: _forward_margin(BoundId.PINSKER),
-    InequalityId.BH: _forward_margin(BoundId.BH),
-    InequalityId.TSYBAKOV: _forward_margin(BoundId.TSYBAKOV),
-    InequalityId.WEAK_BH: _forward_margin(BoundId.WEAK_BH),
-    InequalityId.VAJDA: _inverse_margin(BoundId.VAJDA),
+#: Each inequality between TV and KL alone as (orientation, curve) from
+#: ``bounds``: a "forward" curve bounds TV by f(kl), with margin f(kl) - tv;
+#: an "inverse" one bounds KL by g(tv, 1 - tv), with margin
+#: kl - g(tv, 1 - tv). ``_tv_kl_margin`` and the grid's rows both read it.
+_TV_KL_CURVES = {
+    InequalityId.PINSKER_BINARY: ("inverse", _INVERSE[BoundId.PINSKER]),
+    InequalityId.PINSKER: ("forward", _FORWARD[BoundId.PINSKER]),
+    InequalityId.BH: ("forward", _FORWARD[BoundId.BH]),
+    InequalityId.TSYBAKOV: ("forward", _FORWARD[BoundId.TSYBAKOV]),
+    InequalityId.WEAK_BH: ("forward", _FORWARD[BoundId.WEAK_BH]),
+    InequalityId.VAJDA: ("inverse", _INVERSE[BoundId.VAJDA]),
 }
+
+
+def _tv_kl_margin(inequality: InequalityId, tv: float, kl: float) -> float:
+    orientation, curve = _TV_KL_CURVES[inequality]
+    return curve(kl) - tv if orientation == "forward" else kl - curve(tv, 1.0 - tv)
 
 
 def _hellinger_chain(tv: float, kl: float, aff2: float) -> float:
@@ -170,7 +166,7 @@ def _hoeffding_step(p: Distribution, q: Distribution, values) -> float:
 
 
 def _check_binary(inequality: InequalityId) -> None:
-    if inequality not in _TV_KL_MARGINS:
+    if inequality not in _TV_KL_CURVES:
         raise UnsupportedInequalityError(
             f"{inequality.value}: no binary closed form to scan"
         )
@@ -202,23 +198,47 @@ def bernoulli_margin(inequality: InequalityId, p: float, q: float) -> float:
     Bernoulli pair; others raise ``UnsupportedInequalityError``."""
     _check_binary(inequality)
     p, q = _unit("p", p), _unit("q", q)
-    return _TV_KL_MARGINS[inequality](abs(p - q), _binary_kl(p, q))
+    return _tv_kl_margin(inequality, abs(p - q), _binary_kl(p, q))
 
 
-def _row_cached_margins(margin, axis: list[float]):
-    # Row-major margins of (tv, kl) on axis x axis, one list per row (as fast
-    # as an inline loop). A cell's KL is binary_kl's expression on logs
-    # cached per row and per column, so it equals binary_kl(p, q) bit for bit.
+class _InverseCurve(dict):
+    # curve(t, 1 - t) by t, each computed on its first lookup. One scan makes
+    # its own: the r x r grid holds far fewer distinct |p - q| than cells.
+    def __init__(self, curve):
+        super().__init__()
+        self.curve = curve
+
+    def __missing__(self, t: float) -> float:
+        value = self[t] = self.curve(t, 1.0 - t)
+        return value
+
+
+def _row_cached_margins(orientation: str, curve, axis: list[float]):
+    # Row-major margins on axis x axis, one list per row, each cell calling
+    # the curve itself (an inverse one through its _InverseCurve). A cell's
+    # KL is binary_kl's expression on logs cached per row and per column, so
+    # it equals binary_kl(p, q) bit for bit.
     log, log1p = math.log, math.log1p
     columns = [(q, log(q), log1p(-q)) for q in axis]
 
-    def row(p: float) -> list[float]:
+    def forward_row(p: float) -> list[float]:
         lp, l1p, cp = log(p), log1p(-p), 1.0 - p
         return [
-            margin(abs(p - q), 0.0 if p == q else p * (lp - lq) + cp * (l1p - l1q))
+            curve(0.0 if p == q else p * (lp - lq) + cp * (l1p - l1q)) - abs(p - q)
             for q, lq, l1q in columns
         ]
 
+    def inverse_row(p: float) -> list[float]:
+        lp, l1p, cp = log(p), log1p(-p), 1.0 - p
+        return [
+            (0.0 if p == q else p * (lp - lq) + cp * (l1p - l1q)) - lower[abs(p - q)]
+            for q, lq, l1q in columns
+        ]
+
+    if orientation == "forward":
+        row = forward_row
+    else:
+        row, lower = inverse_row, _InverseCurve(curve)
     return itertools.chain.from_iterable(map(row, axis))
 
 
@@ -227,8 +247,10 @@ def scan_bernoulli(
 ) -> ScanReport:
     """Evaluate an inequality on the open grid {(i/r, j/r) : 0 < i, j < r}.
 
-    Takes the six ``GRID_INEQUALITIES`` through their one (tv, kl) margin;
-    others raise ``UnsupportedInequalityError`` (``falsify`` checks them).
+    Takes the six ``GRID_INEQUALITIES`` through their one (orientation,
+    curve) entry, computing the inverse curve once per distinct TV of the
+    grid; others raise ``UnsupportedInequalityError`` (``falsify`` checks
+    them).
     Boundary pairs are excluded (degenerate weights are covered by the
     explicit boundary cases of the closed forms). On the open grid
     0 < p, q < 1, so every log is finite and no cell has infinite KL:
@@ -240,7 +262,7 @@ def scan_bernoulli(
     tolerance = _check_tolerance(tolerance)
     _check_binary(inequality)
     axis = [i / r for i in range(1, r)]
-    margins = _row_cached_margins(_TV_KL_MARGINS[inequality], axis)
+    margins = _row_cached_margins(*_TV_KL_CURVES[inequality], axis)
     violations, worst, index = _tally(margins, -tolerance)
     i, j = divmod(index, r - 1)
     worst_point = (axis[i], axis[j]) if index >= 0 else (math.nan, math.nan)
@@ -256,17 +278,25 @@ def scan_bernoulli(
 
 def _draw_weights(rng: random.Random, atoms: int, concentration: float) -> tuple:
     # Seeded weights floored at WEIGHT_FLOOR before the renormalisation; the
-    # conditional picks what max(x, WEIGHT_FLOOR) would, without a call.
+    # conditional picks what max(x, WEIGHT_FLOOR) would, without a call. Two
+    # steps that cannot change a bit are skipped: x ** 1.0, which a pow with
+    # under an ulp of error returns as x, and a floor pass with nothing to
+    # floor.
     exponent, draw, floor = 1.0 / concentration, rng.random, WEIGHT_FLOOR
-    raw = [(1.0 - draw()) ** exponent for _ in range(atoms)]
+    if exponent == 1.0:
+        raw = [1.0 - draw() for _ in range(atoms)]
+    else:
+        raw = [(1.0 - draw()) ** exponent for _ in range(atoms)]
     total = math.fsum(raw)
     if total == 0.0:
         raise OutOfRangeError(
             f"concentration: {concentration!r} too small, every weight underflows"
         )
-    floored = [floor if floor > x else x for x in [w / total for w in raw]]
-    total = math.fsum(floored)
-    return tuple([w / total for w in floored])
+    scaled = [w / total for w in raw]
+    if min(scaled) < floor:
+        scaled = [floor if floor > x else x for x in scaled]
+    total = math.fsum(scaled)
+    return tuple([w / total for w in scaled])
 
 
 def _draw_distribution(rng: random.Random, atoms: int, concentration: float) -> Distribution:
@@ -336,24 +366,27 @@ DERIVATION_INEQUALITIES = (
 def _random_margin(
     inequality: InequalityId, rng: random.Random, p: Distribution, q: Distribution
 ) -> float:
+    # A witness value is rng.uniform(a, b)'s own a + (b - a) * rng.random(),
+    # with b - a written out (exact for these bounds).
+    draw, n = rng.random, len(p)
     if inequality is InequalityId.BH_DECOMPOSITION:
         return _bh_decomposition(p, q)
     if inequality is InequalityId.IPM_IDENTITY:
-        return _ipm_identity(p, q, [rng.uniform(-1.0, 1.0) for _ in range(len(p))])
+        return _ipm_identity(p, q, [-1.0 + 2.0 * draw() for _ in range(n)])
     if inequality is InequalityId.HOEFFDING_STEP:
-        return _hoeffding_step(p, q, [rng.uniform(-3.0, 3.0) for _ in range(len(p))])
+        return _hoeffding_step(p, q, [-3.0 + 6.0 * draw() for _ in range(n)])
     kl = kl_divergence(p, q)
     if inequality is InequalityId.TFL_LOWER:
-        f = WitnessFunction(tuple(rng.uniform(-3.0, 3.0) for _ in range(len(p))))
+        f = WitnessFunction(tuple([-3.0 + 6.0 * draw() for _ in range(n)]))
         return kl - dv_value(p, q, f)
     tv = total_variation(p, q)
     if inequality is InequalityId.HELLINGER_CHAIN:
         return _hellinger_chain(tv, kl, hellinger_affinity(p, q) ** 2)
     if inequality is InequalityId.DPI_QUANTIZED:
-        event = EventSubset(tuple(rng.random() < 0.5 for _ in range(len(p))))
+        event = EventSubset(tuple([draw() < 0.5 for _ in range(n)]))
         ps, qs = event_mass(p.probs, event), event_mass(q.probs, event)
         return min(kl - binary_kl(ps, qs), tv - binary_tv(ps, qs))
-    return _TV_KL_MARGINS[inequality](tv, kl)
+    return _tv_kl_margin(inequality, tv, kl)
 
 
 def falsify(
@@ -416,7 +449,7 @@ def kl_finite_implies_tv_lt_one(trials: int, seed: int) -> ScanReport:
 # -- suites -------------------------------------------------------------------
 
 #: The grid suite scans the six inequalities between TV and KL alone.
-GRID_INEQUALITIES = tuple(_TV_KL_MARGINS)
+GRID_INEQUALITIES = tuple(_TV_KL_CURVES)
 
 
 def run_suite(

@@ -1,20 +1,29 @@
 import math
+import random
 
 import pytest
 
 from tvkl import (
     BoundId,
+    EventSubset,
     InequalityId,
     OutOfRangeError,
     ScanReport,
     UnsupportedInequalityError,
+    WitnessFunction,
     bernoulli_margin,
     binary_kl,
+    binary_tv,
+    dv_value,
+    event_mass,
     falsify,
+    hellinger_affinity,
+    kl_divergence,
     kl_finite_implies_tv_lt_one,
     random_distribution,
     run_suite,
     scan_bernoulli,
+    total_variation,
 )
 from tvkl import verify
 from tvkl.verify import (DERIVATION_INEQUALITIES, GRID_INEQUALITIES, GRID_TOLERANCE,
@@ -44,6 +53,47 @@ def reference_scan(inequality, r, tolerance=GRID_TOLERANCE):
         f"skipped_infinite_kl={skipped}"
     )
     return ScanReport(inequality, grid, violations, worst, worst_point)
+
+
+def reference_random_margins(inequality, trials, atoms, seed):
+    # falsify's margins as a plain loop whose witnesses draw through rng.uniform
+    rng = random.Random(seed)
+    margins = []
+    for p, q in verify._seeded_pairs(rng, trials, atoms, verify.FALSIFY_CONCENTRATIONS):
+        n = len(p)
+        if inequality is InequalityId.BH_DECOMPOSITION:
+            margins.append(verify._bh_decomposition(p, q))
+        elif inequality is InequalityId.IPM_IDENTITY:
+            values = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            margins.append(verify._ipm_identity(p, q, values))
+        elif inequality is InequalityId.HOEFFDING_STEP:
+            values = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+            margins.append(verify._hoeffding_step(p, q, values))
+        elif inequality is InequalityId.TFL_LOWER:
+            f = WitnessFunction(tuple(rng.uniform(-3.0, 3.0) for _ in range(n)))
+            margins.append(kl_divergence(p, q) - dv_value(p, q, f))
+        elif inequality is InequalityId.HELLINGER_CHAIN:
+            tv, kl = total_variation(p, q), kl_divergence(p, q)
+            aff2 = hellinger_affinity(p, q) ** 2
+            margins.append(min((1.0 - tv * tv) - aff2, aff2 - math.exp(-kl)))
+        else:
+            event = EventSubset(tuple(rng.random() < 0.5 for _ in range(n)))
+            ps, qs = event_mass(p.probs, event), event_mass(q.probs, event)
+            kl, tv = kl_divergence(p, q), total_variation(p, q)
+            margins.append(min(kl - binary_kl(ps, qs), tv - binary_tv(ps, qs)))
+    return margins
+
+
+def record_margins(monkeypatch):
+    """Make verify's tally keep every margin of the next check, in order."""
+    margins, tally = [], verify._tally
+
+    def keep(values, floor):
+        margins.extend(values)
+        return tally(margins, floor)
+
+    monkeypatch.setattr(verify, "_tally", keep)
+    return margins
 
 
 class TestRandomDistribution:
@@ -147,28 +197,54 @@ class TestScanBernoulli:
         assert scan_bernoulli(ineq, r) == reference_scan(ineq, r)
 
     def test_row_cached_kl_is_binary_kl_bit_for_bit(self, monkeypatch):
-        cells = []
+        kls = []
 
-        def record(tv, kl):
-            cells.append((tv, kl))
+        def record(kl):
+            kls.append(kl)
             return 0.0
 
-        monkeypatch.setitem(verify._TV_KL_MARGINS, InequalityId.BH, record)
+        monkeypatch.setitem(verify._TV_KL_CURVES, InequalityId.BH, ("forward", record))
+        margins = record_margins(monkeypatch)
         scan_bernoulli(InequalityId.BH, 101)
-        # the scan visits the cells in row-major order
+        # the scan visits the cells in row-major order, and a cell's margin
+        # is 0.0 - tv, which is -tv exactly
         axis = [i / 101 for i in range(1, 101)]
         grid = [(p, q) for p in axis for q in axis]
-        assert len(cells) == len(grid)
-        for (p, q), (tv, kl) in zip(grid, cells):
-            assert tv == abs(p - q)
+        assert len(kls) == len(margins) == len(grid)
+        for (p, q), kl, margin in zip(grid, kls, margins):
+            assert -margin == abs(p - q)
             assert kl.hex() == binary_kl(p, q).hex()
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_margins_are_violations(self, monkeypatch, bad):
-        monkeypatch.setitem(verify._TV_KL_MARGINS, InequalityId.BH, lambda tv, kl: bad)
-        report = scan_bernoulli(InequalityId.BH, 5)
-        assert report.violations == 16
-        assert "skipped_infinite_kl=0" in report.grid
+        # NaN margins either way; -inf from a forward curve, kl - inf from an
+        # inverse one
+        for curve in (("forward", lambda kl: bad), ("inverse", lambda t, u: -bad)):
+            monkeypatch.setitem(verify._TV_KL_CURVES, InequalityId.BH, curve)
+            report = scan_bernoulli(InequalityId.BH, 5)
+            assert report.violations == 16
+            assert "skipped_infinite_kl=0" in report.grid
+
+    @pytest.mark.parametrize("r, distinct", [(101, 315), (500, 1668)])
+    def test_inverse_curve_runs_once_per_distinct_tv_per_scan(self, monkeypatch, r, distinct):
+        calls = []
+        _, curve = verify._TV_KL_CURVES[InequalityId.VAJDA]
+
+        def counted(t, u):
+            calls.append((t, u))
+            return curve(t, u)
+
+        monkeypatch.setitem(verify._TV_KL_CURVES, InequalityId.VAJDA, ("inverse", counted))
+        report = scan_bernoulli(InequalityId.VAJDA, r)
+        axis = [i / r for i in range(1, r)]
+        tvs = {abs(p - q) for p in axis for q in axis}
+        assert len(tvs) == distinct
+        assert sorted(calls) == sorted((t, 1.0 - t) for t in tvs)
+        # nothing is kept from one scan to the next
+        assert scan_bernoulli(InequalityId.VAJDA, r) == report
+        assert len(calls) == 2 * distinct
+        monkeypatch.undo()
+        assert scan_bernoulli(InequalityId.VAJDA, r) == report
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerance_rejected(self, tolerance):
@@ -233,6 +309,14 @@ class TestFalsify:
     def test_pinsker_binary_rejected(self):
         with pytest.raises(UnsupportedInequalityError):
             falsify(InequalityId.PINSKER_BINARY, 10, 8, seed=1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("ineq", RANDOM_INEQUALITIES + DERIVATION_INEQUALITIES)
+    def test_margins_match_draws_through_rng_uniform(self, monkeypatch, ineq, seed):
+        margins = record_margins(monkeypatch)
+        falsify(ineq, 60, 64, seed)
+        expected = reference_random_margins(ineq, 60, 64, seed)
+        assert [m.hex() for m in margins] == [m.hex() for m in expected]
 
     def test_nan_margins_are_violations(self, monkeypatch):
         monkeypatch.setattr(verify, "_random_margin", lambda *args: math.nan)
