@@ -278,25 +278,17 @@ def scan_bernoulli(
 
 def _draw_weights(rng: random.Random, atoms: int, concentration: float) -> tuple:
     # Seeded weights floored at WEIGHT_FLOOR before the renormalisation; the
-    # conditional picks what max(x, WEIGHT_FLOOR) would, without a call. Two
-    # steps that cannot change a bit are skipped: x ** 1.0, which a pow with
-    # under an ulp of error returns as x, and a floor pass with nothing to
-    # floor.
+    # conditional picks what max(x, WEIGHT_FLOOR) would, without a call.
     exponent, draw, floor = 1.0 / concentration, rng.random, WEIGHT_FLOOR
-    if exponent == 1.0:
-        raw = [1.0 - draw() for _ in range(atoms)]
-    else:
-        raw = [(1.0 - draw()) ** exponent for _ in range(atoms)]
+    raw = [(1.0 - draw()) ** exponent for _ in range(atoms)]
     total = math.fsum(raw)
     if total == 0.0:
         raise OutOfRangeError(
             f"concentration: {concentration!r} too small, every weight underflows"
         )
-    scaled = [w / total for w in raw]
-    if min(scaled) < floor:
-        scaled = [floor if floor > x else x for x in scaled]
-    total = math.fsum(scaled)
-    return tuple([w / total for w in scaled])
+    floored = [floor if floor > x else x for x in [w / total for w in raw]]
+    total = math.fsum(floored)
+    return tuple([w / total for w in floored])
 
 
 def _draw_distribution(rng: random.Random, atoms: int, concentration: float) -> Distribution:
@@ -366,24 +358,21 @@ DERIVATION_INEQUALITIES = (
 def _random_margin(
     inequality: InequalityId, rng: random.Random, p: Distribution, q: Distribution
 ) -> float:
-    # A witness value is rng.uniform(a, b)'s own a + (b - a) * rng.random(),
-    # with b - a written out (exact for these bounds).
-    draw, n = rng.random, len(p)
     if inequality is InequalityId.BH_DECOMPOSITION:
         return _bh_decomposition(p, q)
     if inequality is InequalityId.IPM_IDENTITY:
-        return _ipm_identity(p, q, [-1.0 + 2.0 * draw() for _ in range(n)])
+        return _ipm_identity(p, q, [rng.uniform(-1.0, 1.0) for _ in range(len(p))])
     if inequality is InequalityId.HOEFFDING_STEP:
-        return _hoeffding_step(p, q, [-3.0 + 6.0 * draw() for _ in range(n)])
+        return _hoeffding_step(p, q, [rng.uniform(-3.0, 3.0) for _ in range(len(p))])
     kl = kl_divergence(p, q)
     if inequality is InequalityId.TFL_LOWER:
-        f = WitnessFunction(tuple([-3.0 + 6.0 * draw() for _ in range(n)]))
+        f = WitnessFunction(tuple(rng.uniform(-3.0, 3.0) for _ in range(len(p))))
         return kl - dv_value(p, q, f)
     tv = total_variation(p, q)
     if inequality is InequalityId.HELLINGER_CHAIN:
         return _hellinger_chain(tv, kl, hellinger_affinity(p, q) ** 2)
     if inequality is InequalityId.DPI_QUANTIZED:
-        event = EventSubset(tuple([draw() < 0.5 for _ in range(n)]))
+        event = EventSubset(tuple(rng.random() < 0.5 for _ in range(len(p))))
         ps, qs = event_mass(p.probs, event), event_mass(q.probs, event)
         return min(kl - binary_kl(ps, qs), tv - binary_tv(ps, qs))
     return _tv_kl_margin(inequality, tv, kl)

@@ -442,16 +442,6 @@ class TestKernelReference:
             expected = ref_draw_weights(random.Random(seed), atoms, concentration)
             assert hexes(drawn.probs) == hexes(expected)
             assert drawn.support == tuple(map(str, range(atoms)))
-        # both sides of the skipped floor pass: one weight floored (at index
-        # 1, not 0), and none
-        for seed, atoms, concentration, floored in ((8, 5, 0.1, 1), (0, 64, 0.3, 0)):
-            rng = random.Random(seed)
-            raw = [(1.0 - rng.random()) ** (1.0 / concentration) for _ in range(atoms)]
-            scaled = [w / math.fsum(raw) for w in raw]
-            assert sum(w < WEIGHT_FLOOR for w in scaled) == floored
-            drawn = _draw_distribution(random.Random(seed), atoms, concentration)
-            expected = ref_draw_weights(random.Random(seed), atoms, concentration)
-            assert hexes(drawn.probs) == hexes(expected)
         concentrations = (1.0, 0.1, 0.01)
         rng, reference = random.Random(5), random.Random(5)
         for t, (p, q) in enumerate(_seeded_pairs(rng, 50, 64, concentrations)):
