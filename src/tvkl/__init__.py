@@ -43,12 +43,11 @@ _EXPORTS = {
     "figures": ("FigureId", "figure_header", "figure_rows", "write_figure_csv"),
     "samples": (
         "SampleComplexityQuery", "SampleComplexityReport", "kl_per_toss",
-        "min_samples_bh", "min_samples_pinsker", "min_samples_tsybakov",
-        "report", "required_tv",
+        "report",
     ),
     "variational": (
-        "TflParameter", "WitnessFunction", "dv_optimal_witness", "dv_supremum",
-        "dv_value", "pinsker_via_tfl", "pinsker_via_tfl_optimal",
+        "WitnessFunction", "dv_optimal_witness", "dv_supremum", "dv_value",
+        "pinsker_via_tfl", "pinsker_via_tfl_optimal",
     ),
     "verify": (
         "InequalityId", "ScanReport", "bernoulli_margin", "falsify",

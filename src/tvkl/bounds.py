@@ -306,13 +306,20 @@ def inverse_value(bound: BoundId, tv: float) -> float:
     """Raw inverse curve value, as ``kl_lower`` reports it, for the
     ``kl_lower_*`` entries and the figures."""
     tv = _unit("tv", tv)
-    return _INVERSE[bound](tv, 1.0 - tv)
+    try:
+        return _INVERSE[bound](tv, 1.0 - tv)
+    except KeyError:
+        raise OutOfRangeError(f"bound: {bound!r} has no inverse curve") from None
 
 
 def kl_lower(bound: BoundId, tv: float) -> BoundEvaluation:
-    """Evaluate one inverse bound; inverse outputs are never vacuous."""
+    """Evaluate one inverse bound; inverse outputs are never vacuous. A
+    bound with no inverse curve (weak_bh, trivial) raises OutOfRangeError."""
     tv = _unit("tv", tv)
-    return BoundEvaluation(bound, tv, _INVERSE[bound](tv, 1.0 - tv), False)
+    try:
+        return BoundEvaluation(bound, tv, _INVERSE[bound](tv, 1.0 - tv), False)
+    except KeyError:
+        raise OutOfRangeError(f"bound: {bound!r} has no inverse curve") from None
 
 
 def kl_lower_pinsker(tv: float) -> float:

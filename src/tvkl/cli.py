@@ -185,17 +185,13 @@ def _cmd_samples(args) -> int:
 
 def _cmd_verify(args) -> int:
     from . import verify
-    kwargs = {}
-    if args.tolerance is not None:
-        kwargs["grid_tolerance"] = args.tolerance
-        kwargs["random_tolerance"] = args.tolerance
     reports = verify.run_suite(
         args.suite,
         seed=args.seed,
         resolution=args.resolution,
         trials=args.trials,
         atoms=args.atoms,
-        **kwargs,
+        tolerance=args.tolerance,
     )
     for rep in reports:
         if args.json:

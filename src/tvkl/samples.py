@@ -65,7 +65,10 @@ class SampleComplexityQuery:
 @dataclass(frozen=True, slots=True, init=False)
 class SampleComplexityReport:
     """Every route at one query, flat: its fields, in order, are what
-    ``tvkl samples`` prints."""
+    ``tvkl samples`` prints. ``required_tv`` is 1 - 2 delta. ``n_pinsker`` is
+    at most 2 / kl_per_toss, a 1/eps^2 rate, for every delta; ``n_bh`` grows
+    without bound like log(1/delta) as delta -> 0; ``n_tsybakov`` is 0
+    (vacuous) for delta >= 1/4."""
 
     epsilon: float
     delta: float
@@ -106,11 +109,6 @@ _QUERY_SLOTS = _slot_setters(SampleComplexityQuery)
 _REPORT_SLOTS = _slot_setters(SampleComplexityReport)
 
 
-def required_tv(query: SampleComplexityQuery) -> float:
-    """Total variation the n-fold pair must reach: 1 - 2 delta."""
-    return 1.0 - 2.0 * query.delta
-
-
 def kl_per_toss(epsilon: float) -> float:
     """KL(Bernoulli(1/2) || Bernoulli(1/2 + eps)) = log(1/(1 - 4 eps^2)) / 2.
 
@@ -128,21 +126,6 @@ def _check_epsilon(epsilon: float) -> float:
     if not (0.0 < e < 1.0 / 3.0):
         raise OutOfRangeError(f"epsilon: {e!r} not in (0, 1/3)")
     return e
-
-
-def min_samples_pinsker(query: SampleComplexityQuery) -> float:
-    """Pinsker route: at most 2 / kl_per_toss, a 1/eps^2 rate, for every delta."""
-    return report(query).n_pinsker
-
-
-def min_samples_bh(query: SampleComplexityQuery) -> float:
-    """BH route: it grows without bound like log(1/delta) as delta -> 0."""
-    return report(query).n_bh
-
-
-def min_samples_tsybakov(query: SampleComplexityQuery) -> float:
-    """Tsybakov route: vacuous (0) for delta >= 1/4."""
-    return report(query).n_tsybakov
 
 
 def report(query: SampleComplexityQuery) -> SampleComplexityReport:

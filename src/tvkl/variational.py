@@ -63,20 +63,6 @@ class WitnessFunction:
         object.__setattr__(self, "sup_norm", max(map(abs, values)))
 
 
-@dataclass(frozen=True, slots=True)
-class TflParameter:
-    """Sup-norm budget for the bounded-witness pinsker derivation, stored as
-    a float."""
-
-    lam: float
-
-    def __post_init__(self):
-        lam = _real("lam", self.lam)
-        if not (lam > 0.0) or math.isinf(lam):
-            raise OutOfRangeError(f"lam: {self.lam!r} must be a positive real")
-        object.__setattr__(self, "lam", lam)
-
-
 def _aligned_with_witness(p: Distribution, q: Distribution, f: WitnessFunction):
     labels, pw, qw = _aligned(p, q)
     if len(f.values) != len(labels):
@@ -153,10 +139,12 @@ def dv_supremum(
     return value, gaps
 
 
-def pinsker_via_tfl(kl: float, param: TflParameter | float) -> float:
-    """The bounded-witness bound TV <= kl / (2 lambda) + lambda / 4."""
-    kl = _check_finite_kl(kl)
-    lam = (param if isinstance(param, TflParameter) else TflParameter(param)).lam
+def pinsker_via_tfl(kl: float, lam: float) -> float:
+    """The bounded-witness bound TV <= kl / (2 lambda) + lambda / 4, at a
+    sup-norm budget lambda that is a positive finite real."""
+    kl, lam = _check_finite_kl(kl), _real("lam", lam)
+    if not (lam > 0.0) or math.isinf(lam):
+        raise OutOfRangeError(f"lam: {lam!r} must be a positive real")
     return kl / (2.0 * lam) + lam / 4.0
 
 
@@ -165,10 +153,12 @@ def pinsker_via_tfl_optimal(kl: float) -> tuple[float, float]:
 
     Returns (lambda*, bound). The bound coincides with the pinsker forward
     curve; every other lambda gives a value at least as large. At kl = 0 the
-    optimum degenerates to lambda* = 0 with bound 0.
+    optimum degenerates to lambda* = 0 with bound 0. Where 2 kl overflows,
+    lambda* is 2 sqrt(kl / 2), the same value rescaled exactly.
     """
     kl = _check_finite_kl(kl)
-    return math.sqrt(2.0 * kl), _pinsker_forward(kl)
+    lam = math.sqrt(2.0 * kl) if 2.0 * kl < math.inf else 2.0 * math.sqrt(0.5 * kl)
+    return lam, _pinsker_forward(kl)
 
 
 def _check_finite_kl(kl: float) -> float:

@@ -168,7 +168,7 @@ def _hoeffding_step(p: Distribution, q: Distribution, values) -> float:
 def _check_binary(inequality: InequalityId) -> None:
     if inequality not in _TV_KL_CURVES:
         raise UnsupportedInequalityError(
-            f"{inequality.value}: no binary closed form to scan"
+            f"inequality: {inequality!r} has no binary closed form to scan"
         )
 
 
@@ -399,9 +399,9 @@ def falsify(
     trials, atoms = _integer("trials", trials, 1), _integer("atoms", atoms, 2, 64)
     seed = _integer("seed", seed)
     tolerance = _check_tolerance(tolerance)
-    if inequality is InequalityId.PINSKER_BINARY:
+    if inequality is InequalityId.PINSKER_BINARY or not isinstance(inequality, InequalityId):
         raise UnsupportedInequalityError(
-            f"{inequality.value}: only meaningful on Bernoulli pairs"
+            f"inequality: {inequality!r} has no check on multi-atom pairs"
         )
     rng = random.Random(seed)
     pairs = _seeded_pairs(rng, trials, atoms, FALSIFY_CONCENTRATIONS)
@@ -447,32 +447,31 @@ def run_suite(
     resolution: int = 500,
     trials: int = 1000,
     atoms: int = 64,
-    grid_tolerance: float = GRID_TOLERANCE,
-    random_tolerance: float = RANDOM_TOLERANCE,
+    tolerance: float | None = None,
 ) -> list[ScanReport]:
     """Run a named verification suite and return its reports in a fixed
     order: "grid" scans the six binary inequalities, "random" runs the three
     multi-atom randomized checks, "kl_finite" the finite-KL consequence,
     "all" these three suites, "derivation" the three derivation steps, and
     a single inequality identifier its own check of its suite, at the same
-    seed. Deterministic given the seed. Both
-    tolerances must be finite, resolution >= 2, trials >= 1 and atoms in
-    [2, 64], whichever checks the suite runs.
+    seed. Deterministic given the seed. A ``tolerance`` replaces both the
+    grid's ``GRID_TOLERANCE`` and the random engine's ``RANDOM_TOLERANCE``
+    (``kl_finite`` takes none); it must be finite, resolution >= 2, trials
+    >= 1 and atoms in [2, 64], whichever checks the suite runs.
     """
     seed = _integer("seed", seed)
-    grid_tolerance = _check_tolerance(grid_tolerance)
-    random_tolerance = _check_tolerance(random_tolerance)
+    override = {} if tolerance is None else {"tolerance": _check_tolerance(tolerance)}
     resolution = _integer("resolution", resolution, 2)
     trials, atoms = _integer("trials", trials, 1), _integer("atoms", atoms, 2, 64)
     # (key, suite, check) in report order; falsify check k runs at seed + 101 k.
     plan = [
-        (i.value, "grid", partial(scan_bernoulli, i, resolution, grid_tolerance))
+        (i.value, "grid", partial(scan_bernoulli, i, resolution, **override))
         for i in GRID_INEQUALITIES
     ]
     suites = [(i, "random") for i in RANDOM_INEQUALITIES]
     suites += [(i, "derivation") for i in DERIVATION_INEQUALITIES]
     for k, (i, suite) in enumerate(suites, 1):
-        check = partial(falsify, i, trials, atoms, seed + 101 * k, random_tolerance)
+        check = partial(falsify, i, trials, atoms, seed + 101 * k, **override)
         plan.append((i.value, suite, check))
     check = partial(kl_finite_implies_tv_lt_one, trials, seed + 909)
     plan.append(("kl_finite", "kl_finite", check))

@@ -24,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DIV, BOUNDS, DIST = "src/tvkl/divergence.py", "src/tvkl/bounds.py", "src/tvkl/distributions.py"
 VERIFY, ORACLE = "src/tvkl/verify.py", "tests/oracle.py"
+VARIATIONAL = "src/tvkl/variational.py"
 
 # (file, exact old text, new text, why the tests must catch it)
 MUTANTS = [
@@ -74,6 +75,10 @@ MUTANTS = [
      "an exact IPM identity has margin 0.0, not -0.0"),
     (VERIFY, "lower[abs(p - q)]", "lower[p - q]",
      "an inverse grid row looks its curve up by TV, |p - q|"),
+    (VERIFY, "seed + 101 * k, **override)", "seed + 101 * k)",
+     "run_suite's one tolerance replaces the random engine's default too"),
+    (VARIATIONAL, "if not (lam > 0.0) or math.isinf(lam):", "if lam < 0.0 or math.isinf(lam):",
+     "the bounded-witness budget lambda must be positive, not merely >= 0"),
 ]
 
 

@@ -44,8 +44,6 @@ from tvkl import (
     kl_lower_pinsker,
     kl_lower_tsybakov,
     kl_lower_vajda,
-    min_samples_bh,
-    min_samples_pinsker,
     overlap_identities,
     report,
     scan_bernoulli,
@@ -153,9 +151,9 @@ def test_criterion_6_route_behaviour_across_delta():
     for delta in deltas:
         q = SampleComplexityQuery(0.1, delta)
         # pinsker's cap, 2 / kl_per_toss(0.1) = 97.986
-        assert min_samples_pinsker(q) <= 97.99
-    assert min_samples_bh(SampleComplexityQuery(0.1, 10.0**-9.5)) > 1e3
-    assert min_samples_bh(SampleComplexityQuery(0.1, 1e-10)) > 1e3
+        assert report(q).n_pinsker <= 97.99
+    assert report(SampleComplexityQuery(0.1, 10.0**-9.5)).n_bh > 1e3
+    assert report(SampleComplexityQuery(0.1, 1e-10)).n_bh > 1e3
 
 
 def test_criterion_7_forward_inverse_round_trips():

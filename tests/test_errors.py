@@ -1,6 +1,7 @@
 """Every public scalar entry point turns a non-number into OutOfRangeError
 with a one-line message naming the argument, and every integer entry point
-does the same for a value that is not an integer."""
+does the same for a value that is not an integer. An id with no such curve
+or check is refused as a ValidationError naming its argument."""
 
 import math
 
@@ -14,7 +15,7 @@ from tvkl import (
     OutOfRangeError,
     ProductSpec,
     SampleComplexityQuery,
-    TflParameter,
+    ValidationError,
     WitnessFunction,
     bernoulli,
     bernoulli_margin,
@@ -46,7 +47,7 @@ from tvkl import (
     tv_upper_weak_bh,
 )
 
-NON_NUMBERS = ["x", None, [1], 10**400]
+NON_NUMBERS = {"str": "x", "None": None, "list": [1], "10^400": 10**400}
 
 ENTRY_POINTS = {
     "tv_upper_pinsker": ("kl", tv_upper_pinsker),
@@ -71,14 +72,14 @@ ENTRY_POINTS = {
     "kl_per_toss": ("epsilon", kl_per_toss),
     "query-epsilon": ("epsilon", lambda x: SampleComplexityQuery(x, 0.01)),
     "query-delta": ("delta", lambda x: SampleComplexityQuery(0.1, x)),
-    "TflParameter": ("lam", TflParameter),
     "pinsker_via_tfl-kl": ("kl", lambda x: pinsker_via_tfl(x, 1.0)),
     "pinsker_via_tfl-lam": ("lam", lambda x: pinsker_via_tfl(0.5, x)),
     "pinsker_via_tfl_optimal": ("kl", pinsker_via_tfl_optimal),
     "scan_bernoulli": ("tolerance", lambda x: scan_bernoulli(InequalityId.BH, 10, x)),
     "falsify": ("tolerance", lambda x: falsify(InequalityId.BH, 10, 8, 1, x)),
-    "run_suite-grid": ("tolerance", lambda x: run_suite("grid", grid_tolerance=x)),
-    "run_suite-random": ("tolerance", lambda x: run_suite("random", random_tolerance=x)),
+    # The one tolerance is checked whichever engine the suite runs.
+    "run_suite-grid": ("tolerance", lambda x: run_suite("grid", tolerance=x)),
+    "run_suite-random": ("tolerance", lambda x: run_suite("random", tolerance=x)),
     "bernoulli_margin-p": ("p", lambda x: bernoulli_margin(InequalityId.BH, x, 0.5)),
     "bernoulli_margin-q": ("q", lambda x: bernoulli_margin(InequalityId.BH, 0.5, x)),
     "random_distribution": ("concentration", lambda x: random_distribution(0, 5, x)),
@@ -86,8 +87,16 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", NON_NUMBERS, ids=["str", "None", "list", "10^400"])
-@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+#: Entry points whose argument reads None as "keep the default".
+NONE_IS_DEFAULT = {"run_suite-grid", "run_suite-random"}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{key}-{value_id}")
+    for key, entry in ENTRY_POINTS.items()
+    for value_id, value in NON_NUMBERS.items()
+    if not (value is None and key in NONE_IS_DEFAULT)
+])
 def test_non_number_is_out_of_range(entry, value):
     name, call = entry
     with pytest.raises(OutOfRangeError) as info:
@@ -102,6 +111,32 @@ def test_negative_zero_is_read_as_zero():
     values = [row.output for row in compare_bounds(-0.0)]
     values += [*pinsker_via_tfl_optimal(-0.0), *bernoulli(-0.0).probs, kl_lower_bh(-0.0)]
     assert all(math.copysign(1.0, v) == 1.0 for v in values), values
+
+
+#: Calls naming an id that has no such curve or check: each is refused with
+#: a one-line message naming the argument, not a KeyError or AttributeError.
+UNKNOWN_IDS = {
+    "kl_lower": ("bound", lambda: kl_lower(BoundId.WEAK_BH, 0.5)),
+    "inverse_value": ("bound", lambda: inverse_value(BoundId.TRIVIAL, 0.5)),
+    "inverse_value-str": ("bound", lambda: inverse_value("bh", 0.5)),
+    "falsify": ("inequality", lambda: falsify("bh", 10, 8, 1)),
+    "falsify-pinsker_binary": (
+        "inequality", lambda: falsify(InequalityId.PINSKER_BINARY, 10, 8, 1)),
+    "scan_bernoulli": ("inequality", lambda: scan_bernoulli("bh", 10)),
+    "bernoulli_margin": ("inequality", lambda: bernoulli_margin("bh", 0.1, 0.2)),
+    "bernoulli_margin-tfl_lower": (
+        "inequality", lambda: bernoulli_margin(InequalityId.TFL_LOWER, 0.1, 0.2)),
+}
+
+
+@pytest.mark.parametrize("entry", UNKNOWN_IDS.values(), ids=UNKNOWN_IDS.keys())
+def test_an_id_with_no_curve_or_check_is_refused(entry):
+    name, call = entry
+    with pytest.raises(ValidationError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(f"{name}: ")
+    assert "\n" not in message
 
 
 P, Q = bernoulli(0.3), bernoulli(0.6)

@@ -15,7 +15,12 @@ import tvkl
 from tvkl.figures import FigureId
 
 #: Each module and the names the package re-exported from it, recorded when
-#: every name was imported eagerly. A name leaves only with a stated reason.
+#: every name was imported eagerly. A name leaves only with a stated reason:
+#: - samples.min_samples_pinsker, min_samples_bh, min_samples_tsybakov and
+#:   required_tv: each built the whole report to return one of its fields,
+#:   n_pinsker, n_bh, n_tsybakov and required_tv, which ``report`` gives.
+#: - variational.TflParameter: a second form of pinsker_via_tfl's float
+#:   budget that checked nothing the function does not check itself.
 SURFACE = {
     "bounds": [
         "BoundEvaluation", "BoundId", "WEAK_BH_FACTOR", "compare_bounds",
@@ -45,12 +50,11 @@ SURFACE = {
     "figures": ["FigureId", "figure_header", "figure_rows", "write_figure_csv"],
     "samples": [
         "SampleComplexityQuery", "SampleComplexityReport", "kl_per_toss",
-        "min_samples_bh", "min_samples_pinsker", "min_samples_tsybakov",
-        "report", "required_tv",
+        "report",
     ],
     "variational": [
-        "TflParameter", "WitnessFunction", "dv_optimal_witness", "dv_supremum",
-        "dv_value", "pinsker_via_tfl", "pinsker_via_tfl_optimal",
+        "WitnessFunction", "dv_optimal_witness", "dv_supremum", "dv_value",
+        "pinsker_via_tfl", "pinsker_via_tfl_optimal",
     ],
     "verify": [
         "InequalityId", "ScanReport", "bernoulli_margin", "falsify",

@@ -9,15 +9,12 @@ from tvkl import (
     OutOfRangeError,
     ProductSpec,
     SampleComplexityQuery,
+    SampleComplexityReport,
     bernoulli,
     inverse_value,
     kl_divergence,
     kl_per_toss,
-    min_samples_bh,
-    min_samples_pinsker,
-    min_samples_tsybakov,
     report,
-    required_tv,
     tensor_power,
     total_variation,
 )
@@ -75,7 +72,7 @@ class TestQueryValidation:
         assert rep.n_bh == math.inf
 
     def test_required_tv(self):
-        assert required_tv(Q_MAIN) == pytest.approx(0.98, abs=1e-15)
+        assert report(Q_MAIN).required_tv == pytest.approx(0.98, abs=1e-15)
 
 
 class TestQueryValue(ValueContract):
@@ -161,54 +158,48 @@ class TestKlPerToss:
             kl_per_toss(1.0 / 3.0)
 
 
+def routes(eps: float, delta: float) -> SampleComplexityReport:
+    return report(SampleComplexityQuery(eps, delta))
+
+
 class TestRoutes:
     # frozen from the closed forms evaluated at double precision
     def test_pinsker_anchor(self):
-        assert min_samples_pinsker(Q_MAIN) == pytest.approx(
-            94.10613188176944, abs=1e-10
-        )
+        assert report(Q_MAIN).n_pinsker == pytest.approx(94.10613188176944, abs=1e-10)
 
     def test_bh_anchor(self):
-        assert min_samples_bh(Q_MAIN) == pytest.approx(158.19541395115158, abs=1e-9)
+        assert report(Q_MAIN).n_bh == pytest.approx(158.19541395115158, abs=1e-9)
 
     def test_tsybakov_anchor(self):
-        assert min_samples_tsybakov(Q_MAIN) == pytest.approx(
-            157.7030158715568, abs=1e-9
-        )
+        assert report(Q_MAIN).n_tsybakov == pytest.approx(157.7030158715568, abs=1e-9)
 
     def test_pinsker_vanishes_as_delta_grows(self):
-        assert min_samples_pinsker(SampleComplexityQuery(0.1, 0.499999)) < 1e-7
+        assert routes(0.1, 0.499999).n_pinsker < 1e-7
 
     def test_pinsker_delta_free_cap(self):
         cap = 2.0 / kl_per_toss(0.1)
         assert cap == pytest.approx(97.98639304640717, abs=1e-9)
         for delta in [10.0**-exponent for exponent in range(1, 11)] + [5e-324]:
-            assert min_samples_pinsker(SampleComplexityQuery(0.1, delta)) <= cap
+            assert routes(0.1, delta).n_pinsker <= cap
 
     def test_bh_at_quarter_delta(self):
         # t = 1/2: bh is log(4/3) / kl_per_toss, below pinsker's 1/2 / kl_per_toss
-        q = SampleComplexityQuery(0.1, 0.25)
-        assert min_samples_bh(q) == pytest.approx(14.094464311832596, abs=1e-9)
-        assert min_samples_bh(q) < min_samples_pinsker(q) == pytest.approx(
-            24.496598261601793, abs=1e-9
-        )
+        rep = routes(0.1, 0.25)
+        assert rep.n_bh == pytest.approx(14.094464311832596, abs=1e-9)
+        assert rep.n_bh < rep.n_pinsker == pytest.approx(24.496598261601793, abs=1e-9)
 
     def test_bh_with_unit_log_numerator(self):
         # delta chosen so 1 - (1 - 2 delta)^2 = 1/e, making the bh route
         # exactly 1 / kl_per_toss
         delta = (1.0 - math.sqrt(1.0 - math.exp(-1.0))) / 2.0
-        q = SampleComplexityQuery(0.1, delta)
-        assert min_samples_bh(q) == pytest.approx(
-            1.0 / kl_per_toss(0.1), rel=1e-12
-        )
+        assert routes(0.1, delta).n_bh == pytest.approx(1.0 / kl_per_toss(0.1), rel=1e-12)
 
     def test_tsybakov_vacuous_at_quarter(self):
-        assert min_samples_tsybakov(SampleComplexityQuery(0.1, 0.25)) == 0.0
-        assert min_samples_tsybakov(SampleComplexityQuery(0.1, 0.3)) == 0.0
+        assert routes(0.1, 0.25).n_tsybakov == 0.0
+        assert routes(0.1, 0.3).n_tsybakov == 0.0
 
     def test_tsybakov_at_milli_delta(self):
-        q = SampleComplexityQuery(0.1, 0.001)
-        assert min_samples_tsybakov(q) == pytest.approx(270.51401984401315, abs=1e-9)
+        assert routes(0.1, 0.001).n_tsybakov == pytest.approx(270.51401984401315, abs=1e-9)
 
 
 class TestReport:
@@ -303,7 +294,7 @@ class TestRouteProperties:
         previous = 0.0
         for exponent in range(4, 11):
             delta = 10.0**-exponent
-            n = min_samples_bh(SampleComplexityQuery(0.1, delta))
+            n = routes(0.1, delta).n_bh
             log_inv = math.log(1.0 / delta)
             identity = (log_inv - math.log(4.0) - math.log1p(-delta)) / klt
             assert n == pytest.approx(identity, rel=1e-12)
@@ -322,23 +313,23 @@ class TestRouteProperties:
         # -log(1 - t^2) >= 2 t^2. That holds exactly for t >= t0 = 0.892643,
         # the positive root, that is for delta <= (1 - t0)/2 = 0.0536783.
         for delta in (0.0536783, 0.05, 0.01, 1e-4, 5e-324):
-            q = SampleComplexityQuery(0.2, delta)
-            assert min_samples_bh(q) >= min_samples_pinsker(q)
+            rep = routes(0.2, delta)
+            assert rep.n_bh >= rep.n_pinsker
         for delta in (0.0536784, 0.09, 0.25, 0.45):
-            q = SampleComplexityQuery(0.2, delta)
-            assert min_samples_bh(q) < min_samples_pinsker(q)
+            rep = routes(0.2, delta)
+            assert rep.n_bh < rep.n_pinsker
 
     def test_routes_agree_with_the_inverse_bound_pipeline(self):
         # feeding the required TV through each public inverse bound and
         # dividing by the per-toss rate reproduces every route
-        routes = {BoundId.PINSKER: min_samples_pinsker, BoundId.BH: min_samples_bh,
-                  BoundId.TSYBAKOV: min_samples_tsybakov}
+        fields = {BoundId.PINSKER: "n_pinsker", BoundId.BH: "n_bh",
+                  BoundId.TSYBAKOV: "n_tsybakov"}
         for q in (Q_MAIN, SampleComplexityQuery(0.25, 0.2), SampleComplexityQuery(0.05, 0.3)):
-            t = required_tv(q)
+            rep = report(q)
             klt = kl_per_toss(q.epsilon)
-            for bound, route in routes.items():
-                assert inverse_value(bound, t) / klt == pytest.approx(
-                    route(q), abs=1e-12, rel=1e-12
+            for bound, field in fields.items():
+                assert inverse_value(bound, rep.required_tv) / klt == pytest.approx(
+                    getattr(rep, field), abs=1e-12, rel=1e-12
                 )
 
 

@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from tvkl import (EventSubset, InequalityId, ProductSpec, SampleComplexityQuery, TflParameter,
+from tvkl import (EventSubset, InequalityId, ProductSpec, SampleComplexityQuery,
                   WitnessFunction, bernoulli, compare_bounds, report, scan_bernoulli)
 
 
@@ -84,7 +84,7 @@ P = bernoulli(0.3)
 @pytest.mark.parametrize("value", [
     compare_bounds(0.5)[1], SampleComplexityQuery(0.1, 0.01),
     report(SampleComplexityQuery(0.1, 0.01)), P, EventSubset((True, False)),
-    WitnessFunction((0.1, -0.2)), TflParameter(0.5), ProductSpec(P, 2),
+    WitnessFunction((0.1, -0.2)), ProductSpec(P, 2),
     scan_bernoulli(InequalityId.BH, 5),
 ], ids=lambda value: type(value).__name__)
 def test_a_name_that_is_not_a_field_raises_type_error(value):

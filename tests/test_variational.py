@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+from decimal import Context, Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +11,6 @@ from tvkl import (
     MisalignedWitnessError,
     OutOfRangeError,
     SupportMismatchError,
-    TflParameter,
     WitnessFunction,
     bernoulli,
     dv_optimal_witness,
@@ -164,10 +166,12 @@ class TestLowerBoundDirection:
 
 class TestPinskerViaTfl:
     def test_budgeted_value(self):
-        assert pinsker_via_tfl(0.5, TflParameter(1.0)) == 0.5
+        assert pinsker_via_tfl(0.5, 1.0) == 0.5
 
     def test_accepts_bare_float_budget(self):
-        assert pinsker_via_tfl(0.5, 1.0) == 0.5
+        # the budget is a real read as its float, with no wrapper type
+        assert pinsker_via_tfl(0.5, 1) == pinsker_via_tfl(0.5, Fraction(1)) == 0.5
+        assert pinsker_via_tfl(0.5, "2.0") == pinsker_via_tfl(0.5, 2.0) == 0.625
 
     def test_optimal_budget(self):
         lam, bound = pinsker_via_tfl_optimal(0.5)
@@ -181,6 +185,13 @@ class TestPinskerViaTfl:
 
     def test_degenerate_at_zero(self):
         assert pinsker_via_tfl_optimal(0.0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("kl", [1e308, sys.float_info.max])
+    def test_optimal_budget_stays_finite_where_two_kl_overflows(self, kl):
+        # lambda* is sqrt(2 kl) correctly rounded, and accepted as a budget
+        lam, bound = pinsker_via_tfl_optimal(kl)
+        assert lam == float((2 * Decimal(kl)).sqrt(Context(prec=60)))
+        assert pinsker_via_tfl(kl, lam) >= bound == tv_upper_pinsker(kl).output
 
     def test_matches_pinsker_forward_exactly(self):
         for kl in [i / 20.0 for i in range(200)] + [5e-324, 2.0**-1030]:
@@ -223,8 +234,12 @@ class TestPinskerViaTfl:
             pinsker_via_tfl(math.inf, 1.0)
         with pytest.raises(OutOfRangeError):
             pinsker_via_tfl(-1.0, 1.0)
-        with pytest.raises(OutOfRangeError):
-            TflParameter(0.0)
+        for lam in (0.0, -0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(OutOfRangeError, match=r"^lam: .* must be a positive real$"):
+                pinsker_via_tfl(0.5, lam)
+        # kl is checked first
+        with pytest.raises(OutOfRangeError, match="^kl: "):
+            pinsker_via_tfl(-1.0, 0.0)
 
 
 class TestHoeffdingStep:

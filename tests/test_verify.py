@@ -349,7 +349,7 @@ class TestSuites:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"grid_tolerance": math.nan}, {"random_tolerance": math.inf},
+        [{"tolerance": math.nan}, {"tolerance": math.inf},
          {"resolution": 1}, {"trials": 0}, {"atoms": 1}, {"atoms": 65}],
     )
     def test_non_finite_tolerance_rejected_by_every_suite(self, kwargs):
@@ -365,14 +365,24 @@ class TestSuites:
             lambda t: [scan_bernoulli(InequalityId.BH, 10, t)],
             lambda t: [falsify(InequalityId.BH, 10, 8, 1, t)],
             lambda t: run_suite(
-                "all", resolution=10, trials=10, atoms=8,
-                grid_tolerance=t, random_tolerance=t,
+                "all", resolution=10, trials=10, atoms=8, tolerance=t
             ),
         ],
         ids=["scan_bernoulli", "falsify", "run_suite"],
     )
     def test_numeric_string_tolerance_computes_as_its_float(self, call):
         assert call("0.1") == call(0.1)
+
+    @pytest.mark.parametrize("tolerance", [None, -1.0])
+    def test_one_tolerance_reaches_both_engines(self, tolerance):
+        # None keeps each engine's default; a value replaces both. kl_finite
+        # takes no tolerance. Random check k runs at seed 101 k.
+        given = {} if tolerance is None else {"tolerance": tolerance}
+        reports = run_suite("all", resolution=10, trials=10, atoms=8, tolerance=tolerance)
+        assert reports[:6] == [scan_bernoulli(i, 10, **given) for i in GRID_INEQUALITIES]
+        assert reports[6:9] == [falsify(i, 10, 8, 101 * k, **given)
+                                for k, i in enumerate(RANDOM_INEQUALITIES, 1)]
+        assert reports[9] == kl_finite_implies_tv_lt_one(10, 909)
 
     def test_deterministic_given_seed(self):
         a = run_suite("random", seed=4, trials=30, atoms=8)
