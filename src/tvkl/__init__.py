@@ -17,10 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": (
         "BoundEvaluation", "BoundId", "WEAK_BH_FACTOR", "compare_bounds",
-        "forward_value", "inverse_value", "kl_lower", "kl_lower_bh",
-        "kl_lower_pinsker", "kl_lower_tsybakov", "kl_lower_vajda",
-        "tv_upper_best", "tv_upper_bh", "tv_upper_from_vajda",
-        "tv_upper_pinsker", "tv_upper_tsybakov", "tv_upper_weak_bh",
+        "forward_value", "inverse_value", "kl_lower", "kl_lower_vajda",
+        "tv_upper_from_vajda",
     ),
     "distributions": (
         "Distribution", "LABEL_SEPARATOR", "MAX_PRODUCT_ATOMS", "ProductSpec",

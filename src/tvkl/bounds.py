@@ -37,7 +37,7 @@ import enum
 import math
 from dataclasses import dataclass, fields
 
-from .errors import OutOfRangeError, _real, _unit
+from .errors import OutOfRangeError, _real, _unit, _unknown_id
 
 _ONE_BELOW = math.nextafter(1.0, 0.0)
 _ONE_MINUS_EXP_M2 = -math.expm1(-2.0)
@@ -50,26 +50,17 @@ VAJDA_BISECTION_TOL = 1e-12
 
 
 class BoundId(enum.Enum):
-    PINSKER = "pinsker"
-    BH = "bh"
-    TSYBAKOV = "tsybakov"
-    WEAK_BH = "weak_bh"
-    VAJDA = "vajda"
-    TRIVIAL = "trivial"
+    # Forward curve f, TV <= f(kl), and inverse g, KL >= g(t), of each id:
+    PINSKER = "pinsker"  # f unbounded; g = 2 t^2 caps at 2: no TV forces more KL
+    BH = "bh"  # f < 1 at every finite kl, so never vacuous; g exact to t = 1
+    TSYBAKOV = "tsybakov"  # f in [1/2, 1]; g's raw form says nothing below t = 1/2
+    WEAK_BH = "weak_bh"  # f = bh / sqrt(1 - e^-2), from pinsker alone; no g
+    VAJDA = "vajda"  # g >= bh's inverse; f is g's root, by Newton's method
+    TRIVIAL = "trivial"  # f = 1, always vacuous; no g
 
     # Members are singletons compared by identity, so the identity hash
     # agrees with ==; unlike Enum.__hash__, it runs in C.
     __hash__ = object.__hash__
-
-
-#: Tie-break preference when several forward bounds coincide.
-BEST_TIE_ORDER = (
-    BoundId.BH,
-    BoundId.TSYBAKOV,
-    BoundId.PINSKER,
-    BoundId.WEAK_BH,
-    BoundId.TRIVIAL,
-)
 
 
 def _slot_setters(cls) -> tuple:
@@ -187,17 +178,18 @@ def tv_upper_from_vajda(kl: float) -> float:
 
     V is increasing and convex on [0, 1), V'(t) = 4t / ((1 - t)(1 + t)^2),
     and V >= bh's inverse, so Newton iterates from bh(kl) stay above the
-    root and fall toward it, until a step is no shorter than the one before.
-    The result t has V(t) >= ``kl``. kl = 0 maps to 0 and +inf to 1. Above
-    kl of about 36.43, V at the largest double below 1 is still below kl,
-    so no double below 1 bounds the root and the result is 1.0.
+    root and fall toward it, until a step is no shorter than the one before:
+    about 7 steps, and at most 64, after which the last iterate with
+    V(t) >= kl is kept. The result t has V(t) >= ``kl``. kl = 0 maps to 0 and +inf to 1. Above kl of
+    about 36.43, V at the largest double below 1 is still below kl, so no
+    double below 1 bounds the root and the result is 1.0.
     """
     kl = _check_kl(kl)
     t = _bh_forward(kl)
     if not 0.0 < t < 1.0:
         return t
     upper, last = 1.0, math.inf
-    while True:
+    for _ in range(64):
         excess = _vajda_inverse(t, 1.0 - t) - kl
         step = excess * (1.0 - t) * (1.0 + t) ** 2 / (4.0 * t)
         if excess < 0.0:
@@ -208,6 +200,7 @@ def tv_upper_from_vajda(kl: float) -> float:
         if not step < last:
             return t
         upper, last, t = t, step, t - step
+    return upper
 
 
 #: Forward curves in report order.
@@ -229,70 +222,27 @@ _INVERSE = {
 }
 
 
-#: Forward bounds in report order.
-FORWARD_ORDER = tuple(_FORWARD)
-
-
-def _evaluate(items, kl: float) -> list[BoundEvaluation]:
-    """Each (bound, curve) at one checked kl; the one place the vacuity rule
-    is written. Every bound but bh can be vacuous (bh reaches 1 only at
-    kl = +inf). bh is told by its curve: on Python 3.10 and 3.11, whose
-    EnumType defines ``__getattr__``, reading ``BoundId.BH`` is slow."""
-    return [
-        BoundEvaluation(bound, kl, output, output >= 1.0 and curve is not _bh_forward)
-        for bound, curve in items
-        for output in (curve(kl),)
-    ]
-
-
 def forward_value(bound: BoundId, kl: float) -> float:
-    """Raw forward curve value, same code path the evaluations use."""
-    return _FORWARD[bound](_check_kl(kl))
-
-
-def _evaluate_forward(bound: BoundId, kl: float) -> BoundEvaluation:
-    return _evaluate(((bound, _FORWARD[bound]),), kl)[0]
-
-
-def tv_upper_pinsker(kl: float) -> BoundEvaluation:
-    """TV <= sqrt(kl / 2). Grows without bound; vacuous once kl >= 2."""
-    return _evaluate_forward(BoundId.PINSKER, _check_kl(kl))
-
-
-def tv_upper_bh(kl: float) -> BoundEvaluation:
-    """TV <= sqrt(1 - exp(-kl)). Strictly below 1 for every finite kl."""
-    return _evaluate_forward(BoundId.BH, _check_kl(kl))
-
-
-def tv_upper_tsybakov(kl: float) -> BoundEvaluation:
-    """TV <= 1 - exp(-kl)/2. Never exceeds 1 but never drops below 1/2."""
-    return _evaluate_forward(BoundId.TSYBAKOV, _check_kl(kl))
-
-
-def tv_upper_weak_bh(kl: float) -> BoundEvaluation:
-    """TV <= sqrt(1 - exp(-kl)) / sqrt(1 - exp(-2)).
-
-    Derivable from the pinsker bound alone; the leading factor makes it
-    vacuous exactly where pinsker is (kl >= 2) and strictly weaker than
-    pinsker below that."""
-    return _evaluate_forward(BoundId.WEAK_BH, _check_kl(kl))
-
-
-def tv_upper_best(kl: float) -> BoundEvaluation:
-    """Smallest of the closed-form forward bounds (and the trivial 1), as
-    ``compare_bounds`` reports it.
-
-    Ties break toward bh, then tsybakov, pinsker, weak_bh, trivial. Only
-    the winner is built; its curve is evaluated again, to the same bits.
-    """
-    kl = _check_kl(kl)
-    return _evaluate_forward(min(BEST_TIE_ORDER, key=lambda b: _FORWARD[b](kl)), kl)
+    """One forward curve at ``kl``, as its ``compare_bounds`` row reports it.
+    Every ``BoundId`` has one."""
+    try:
+        curve = _FORWARD[bound]
+    except (KeyError, TypeError):
+        raise _unknown_id("bound", bound, _FORWARD) from None
+    return curve(_check_kl(kl))
 
 
 def compare_bounds(kl: float) -> list[BoundEvaluation]:
     """Evaluate every forward bound (vajda by numeric inversion, plus the
-    trivial 1) at one KL value, each tagged with its vacuity."""
-    return _evaluate(_FORWARD.items(), _check_kl(kl))
+    trivial 1) at one KL value, each tagged with its vacuity. bh is told by
+    its curve: on Python 3.10 and 3.11, whose EnumType defines
+    ``__getattr__``, reading ``BoundId.BH`` is slow."""
+    kl = _check_kl(kl)
+    return [
+        BoundEvaluation(bound, kl, output, output >= 1.0 and curve is not _bh_forward)
+        for bound, curve in _FORWARD.items()
+        for output in (curve(kl),)
+    ]
 
 
 # -- inverse bounds ---------------------------------------------------------
@@ -303,45 +253,24 @@ INVERSE_ORDER = tuple(_INVERSE)
 
 
 def inverse_value(bound: BoundId, tv: float) -> float:
-    """Raw inverse curve value, as ``kl_lower`` reports it, for the
-    ``kl_lower_*`` entries and the figures."""
-    tv = _unit("tv", tv)
+    """One inverse curve at ``tv``, as ``kl_lower`` reports it. weak_bh and
+    trivial have none."""
     try:
-        return _INVERSE[bound](tv, 1.0 - tv)
-    except KeyError:
-        raise OutOfRangeError(f"bound: {bound!r} has no inverse curve") from None
+        curve = _INVERSE[bound]
+    except (KeyError, TypeError):
+        raise _unknown_id("bound", bound, _INVERSE) from None
+    tv = _unit("tv", tv)
+    return curve(tv, 1.0 - tv)
 
 
 def kl_lower(bound: BoundId, tv: float) -> BoundEvaluation:
-    """Evaluate one inverse bound; inverse outputs are never vacuous. A
-    bound with no inverse curve (weak_bh, trivial) raises OutOfRangeError."""
-    tv = _unit("tv", tv)
+    """``inverse_value`` as a report row; inverse outputs are never vacuous."""
     try:
-        return BoundEvaluation(bound, tv, _INVERSE[bound](tv, 1.0 - tv), False)
-    except KeyError:
-        raise OutOfRangeError(f"bound: {bound!r} has no inverse curve") from None
-
-
-def kl_lower_pinsker(tv: float) -> float:
-    """KL >= 2 t^2. Caps out at 2: no TV value can force KL above that."""
-    return inverse_value(BoundId.PINSKER, tv)
-
-
-def kl_lower_bh(tv: float) -> float:
-    """KL >= -log(1 - t^2), as -log1p(-t^2) for t <= 1/2 and as
-    -(log(1 - t) + log1p(t)) above, where 1 - t is exact: full accuracy from
-    the smallest t up to 1, where the bound diverges; t = 1 gives +inf.
-    """
-    return inverse_value(BoundId.BH, tv)
-
-
-def kl_lower_tsybakov(tv: float) -> float:
-    """KL >= -log(2 (1 - t)), floored at 0.
-
-    The raw inversion is negative for t < 1/2, where it carries no
-    information; t = 1 gives +inf.
-    """
-    return inverse_value(BoundId.TSYBAKOV, tv)
+        curve = _INVERSE[bound]
+    except (KeyError, TypeError):
+        raise _unknown_id("bound", bound, _INVERSE) from None
+    tv = _unit("tv", tv)
+    return BoundEvaluation(bound, tv, curve(tv, 1.0 - tv), False)
 
 
 def kl_lower_vajda(tv: float) -> float:

@@ -116,3 +116,12 @@ def _tuple(name: str, x) -> tuple:
     except TypeError:
         raise OutOfRangeError(f"{name}: {x!r} is not iterable") from None
     return tuple(x)
+
+
+def _unknown_id(name: str, x, table, error: type = OutOfRangeError) -> ValidationError:
+    """``error`` naming the argument and the ids ``table`` holds. An entry that
+    takes an id looks it up in its table inside a ``try``, and raises this on
+    ``KeyError`` or ``TypeError``: a valid id costs only the lookup. An id
+    must be the enum member itself; its value (``"bh"``) is refused."""
+    ids = ", ".join(map(str, table))
+    return error(f"{name}: {x!r} is not one of {ids}")

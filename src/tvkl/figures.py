@@ -14,7 +14,7 @@ import os
 import tempfile
 
 from .bounds import BoundId, forward_value, inverse_value
-from .errors import _integer
+from .errors import _integer, _unknown_id
 
 
 class FigureId(enum.Enum):
@@ -41,8 +41,15 @@ _FIGURES = {
 _AXES = {"kl": (KL_RANGE, forward_value), "tv": (TV_RANGE, inverse_value)}
 
 
+def _figure(figure: FigureId) -> tuple:
+    try:
+        return _FIGURES[figure]
+    except (KeyError, TypeError):
+        raise _unknown_id("figure", figure, _FIGURES) from None
+
+
 def figure_header(figure: FigureId) -> list[str]:
-    axis, columns = _FIGURES[figure]
+    axis, columns = _figure(figure)
     return [axis] + [b.value for b in columns]
 
 
@@ -50,7 +57,7 @@ def figure_rows(figure: FigureId, points: int) -> list[list[float]]:
     """Curve values on a uniform grid of ``points`` abscissas (inclusive of
     both range endpoints)."""
     points = _integer("points", points, 2)
-    axis, columns = _FIGURES[figure]
+    axis, columns = _figure(figure)
     (lo, hi), value = _AXES[axis]
     rows = []
     for i in range(points):

@@ -59,6 +59,7 @@ from .divergence import (
     total_variation,
 )
 from .errors import OutOfRangeError, UnsupportedInequalityError, _integer, _real, _unit
+from .errors import _unknown_id
 from .variational import WitnessFunction, _log_mean_exp, dv_value
 
 #: Default violation tolerances: closed-form grid cells vs 64-atom sums.
@@ -113,8 +114,8 @@ _TV_KL_CURVES = {
 }
 
 
-def _tv_kl_margin(inequality: InequalityId, tv: float, kl: float) -> float:
-    orientation, curve = _TV_KL_CURVES[inequality]
+def _tv_kl_margin(entry: tuple, tv: float, kl: float) -> float:
+    orientation, curve = entry
     return curve(kl) - tv if orientation == "forward" else kl - curve(tv, 1.0 - tv)
 
 
@@ -165,11 +166,14 @@ def _hoeffding_step(p: Distribution, q: Distribution, values) -> float:
     return mean_q + 0.5 * max(map(abs, values)) ** 2 - _log_mean_exp(qw, values)
 
 
-def _check_binary(inequality: InequalityId) -> None:
-    if inequality not in _TV_KL_CURVES:
-        raise UnsupportedInequalityError(
-            f"inequality: {inequality!r} has no binary closed form to scan"
-        )
+def _entry(table: dict, inequality: InequalityId):
+    # table[inequality], or the one refusal of an id that ``table`` lacks.
+    try:
+        return table[inequality]
+    except (KeyError, TypeError):
+        raise _unknown_id(
+            "inequality", inequality, table, UnsupportedInequalityError
+        ) from None
 
 
 def _check_tolerance(tolerance: float) -> float:
@@ -196,9 +200,9 @@ def _tally(margins, floor: float) -> tuple[int, float, int]:
 def bernoulli_margin(inequality: InequalityId, p: float, q: float) -> float:
     """Margin (RHS - LHS) of one of the six ``GRID_INEQUALITIES`` at one
     Bernoulli pair; others raise ``UnsupportedInequalityError``."""
-    _check_binary(inequality)
+    entry = _entry(_TV_KL_CURVES, inequality)
     p, q = _unit("p", p), _unit("q", q)
-    return _tv_kl_margin(inequality, abs(p - q), _binary_kl(p, q))
+    return _tv_kl_margin(entry, abs(p - q), _binary_kl(p, q))
 
 
 class _InverseCurve(dict):
@@ -260,9 +264,9 @@ def scan_bernoulli(
     """
     r = _integer("resolution", resolution, 2)
     tolerance = _check_tolerance(tolerance)
-    _check_binary(inequality)
+    entry = _entry(_TV_KL_CURVES, inequality)
     axis = [i / r for i in range(1, r)]
-    margins = _row_cached_margins(*_TV_KL_CURVES[inequality], axis)
+    margins = _row_cached_margins(*entry, axis)
     violations, worst, index = _tally(margins, -tolerance)
     i, j = divmod(index, r - 1)
     worst_point = (axis[i], axis[j]) if index >= 0 else (math.nan, math.nan)
@@ -355,6 +359,10 @@ DERIVATION_INEQUALITIES = (
 )
 
 
+#: The checks of ``falsify``: all but pinsker_binary, which only the grid scans.
+_MULTI_ATOM = {i: i.value for i in InequalityId if i is not InequalityId.PINSKER_BINARY}
+
+
 def _random_margin(
     inequality: InequalityId, rng: random.Random, p: Distribution, q: Distribution
 ) -> float:
@@ -375,7 +383,7 @@ def _random_margin(
         event = EventSubset(tuple(rng.random() < 0.5 for _ in range(len(p))))
         ps, qs = event_mass(p.probs, event), event_mass(q.probs, event)
         return min(kl - binary_kl(ps, qs), tv - binary_tv(ps, qs))
-    return _tv_kl_margin(inequality, tv, kl)
+    return _tv_kl_margin(_TV_KL_CURVES[inequality], tv, kl)
 
 
 def falsify(
@@ -399,10 +407,7 @@ def falsify(
     trials, atoms = _integer("trials", trials, 1), _integer("atoms", atoms, 2, 64)
     seed = _integer("seed", seed)
     tolerance = _check_tolerance(tolerance)
-    if inequality is InequalityId.PINSKER_BINARY or not isinstance(inequality, InequalityId):
-        raise UnsupportedInequalityError(
-            f"inequality: {inequality!r} has no check on multi-atom pairs"
-        )
+    _entry(_MULTI_ATOM, inequality)
     rng = random.Random(seed)
     pairs = _seeded_pairs(rng, trials, atoms, FALSIFY_CONCENTRATIONS)
     margins = (_random_margin(inequality, rng, p, q) for p, q in pairs)

@@ -7,10 +7,11 @@ reference in ``tests/oracle.py``, that the tests must catch. Run as a script
 For each mutant it copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
 temporary directory, applies the mutant there, and runs the tier-1 tests with
 ``-x``. The unmutated copy runs first and must pass. It prints one line per
-mutant and exits 1 if a mutant survives, or if its old text does not occur
-exactly once in its file (the mutant has gone stale). See R. A. DeMillo,
-R. J. Lipton and F. G. Sayward, "Hints on test data selection", IEEE
-Computer 1978.
+mutant and exits 1 if a mutant survives, if its run takes longer than
+``TIMEOUT`` seconds (reported as TIMEOUT: a mutant that makes the code hang
+is not shown killed), or if its old text does not occur exactly once in its
+file (the mutant has gone stale). See R. A. DeMillo, R. J. Lipton and F. G.
+Sayward, "Hints on test data selection", IEEE Computer 1978.
 """
 
 import os
@@ -25,6 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
 DIV, BOUNDS, DIST = "src/tvkl/divergence.py", "src/tvkl/bounds.py", "src/tvkl/distributions.py"
 VERIFY, ORACLE = "src/tvkl/verify.py", "tests/oracle.py"
 VARIATIONAL = "src/tvkl/variational.py"
+
+#: Seconds one tier-1 run may take; the unmutated copy takes about 30 s on a
+#: 2-vCPU Xeon.
+TIMEOUT = 300
 
 # (file, exact old text, new text, why the tests must catch it)
 MUTANTS = [
@@ -73,6 +78,10 @@ MUTANTS = [
      "an exact BH split has margin 0.0, not -0.0"),
     (VERIFY, "0.0 - abs(0.5 * gap - tv)", "-abs(0.5 * gap - tv)",
      "an exact IPM identity has margin 0.0, not -0.0"),
+    (VERIFY, "0.0 - abs(0.5 * gap - tv)", "0.0 + abs(0.5 * gap - tv)",
+     "a TV off half the sign witness's gap makes the IPM margin negative"),
+    (BOUNDS, "(1.0 + t) ** 2 / (4.0 * t)", "(1.0 + t) ** 2 * (4.0 * t)",
+     "the vajda root is found in a few Newton steps, and at most 64"),
     (VERIFY, "lower[abs(p - q)]", "lower[p - q]",
      "an inverse grid row looks its curve up by TV, |p - q|"),
     (VERIFY, "seed + 101 * k, **override)", "seed + 101 * k)",
@@ -82,15 +91,20 @@ MUTANTS = [
 ]
 
 
-def run_tier1(folder: Path) -> int:
+def run_tier1(folder: Path) -> int | None:
+    """The exit code of tier-1 on ``folder``, or None past ``TIMEOUT``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(folder / "src"),
                                                       env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
-        cwd=folder, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    ).returncode
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors"],
+            cwd=folder, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def copy_tree(folder: Path) -> None:
@@ -106,7 +120,8 @@ def main() -> int:
         clean = Path(tmp) / "clean"
         copy_tree(clean)
         code = run_tier1(clean)
-        print(f"{'passes' if code == 0 else 'FAILS'}  the unmutated copy (exit {code})")
+        label = {0: "passes", None: "TIMEOUT"}.get(code, "FAILS")
+        print(f"{label}  the unmutated copy (exit {code})")
         if code != 0:
             return 1
         for i, (file, old, new, why) in enumerate(MUTANTS, 1):
@@ -120,7 +135,7 @@ def main() -> int:
                 continue
             path.write_text(text.replace(old, new), encoding="utf-8")
             code = run_tier1(folder)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+            verdict = {0: "SURVIVED", 1: "killed", None: "TIMEOUT"}.get(code, f"ERROR {code}")
             print(f"{verdict:8} {i:2}  {file}: {why}", flush=True)
             bad += code != 1
             shutil.rmtree(folder)

@@ -34,25 +34,20 @@ from tvkl import (
     ProductSpec,
     SampleComplexityQuery,
     bernoulli,
+    compare_bounds,
     dv_optimal_witness,
     dv_value,
     falsify,
     forward_value,
     inverse_value,
     kl_divergence,
-    kl_lower_bh,
-    kl_lower_pinsker,
-    kl_lower_tsybakov,
     kl_lower_vajda,
     overlap_identities,
     report,
     scan_bernoulli,
     tensor_power,
     total_variation,
-    tv_upper_bh,
     tv_upper_from_vajda,
-    tv_upper_pinsker,
-    tv_upper_weak_bh,
 )
 from tvkl.bounds import BoundId
 from tvkl.samples import FLAG_SIMPLIFIED_EXCEEDS_EXACT
@@ -122,15 +117,15 @@ def test_criterion_4_pinsker_constant_tightness():
 
 
 def test_criterion_5_vacuity_thresholds():
-    assert abs(tv_upper_pinsker(2.0).output - 1.0) <= 1e-12
-    assert abs(tv_upper_weak_bh(2.0).output - 1.0) <= 1e-12
+    assert abs(forward_value(BoundId.PINSKER, 2.0) - 1.0) <= 1e-12
+    assert abs(forward_value(BoundId.WEAK_BH, 2.0) - 1.0) <= 1e-12
     k = 0.0
     while k <= 700.0:
-        ev = tv_upper_bh(k)
+        (ev,) = [row for row in compare_bounds(k) if row.bound is BoundId.BH]
         assert ev.output < 1.0
         assert not ev.vacuous
         k += 0.5
-    assert tv_upper_bh(700.0).output < 1.0
+    assert forward_value(BoundId.BH, 700.0) < 1.0
 
 
 def test_criterion_6_sample_complexity_anchors():
@@ -156,20 +151,26 @@ def test_criterion_6_route_behaviour_across_delta():
     assert report(SampleComplexityQuery(0.1, 1e-10)).n_bh > 1e3
 
 
+def forward_of_inverse(bound, t):
+    return forward_value(bound, inverse_value(bound, t))
+
+
+def inverse_of_forward(bound, k):
+    return inverse_value(bound, forward_value(bound, k))
+
+
 def test_criterion_7_forward_inverse_round_trips():
     # t direction: recover t from its own lower bound
     for i in range(0, 1000):
         t = min(i / 999.0, 1.0 - 1e-6)
-        assert abs(forward_value(BoundId.PINSKER, kl_lower_pinsker(t)) - t) <= 1e-10
-        assert abs(forward_value(BoundId.BH, kl_lower_bh(t)) - t) <= 1e-10
+        assert abs(forward_of_inverse(BoundId.PINSKER, t) - t) <= 1e-10
+        assert abs(forward_of_inverse(BoundId.BH, t) - t) <= 1e-10
         if t >= 0.5:
-            assert (
-                abs(forward_value(BoundId.TSYBAKOV, kl_lower_tsybakov(t)) - t) <= 1e-10
-            )
+            assert abs(forward_of_inverse(BoundId.TSYBAKOV, t) - t) <= 1e-10
     # pinsker's composable kl range ends at 2, where its forward value hits 1
     for i in range(0, 201):
         k = 2.0 * i / 200.0
-        assert abs(kl_lower_pinsker(forward_value(BoundId.PINSKER, k)) - k) <= 1e-10
+        assert abs(inverse_of_forward(BoundId.PINSKER, k) - k) <= 1e-10
 
 
 def test_criterion_7_kl_direction_round_trips():
@@ -179,13 +180,8 @@ def test_criterion_7_kl_direction_round_trips():
     for i in range(0, 3001):
         k = 30.0 * i / 3000.0
         tolerance = 1e-10 + 4.0 * math.exp(k) * 2.0**-53
-        assert abs(kl_lower_bh(forward_value(BoundId.BH, k)) - k) <= tolerance, (
-            f"k={k}"
-        )
-        assert (
-            abs(kl_lower_tsybakov(forward_value(BoundId.TSYBAKOV, k)) - k)
-            <= tolerance
-        ), f"k={k}"
+        assert abs(inverse_of_forward(BoundId.BH, k) - k) <= tolerance, f"k={k}"
+        assert abs(inverse_of_forward(BoundId.TSYBAKOV, k) - k) <= tolerance, f"k={k}"
 
 
 def test_criterion_7_vajda_bisection_round_trip():

@@ -15,17 +15,9 @@ from tvkl import (
     inverse_value,
     kl_divergence,
     kl_lower,
-    kl_lower_bh,
-    kl_lower_pinsker,
-    kl_lower_tsybakov,
     kl_lower_vajda,
     total_variation,
-    tv_upper_best,
-    tv_upper_bh,
     tv_upper_from_vajda,
-    tv_upper_pinsker,
-    tv_upper_tsybakov,
-    tv_upper_weak_bh,
 )
 from tvkl import bounds
 import oracle
@@ -34,6 +26,22 @@ from test_values import ValueContract
 
 SQRT2 = math.sqrt(2.0)
 
+#: The closed-form forward bounds (vajda's is a numeric root), in the order
+#: that breaks a tie for the least of them.
+CLOSED_FORMS = (BoundId.BH, BoundId.TSYBAKOV, BoundId.PINSKER, BoundId.WEAK_BH, BoundId.TRIVIAL)
+
+
+def row_of(bound, kl):
+    """The ``compare_bounds`` row of one bound: its value and its vacuity."""
+    (found,) = [r for r in compare_bounds(kl) if r.bound is bound]
+    return found
+
+
+def least_closed_form(kl):
+    """The ``compare_bounds`` row of the least closed-form bound at kl."""
+    rows = {r.bound: r for r in compare_bounds(kl)}
+    return min((rows[bound] for bound in CLOSED_FORMS), key=lambda r: r.output)
+
 
 class TestForwardBounds:
     @pytest.mark.parametrize(
@@ -41,7 +49,7 @@ class TestForwardBounds:
         [(0.0, 0.0), (2.0, 1.0), (0.02, 0.1), (math.inf, math.inf)],
     )
     def test_pinsker_values(self, kl, expected):
-        assert tv_upper_pinsker(kl).output == pytest.approx(expected, abs=1e-15)
+        assert forward_value(BoundId.PINSKER, kl) == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize(
         "kl, expected",
@@ -53,18 +61,18 @@ class TestForwardBounds:
         ],
     )
     def test_bh_values(self, kl, expected):
-        assert tv_upper_bh(kl).output == pytest.approx(expected, abs=1e-15)
+        assert forward_value(BoundId.BH, kl) == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize(
         "kl, expected", [(0.0, 0.5), (math.log(2.0), 0.75), (math.inf, 1.0)]
     )
     def test_tsybakov_values(self, kl, expected):
-        assert tv_upper_tsybakov(kl).output == pytest.approx(expected, abs=1e-15)
+        assert forward_value(BoundId.TSYBAKOV, kl) == pytest.approx(expected, abs=1e-15)
 
     def test_weak_bh_values(self):
-        assert tv_upper_weak_bh(0.0).output == 0.0
-        assert tv_upper_weak_bh(2.0).output == pytest.approx(1.0, abs=1e-15)
-        assert tv_upper_weak_bh(1.0).output == pytest.approx(
+        assert forward_value(BoundId.WEAK_BH, 0.0) == 0.0
+        assert forward_value(BoundId.WEAK_BH, 2.0) == pytest.approx(1.0, abs=1e-15)
+        assert forward_value(BoundId.WEAK_BH, 1.0) == pytest.approx(
             0.8550196364002437, abs=1e-15
         )
         assert WEAK_BH_FACTOR == pytest.approx(1.075, abs=1e-3)
@@ -72,16 +80,16 @@ class TestForwardBounds:
     @pytest.mark.parametrize("kl", [5e-324, 5 * 2.0**-1074, 2.0**-1030, 1.3 * 2.0**-1022])
     def test_subnormal_kl_loses_no_bits(self, kl):
         # kl / 2 and kl / (1 - e^-2) are subnormal here; the bounds are still
-        # the correctly rounded roots, and the best bound is positive
+        # the correctly rounded roots, and the least closed form is positive
         pinsker = float(oracle.pinsker_forward(kl))
-        assert tv_upper_pinsker(kl).output == pinsker
-        assert oracle.ulps(tv_upper_weak_bh(kl).output, oracle.weak_bh_forward(kl)) <= 1
-        best = tv_upper_best(kl)
+        assert forward_value(BoundId.PINSKER, kl) == pinsker
+        assert oracle.ulps(forward_value(BoundId.WEAK_BH, kl), oracle.weak_bh_forward(kl)) <= 1
+        best = least_closed_form(kl)
         assert best.bound is BoundId.PINSKER and best.output == pinsker
 
     def test_negative_kl_rejected(self):
-        for fn in (tv_upper_pinsker, tv_upper_bh, tv_upper_tsybakov,
-                   tv_upper_weak_bh, tv_upper_best):
+        entries = [compare_bounds] + [lambda kl, b=b: forward_value(b, kl) for b in BoundId]
+        for fn in entries:
             with pytest.raises(OutOfRangeError):
                 fn(-0.1)
             with pytest.raises(OutOfRangeError):
@@ -90,30 +98,31 @@ class TestForwardBounds:
 
 class TestVacuity:
     def test_pinsker_vacuous_from_two(self):
-        assert not tv_upper_pinsker(1.999999).vacuous
-        assert tv_upper_pinsker(2.0).vacuous
-        assert tv_upper_pinsker(math.inf).vacuous
+        assert not row_of(BoundId.PINSKER, 1.999999).vacuous
+        assert row_of(BoundId.PINSKER, 2.0).vacuous
+        assert row_of(BoundId.PINSKER, math.inf).vacuous
 
     def test_weak_bh_vacuous_iff_kl_at_least_two(self):
-        assert not tv_upper_weak_bh(1.999999999).vacuous
-        assert tv_upper_weak_bh(2.0).vacuous
-        assert tv_upper_weak_bh(5.0).vacuous
+        assert not row_of(BoundId.WEAK_BH, 1.999999999).vacuous
+        assert row_of(BoundId.WEAK_BH, 2.0).vacuous
+        assert row_of(BoundId.WEAK_BH, 5.0).vacuous
 
     def test_bh_never_vacuous(self):
         for kl in (0.0, 2.0, 5.0, 100.0, 700.0, math.inf):
-            ev = tv_upper_bh(kl)
+            ev = row_of(BoundId.BH, kl)
             assert not ev.vacuous
             if not math.isinf(kl):
                 assert ev.output < 1.0
 
     def test_tsybakov_below_one_for_finite_kl(self):
         for kl in (0.0, 2.0, 40.0, 700.0):
-            assert tv_upper_tsybakov(kl).output < 1.0
+            assert forward_value(BoundId.TSYBAKOV, kl) < 1.0
 
 
 class TestBestBound:
+    # The least of the closed-form forward bounds, and where each wins.
     def test_pinsker_wins_for_small_kl(self):
-        best = tv_upper_best(0.02)
+        best = least_closed_form(0.02)
         assert best.bound is BoundId.PINSKER
         assert best.output == pytest.approx(0.1, abs=1e-15)
         assert forward_value(BoundId.BH, 0.02) == pytest.approx(
@@ -121,12 +130,12 @@ class TestBestBound:
         )
 
     def test_bh_wins_for_large_kl(self):
-        best = tv_upper_best(3.0)
+        best = least_closed_form(3.0)
         assert best.bound is BoundId.BH
         assert best.output == pytest.approx(0.9747886599833505, abs=1e-15)
 
     def test_zero_ties_break_to_bh(self):
-        best = tv_upper_best(0.0)
+        best = least_closed_form(0.0)
         assert best.bound is BoundId.BH
         assert best.output == 0.0
 
@@ -134,29 +143,31 @@ class TestBestBound:
         # one vacuity rule: at kl = inf bh wins with output 1.0, unflagged
         grid = [0.0] + [10.0 ** (k / 4) for k in range(-48, 12)] + [math.inf]
         for kl in grid:
-            best = tv_upper_best(kl)
-            rows = {row.bound: row for row in compare_bounds(kl)}
-            assert best == rows[best.bound]
+            best = least_closed_form(kl)
+            assert best.output.hex() == forward_value(best.bound, kl).hex()
+            assert best.vacuous is (best.bound is not BoundId.BH and best.output >= 1.0)
+        best = least_closed_form(math.inf)
+        assert best.bound is BoundId.BH and best.output == 1.0 and not best.vacuous
 
     def test_never_exceeds_trivial(self):
         for i in range(1001):
-            assert tv_upper_best(i / 100.0).output <= 1.0
+            assert least_closed_form(i / 100.0).output <= 1.0
 
 
 class TestInverseBounds:
     def test_pinsker(self):
-        assert kl_lower_pinsker(0.5) == 0.5
-        assert kl_lower_pinsker(1.0) == 2.0
+        assert inverse_value(BoundId.PINSKER, 0.5) == 0.5
+        assert inverse_value(BoundId.PINSKER, 1.0) == 2.0
 
     def test_bh(self):
-        assert kl_lower_bh(0.6) == pytest.approx(0.4462871026284194, abs=1e-15)
-        assert kl_lower_bh(1.0) == math.inf
+        assert inverse_value(BoundId.BH, 0.6) == pytest.approx(0.4462871026284194, abs=1e-15)
+        assert inverse_value(BoundId.BH, 1.0) == math.inf
 
     def test_tsybakov(self):
-        assert kl_lower_tsybakov(0.5) == 0.0
-        assert kl_lower_tsybakov(0.2) == 0.0
-        assert kl_lower_tsybakov(0.75) == pytest.approx(math.log(2.0), abs=1e-15)
-        assert kl_lower_tsybakov(1.0) == math.inf
+        assert inverse_value(BoundId.TSYBAKOV, 0.5) == 0.0
+        assert inverse_value(BoundId.TSYBAKOV, 0.2) == 0.0
+        assert inverse_value(BoundId.TSYBAKOV, 0.75) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert inverse_value(BoundId.TSYBAKOV, 1.0) == math.inf
 
     def test_vajda(self):
         assert kl_lower_vajda(0.0) == 0.0
@@ -170,7 +181,8 @@ class TestInverseBounds:
         assert kl_lower_vajda(1.0) == math.inf
 
     def test_out_of_range(self):
-        for fn in (kl_lower_pinsker, kl_lower_bh, kl_lower_tsybakov, kl_lower_vajda):
+        entries = [lambda tv, b=b: inverse_value(b, tv) for b in bounds.INVERSE_ORDER]
+        for fn in entries + [kl_lower_vajda]:
             with pytest.raises(OutOfRangeError):
                 fn(-0.01)
             with pytest.raises(OutOfRangeError):
@@ -179,7 +191,7 @@ class TestInverseBounds:
     def test_vajda_dominates_bh_inverse(self):
         for i in range(1000):
             t = i / 1000.0
-            assert kl_lower_vajda(t) >= kl_lower_bh(t) - 1e-12
+            assert kl_lower_vajda(t) >= inverse_value(BoundId.BH, t) - 1e-12
 
     def test_vajda_small_t_matches_pinsker_to_third_order(self):
         # vajda(t) = 2 t^2 - (4/3) t^3 + O(t^4): no sqrt(2) loss at 0
@@ -205,22 +217,29 @@ def oracle_tvs():
     return sorted(tvs)
 
 
+#: The inverse bounds with a closed form, each against its oracle; test ids
+#: name each as the lower bound on KL that it is.
+INVERSE_CLOSED_FORMS = (BoundId.PINSKER, BoundId.BH, BoundId.TSYBAKOV)
+
+
 class TestInverseOracle:
     @pytest.mark.parametrize(
-        "index, bound", enumerate([kl_lower_pinsker, kl_lower_bh, kl_lower_tsybakov])
+        "index, bound", enumerate(INVERSE_CLOSED_FORMS),
+        ids=[f"{i}-kl_lower_{b.value}" for i, b in enumerate(INVERSE_CLOSED_FORMS)],
     )
     def test_within_2_ulps_and_never_negative_zero(self, index, bound):
         exact = (oracle.pinsker_inverse, oracle.bh_inverse, oracle.tsybakov_inverse)[index]
         for t in oracle_tvs():
-            value = bound(t)
+            value = inverse_value(bound, t)
             assert math.copysign(1.0, value) == 1.0, (t, value)
             assert oracle.ulps(value, exact(t, 1.0 - t)) <= 2, (t, value)
 
     def test_pinned_points(self):
-        assert kl_lower_bh(1e-12) == 1e-24
-        assert repr(kl_lower_bh(0.0)) == "0.0"
+        assert inverse_value(BoundId.BH, 1e-12) == 1e-24
+        assert repr(inverse_value(BoundId.BH, 0.0)) == "0.0"
         t = 0.5 + 2.0**-28
-        assert oracle.ulps(kl_lower_tsybakov(t), oracle.tsybakov_inverse(t, 1.0 - t)) <= 1
+        exact = oracle.tsybakov_inverse(t, 1.0 - t)
+        assert oracle.ulps(inverse_value(BoundId.TSYBAKOV, t), exact) <= 1
 
 
 class TestVajdaInversion:
@@ -273,7 +292,7 @@ class TestVajdaOracle:
         for t in tvs:
             value, exact = kl_lower_vajda(t), oracle.vajda_inverse(t, 1.0 - t)
             assert math.copysign(1.0, value) == 1.0, (t, value)
-            assert value >= kl_lower_bh(t), t
+            assert value >= inverse_value(BoundId.BH, t), t
             slack = 2 if t < 2.0**-9 else 4 * (1 + math.ulp(t) / math.ulp(float(exact)))
             assert oracle.ulps(value, exact) <= slack, (t, value, exact)
 
@@ -349,15 +368,15 @@ class TestRoundTrips:
     def test_forward_of_inverse_recovers_t(self):
         for i in range(0, 1001):
             t = min(i / 1000.0, 1.0 - 1e-6)
-            assert forward_value(BoundId.PINSKER, kl_lower_pinsker(t)) == (
+            assert forward_value(BoundId.PINSKER, inverse_value(BoundId.PINSKER, t)) == (
                 pytest.approx(t, abs=1e-10)
             )
-            assert forward_value(BoundId.BH, kl_lower_bh(t)) == pytest.approx(
+            assert forward_value(BoundId.BH, inverse_value(BoundId.BH, t)) == pytest.approx(
                 t, abs=1e-10
             )
             if t >= 0.5:
                 assert forward_value(
-                    BoundId.TSYBAKOV, kl_lower_tsybakov(t)
+                    BoundId.TSYBAKOV, inverse_value(BoundId.TSYBAKOV, t)
                 ) == pytest.approx(t, abs=1e-10)
 
     def test_inverse_of_forward_recovers_k(self):
@@ -365,15 +384,15 @@ class TestRoundTrips:
         # ends at 2; bh and tsybakov are composable for all k
         for i in range(0, 2001):
             k = 2.0 * i / 2000.0
-            assert kl_lower_pinsker(forward_value(BoundId.PINSKER, k)) == (
+            assert inverse_value(BoundId.PINSKER, forward_value(BoundId.PINSKER, k)) == (
                 pytest.approx(k, abs=1e-10)
             )
         for i in range(0, 1301):
             k = 13.0 * i / 1300.0
-            assert kl_lower_bh(forward_value(BoundId.BH, k)) == pytest.approx(
+            assert inverse_value(BoundId.BH, forward_value(BoundId.BH, k)) == pytest.approx(
                 k, abs=1e-10
             )
-            assert kl_lower_tsybakov(
+            assert inverse_value(BoundId.TSYBAKOV, 
                 forward_value(BoundId.TSYBAKOV, k)
             ) == pytest.approx(k, abs=1e-10)
 
@@ -486,54 +505,43 @@ def _log_spaced_kl(points: int = 400) -> list[float]:
     return sorted(grid)
 
 
-# Each forward bound's own entry point, and its vacuity as the module
-# docstring states it.
-_FORWARD_ENTRIES = {
-    BoundId.PINSKER: (tv_upper_pinsker, lambda kl, out: kl >= 2.0),
-    BoundId.BH: (tv_upper_bh, lambda kl, out: False),
-    BoundId.TSYBAKOV: (tv_upper_tsybakov, lambda kl, out: math.isinf(kl)),
-    BoundId.WEAK_BH: (tv_upper_weak_bh, lambda kl, out: kl >= 2.0),
-    BoundId.VAJDA: (None, lambda kl, out: out >= 1.0),
-    BoundId.TRIVIAL: (None, lambda kl, out: True),
+# Each forward bound's vacuity as the module docstring states it.
+_VACUOUS = {
+    BoundId.PINSKER: lambda kl, out: kl >= 2.0,
+    BoundId.BH: lambda kl, out: False,
+    BoundId.TSYBAKOV: lambda kl, out: math.isinf(kl),
+    BoundId.WEAK_BH: lambda kl, out: kl >= 2.0,
+    BoundId.VAJDA: lambda kl, out: out >= 1.0,
+    BoundId.TRIVIAL: lambda kl, out: True,
 }
 
 
 class TestRowsMatchTheirEntries:
-    # compare_bounds, tv_upper_best and kl_lower share their curves with the
-    # single-bound entries; every row must be the entry's value to the bit.
+    # compare_bounds and kl_lower share their curves with forward_value and
+    # inverse_value; every row must be that entry's value to the bit.
     def test_compare_bounds_rows_are_their_entries(self):
         for kl in _log_spaced_kl():
             rows = compare_bounds(kl)
-            assert [row.bound for row in rows] == list(bounds.FORWARD_ORDER)
+            assert [row.bound for row in rows] == list(BoundId)
             for row in rows:
-                entry, vacuous = _FORWARD_ENTRIES[row.bound]
                 assert row.input.hex() == kl.hex(), row
                 assert row.output.hex() == forward_value(row.bound, kl).hex(), row
-                assert row.vacuous is vacuous(kl, row.output), row
+                assert row.vacuous is _VACUOUS[row.bound](kl, row.output), row
                 assert row.vacuous is (row.bound is not BoundId.BH and row.output >= 1.0)
-                if entry is not None:
-                    assert entry(kl) == row, row
-                    assert entry(kl).output.hex() == row.output.hex(), row
             by_bound = {row.bound: row for row in rows}
             assert by_bound[BoundId.VAJDA].output.hex() == tv_upper_from_vajda(kl).hex()
             assert by_bound[BoundId.TRIVIAL].output == 1.0
 
     def test_best_is_the_least_row_in_tie_order(self):
         for kl in _log_spaced_kl():
-            by_bound = {row.bound: row for row in compare_bounds(kl)}
-            least = min(by_bound[bound].output for bound in bounds.BEST_TIE_ORDER)
-            first = next(b for b in bounds.BEST_TIE_ORDER if by_bound[b].output == least)
-            best = tv_upper_best(kl)
-            assert best == by_bound[first], kl
+            values = {bound: forward_value(bound, kl) for bound in CLOSED_FORMS}
+            least = min(values.values())
+            first = next(b for b in CLOSED_FORMS if values[b] == least)
+            best = least_closed_form(kl)
+            assert best == row_of(first, kl), kl
             assert best.output.hex() == least.hex(), kl
 
     def test_inverse_rows_are_their_entries(self):
-        entries = {
-            BoundId.PINSKER: kl_lower_pinsker,
-            BoundId.BH: kl_lower_bh,
-            BoundId.TSYBAKOV: kl_lower_tsybakov,
-            BoundId.VAJDA: kl_lower_vajda,
-        }
         grid = [0.0, -0.0, 5e-324, 2.0**-9, 0.5, math.nextafter(1.0, 0.0), 1.0]
         grid += [i / 997 for i in range(998)]
         for tv in grid:
@@ -542,5 +550,5 @@ class TestRowsMatchTheirEntries:
                 value = inverse_value(bound, tv)
                 assert row == BoundEvaluation(bound, tv or 0.0, value, False)
                 assert math.copysign(1.0, row.input) == 1.0
-                assert row.output.hex() == value.hex() == entries[bound](tv).hex()
-
+                assert row.output.hex() == value.hex()
+            assert kl_lower_vajda(tv).hex() == inverse_value(BoundId.VAJDA, tv).hex()

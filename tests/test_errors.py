@@ -1,12 +1,16 @@
 """Every public scalar entry point turns a non-number into OutOfRangeError
 with a one-line message naming the argument, and every integer entry point
 does the same for a value that is not an integer. An id with no such curve
-or check is refused as a ValidationError naming its argument."""
+or check is refused as a ValidationError naming its argument, and so is
+anything but an id member where an id is expected."""
 
+import inspect
 import math
+from functools import partial
 
 import pytest
 
+import tvkl
 from tvkl import (
     BoundId,
     EventSubset,
@@ -15,6 +19,7 @@ from tvkl import (
     OutOfRangeError,
     ProductSpec,
     SampleComplexityQuery,
+    TvklError,
     ValidationError,
     WitnessFunction,
     bernoulli,
@@ -29,9 +34,6 @@ from tvkl import (
     inverse_value,
     kl_finite_implies_tv_lt_one,
     kl_lower,
-    kl_lower_bh,
-    kl_lower_pinsker,
-    kl_lower_tsybakov,
     kl_lower_vajda,
     kl_per_toss,
     pinsker_via_tfl,
@@ -39,31 +41,31 @@ from tvkl import (
     random_distribution,
     run_suite,
     scan_bernoulli,
-    tv_upper_best,
-    tv_upper_bh,
     tv_upper_from_vajda,
-    tv_upper_pinsker,
-    tv_upper_tsybakov,
-    tv_upper_weak_bh,
 )
+from tvkl.bounds import INVERSE_ORDER
 
 NON_NUMBERS = {"str": "x", "None": None, "list": [1], "10^400": 10**400}
 
+# Every curve of bounds is reached through forward_value or inverse_value,
+# each keyed by the bound it gives: "tv_upper_bh" is the bh upper bound on
+# TV, forward_value(BoundId.BH, kl), and "kl_lower_bh" the bh lower bound on
+# KL, inverse_value(BoundId.BH, tv).
 ENTRY_POINTS = {
-    "tv_upper_pinsker": ("kl", tv_upper_pinsker),
-    "tv_upper_bh": ("kl", tv_upper_bh),
-    "tv_upper_tsybakov": ("kl", tv_upper_tsybakov),
-    "tv_upper_weak_bh": ("kl", tv_upper_weak_bh),
-    "tv_upper_best": ("kl", tv_upper_best),
+    "tv_upper_pinsker": ("kl", partial(forward_value, BoundId.PINSKER)),
+    "tv_upper_bh": ("kl", partial(forward_value, BoundId.BH)),
+    "tv_upper_tsybakov": ("kl", partial(forward_value, BoundId.TSYBAKOV)),
+    "tv_upper_weak_bh": ("kl", partial(forward_value, BoundId.WEAK_BH)),
+    "tv_upper_trivial": ("kl", partial(forward_value, BoundId.TRIVIAL)),
     "tv_upper_from_vajda": ("kl", tv_upper_from_vajda),
-    "forward_value": ("kl", lambda x: forward_value(BoundId.VAJDA, x)),
+    "forward_value": ("kl", partial(forward_value, BoundId.VAJDA)),
     "compare_bounds": ("kl", compare_bounds),
-    "kl_lower_pinsker": ("tv", kl_lower_pinsker),
-    "kl_lower_bh": ("tv", kl_lower_bh),
-    "kl_lower_tsybakov": ("tv", kl_lower_tsybakov),
+    "kl_lower_pinsker": ("tv", partial(inverse_value, BoundId.PINSKER)),
+    "kl_lower_bh": ("tv", partial(inverse_value, BoundId.BH)),
+    "kl_lower_tsybakov": ("tv", partial(inverse_value, BoundId.TSYBAKOV)),
     "kl_lower_vajda": ("tv", kl_lower_vajda),
     "kl_lower": ("tv", lambda x: kl_lower(BoundId.VAJDA, x)),
-    "inverse_value": ("tv", lambda x: inverse_value(BoundId.BH, x)),
+    "inverse_value": ("tv", partial(inverse_value, BoundId.VAJDA)),
     "binary_tv-a": ("a", lambda x: binary_tv(x, 0.5)),
     "binary_tv-b": ("b", lambda x: binary_tv(0.5, x)),
     "binary_kl-a": ("a", lambda x: binary_kl(x, 0.5)),
@@ -106,10 +108,18 @@ def test_non_number_is_out_of_range(entry, value):
     assert "\n" not in message
 
 
+def test_entry_points_reach_every_curve():
+    reached = {(call.func, call.args) for _, call in ENTRY_POINTS.values()
+               if isinstance(call, partial)}
+    assert {(forward_value, (b,)) for b in BoundId} <= reached
+    assert {(inverse_value, (b,)) for b in INVERSE_ORDER} <= reached
+
+
 def test_negative_zero_is_read_as_zero():
     # -0.0 is a valid 0, and no output or stored weight keeps its sign
     values = [row.output for row in compare_bounds(-0.0)]
-    values += [*pinsker_via_tfl_optimal(-0.0), *bernoulli(-0.0).probs, kl_lower_bh(-0.0)]
+    values += [*pinsker_via_tfl_optimal(-0.0), *bernoulli(-0.0).probs,
+               inverse_value(BoundId.BH, -0.0)]
     assert all(math.copysign(1.0, v) == 1.0 for v in values), values
 
 
@@ -137,6 +147,62 @@ def test_an_id_with_no_curve_or_check_is_refused(entry):
     message = str(info.value)
     assert message.startswith(f"{name}: ")
     assert "\n" not in message
+
+
+#: Each public function that takes an id, found by its annotation: any value
+#: but a member of that enum is refused with a one-line TvklError naming the
+#: parameter. A member's value ("bh") is refused too; the CLI converts
+#: its strings itself.
+ID_TYPES = {"BoundId": BoundId, "FigureId": FigureId, "InequalityId": InequalityId}
+NOT_IDS = {"value": "bh", "list": [1], "dict": {}, "None": None, "object": object()}
+#: A member of another id enum, per id enum.
+FOREIGN = {BoundId: InequalityId.BH, FigureId: BoundId.PINSKER, InequalityId: BoundId.BH}
+#: A valid value of every other required parameter of those functions.
+VALID = {"kl": 0.5, "tv": 0.5, "points": 5, "resolution": 10, "p": 0.1, "q": 0.2,
+         "trials": 10, "atoms": 8, "seed": 1}
+
+
+def _id_parameters():
+    for name in tvkl.__all__:
+        entry = getattr(tvkl, name)
+        if not inspect.isfunction(entry):
+            continue
+        for param in inspect.signature(entry).parameters.values():
+            annotation = param.annotation
+            if not isinstance(annotation, str):
+                annotation = getattr(annotation, "__name__", None)
+            if annotation in ID_TYPES:
+                yield name, entry, param.name, ID_TYPES[annotation]
+
+
+ID_PARAMETERS = list(_id_parameters())
+
+
+def test_the_id_gate_finds_every_entry_that_takes_an_id():
+    assert {name for name, *_ in ID_PARAMETERS} >= {
+        "forward_value", "inverse_value", "kl_lower", "figure_header", "figure_rows",
+        "write_figure_csv", "scan_bernoulli", "bernoulli_margin", "falsify"}
+
+
+@pytest.mark.parametrize("entry, param, value", [
+    pytest.param(entry, param, value, id=f"{name}-{value_id}")
+    for name, entry, param, kind in ID_PARAMETERS
+    for value_id, value in [*NOT_IDS.items(), ("member_value", list(kind)[-1].value),
+                            ("foreign", FOREIGN[kind])]
+])
+def test_anything_but_an_id_member_is_refused(tmp_path, entry, param, value):
+    valid = {**VALID, "path": tmp_path / "figure.csv"}
+    arguments = {
+        p.name: value if p.name == param else valid[p.name]
+        for p in inspect.signature(entry).parameters.values()
+        if p.default is inspect.Parameter.empty
+    }
+    with pytest.raises(TvklError) as info:
+        entry(**arguments)
+    message = str(info.value)
+    assert message.startswith(f"{param}: ")
+    assert "\n" not in message
+    assert not any(tmp_path.iterdir())
 
 
 P, Q = bernoulli(0.3), bernoulli(0.6)

@@ -21,13 +21,17 @@ from tvkl.figures import FigureId
 #:   n_pinsker, n_bh, n_tsybakov and required_tv, which ``report`` gives.
 #: - variational.TflParameter: a second form of pinsker_via_tfl's float
 #:   budget that checked nothing the function does not check itself.
+#: - bounds.tv_upper_pinsker, tv_upper_bh, tv_upper_tsybakov, tv_upper_weak_bh,
+#:   kl_lower_pinsker, kl_lower_bh and kl_lower_tsybakov: each was one curve
+#:   of ``forward_value`` or ``inverse_value`` under its own name.
+#:   tv_upper_best: no caller, and a second ordering of the forward family
+#:   that left vajda out. kl_lower_vajda and tv_upper_from_vajda stay: the
+#:   benchmark harness reads them.
 SURFACE = {
     "bounds": [
         "BoundEvaluation", "BoundId", "WEAK_BH_FACTOR", "compare_bounds",
-        "forward_value", "inverse_value", "kl_lower", "kl_lower_bh",
-        "kl_lower_pinsker", "kl_lower_tsybakov", "kl_lower_vajda",
-        "tv_upper_best", "tv_upper_bh", "tv_upper_from_vajda",
-        "tv_upper_pinsker", "tv_upper_tsybakov", "tv_upper_weak_bh",
+        "forward_value", "inverse_value", "kl_lower", "kl_lower_vajda",
+        "tv_upper_from_vajda",
     ],
     "distributions": [
         "Distribution", "LABEL_SEPARATOR", "MAX_PRODUCT_ATOMS", "ProductSpec",

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tvkl import (
+    BoundId,
     InequalityId,
     MisalignedWitnessError,
     OutOfRangeError,
@@ -17,13 +18,14 @@ from tvkl import (
     dv_supremum,
     dv_value,
     falsify,
+    forward_value,
     kl_divergence,
     new_distribution,
     pinsker_via_tfl,
     pinsker_via_tfl_optimal,
     total_variation,
-    tv_upper_pinsker,
 )
+from tvkl import verify
 from tvkl.verify import _hoeffding_step, _ipm_identity
 from conftest import dist, seeded_pairs
 
@@ -191,12 +193,12 @@ class TestPinskerViaTfl:
         # lambda* is sqrt(2 kl) correctly rounded, and accepted as a budget
         lam, bound = pinsker_via_tfl_optimal(kl)
         assert lam == float((2 * Decimal(kl)).sqrt(Context(prec=60)))
-        assert pinsker_via_tfl(kl, lam) >= bound == tv_upper_pinsker(kl).output
+        assert pinsker_via_tfl(kl, lam) >= bound == forward_value(BoundId.PINSKER, kl)
 
     def test_matches_pinsker_forward_exactly(self):
         for kl in [i / 20.0 for i in range(200)] + [5e-324, 2.0**-1030]:
             _, bound = pinsker_via_tfl_optimal(kl)
-            assert bound == tv_upper_pinsker(kl).output
+            assert bound == forward_value(BoundId.PINSKER, kl)
         assert pinsker_via_tfl_optimal(5e-324)[1] > 0.0
 
     def test_every_other_budget_is_worse(self):
@@ -303,6 +305,16 @@ class TestIpmIdentity:
         for values in unit_ball_witnesses(50, 3, seed=11):
             margin = _ipm_identity(P3, Q3, values)
             assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
+
+    def test_a_tv_off_the_half_gap_is_a_negative_margin(self, monkeypatch):
+        # With TV 0.1 above half the sign witness's gap (0.3 here), the lead
+        # of the sign witness over itself is 0.0 and the identity half of the
+        # margin, 0.0 - |gap / 2 - TV|, is -0.1.
+        exact = verify.total_variation
+        monkeypatch.setattr(verify, "total_variation", lambda p, q: exact(p, q) + 0.1)
+        sign = [(a > b) - (a < b) for a, b in zip(P3.probs, Q3.probs)]
+        assert _ipm_identity(P3, Q3, sign) == pytest.approx(-0.1, abs=1e-15)
+        assert falsify(InequalityId.IPM_IDENTITY, 5, 8, seed=1).violations == 5
 
     def test_sign_witness_attains_double_tv(self):
         sup = 2.0 * total_variation(P3, Q3)
